@@ -897,9 +897,8 @@ func Fig11(s Scale) (*Table, error) {
 // Shuffle measures the streaming data plane: a grouped stage pulls every
 // partition to one worker, so each remote partition crosses a
 // worker→worker link as a chunked, credit-controlled transfer. Configs
-// vary chunk size, force receiver spill with a tight receive budget, and
-// toggle per-chunk flate compression; each row reports the shuffle time
-// and the per-link goodput.
+// vary chunk size and force receiver spill with a tight receive budget;
+// each row reports the shuffle time and the per-link goodput.
 func Shuffle(s Scale) (*Table, error) {
 	t := &Table{
 		ID:      "shuffle",
@@ -913,18 +912,16 @@ func Shuffle(s Scale) (*Table, error) {
 		},
 	}
 	configs := []struct {
-		name     string
-		chunk    int
-		budget   int64
-		compress bool
+		name   string
+		chunk  int
+		budget int64
 	}{
-		{"chunk=256KiB", 256 << 10, 0, false},
-		{"chunk=64KiB", 64 << 10, 0, false},
-		{"chunk=256KiB spill", 256 << 10, int64(s.ShufflePartBytes) / 4, false},
-		{"chunk=256KiB flate", 256 << 10, 0, true},
+		{"chunk=256KiB", 256 << 10, 0},
+		{"chunk=64KiB", 64 << 10, 0},
+		{"chunk=256KiB spill", 256 << 10, int64(s.ShufflePartBytes) / 4},
 	}
 	for _, cfg := range configs {
-		moved, elapsed, chunks, spills, err := s.runShuffle(cfg.chunk, cfg.budget, cfg.compress)
+		moved, elapsed, chunks, spills, err := s.runShuffle(cfg.chunk, cfg.budget)
 		if err != nil {
 			return nil, fmt.Errorf("shuffle %s: %w", cfg.name, err)
 		}
@@ -947,11 +944,11 @@ func Shuffle(s Scale) (*Table, error) {
 
 // runShuffle runs one shuffle configuration and returns the cross-worker
 // bytes moved, wall time, chunks received, and receiver spills.
-func (s Scale) runShuffle(chunk int, budget int64, compress bool) (uint64, time.Duration, uint64, uint64, error) {
+func (s Scale) runShuffle(chunk int, budget int64) (uint64, time.Duration, uint64, uint64, error) {
 	c, err := cluster.Start(cluster.Options{
 		Workers: s.ShuffleWorkers, Slots: s.Slots, Latency: s.Latency,
 		Registry:  fn.NewRegistry(),
-		ChunkSize: chunk, RecvBudget: budget, CompressChunks: compress,
+		ChunkSize: chunk, RecvBudget: budget,
 	})
 	if err != nil {
 		return 0, 0, 0, 0, err

@@ -13,10 +13,11 @@
 // so tests can assert two runs (or two engines) share a schedule before
 // trusting a reproduction.
 //
-// Wrapped connections deliberately do NOT implement transport.OwnedSender:
-// transport.SendOwned falls back to the copying Send path, so pooled
-// buffers stay owned by the caller even when chaos drops or duplicates a
-// frame.
+// Wrapped connections deliberately implement neither transport.OwnedSender
+// nor transport.VecSender: transport.SendOwned and transport.SendVec fall
+// back to the copying Send path, so pooled buffers stay owned by the caller
+// even when chaos drops or duplicates a frame, and every fault sees a frame
+// as one contiguous slice.
 package chaos
 
 import (
@@ -305,8 +306,8 @@ func (l *faultListener) Close() error { return l.inner.Close() }
 func (l *faultListener) Addr() string { return l.inner.Addr() }
 
 // faultConn applies the schedule to outbound frames. It intentionally
-// implements only transport.Conn, never transport.OwnedSender — see the
-// package comment.
+// implements only transport.Conn, never transport.OwnedSender or
+// transport.VecSender — see the package comment.
 type faultConn struct {
 	t     *Transport
 	inner transport.Conn

@@ -82,13 +82,12 @@ type Options struct {
 	TenantBurst   int
 	// Data-plane knobs, forwarded to every worker: transfer chunk size,
 	// per-peer sender queue bound, receive reassembly budget (past it
-	// transfers spill to disk), spill directory, and per-chunk
-	// compression. Zeroes take the worker defaults.
+	// transfers spill to disk) and spill directory. Zeroes take the worker
+	// defaults.
 	ChunkSize      int
 	PeerQueueBytes int64
 	RecvBudget     int64
 	SpillDir       string
-	CompressChunks bool
 	// Logf receives diagnostics from all nodes (default: discard).
 	Logf func(format string, args ...any)
 }
@@ -205,7 +204,6 @@ func (c *Cluster) workerConfig(fleetJoin bool) worker.Config {
 		PeerQueueBytes: c.opts.PeerQueueBytes,
 		RecvBudget:     c.opts.RecvBudget,
 		SpillDir:       c.opts.SpillDir,
-		CompressChunks: c.opts.CompressChunks,
 		FleetJoin:      fleetJoin,
 		Logf:           c.opts.Logf,
 	}

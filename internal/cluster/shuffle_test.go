@@ -39,9 +39,8 @@ func TestShuffleLargePartitionsSpill(t *testing.T) {
 		Registry: reg,
 		// 64 KiB chunks, and a receive budget a fraction of one partition:
 		// every cross-worker transfer must spill at the receiver.
-		ChunkSize:      64 << 10,
-		RecvBudget:     128 << 10,
-		CompressChunks: true,
+		ChunkSize:  64 << 10,
+		RecvBudget: 128 << 10,
 	})
 	d, err := c.Driver("test")
 	if err != nil {

@@ -4,14 +4,15 @@ import (
 	"fmt"
 	"sync"
 
+	"nimbus/internal/bufpool"
 	"nimbus/internal/wire"
 )
 
 // This file implements the control-plane fast path's two codec pieces
 // (DESIGN.md §"Control-plane fast path"):
 //
-//   - a sync.Pool-backed encode-buffer pool (GetBuf/PutBuf) so steady-state
-//     frame encoding allocates nothing, and
+//   - pooled encode buffers (GetBuf/PutBuf over internal/bufpool) so
+//     steady-state frame encoding allocates nothing, and
 //   - the Batch frame: one KindBatch byte, a message count, and the
 //     concatenated kind-prefixed messages. The controller's per-worker send
 //     coalescer uses it to turn an InstantiateBlock fan-out into exactly
@@ -19,21 +20,6 @@ import (
 //
 // Messages are self-delimiting (every decoder consumes exactly the bytes
 // its encoder produced), so a batch needs no per-message length prefixes.
-
-// maxPooledBuf caps the capacity of buffers accepted back into the pool.
-// Data-plane payloads can be megabytes; pinning them in the pool would
-// trade allocation rate for resident memory. The cap leaves headroom over
-// the default data-plane chunk size (256 KiB) so a marshaled DataChunk
-// frame — chunk body plus a few dozen header bytes — still recycles.
-const maxPooledBuf = 1<<18 + 1024
-
-// pooledBuf wraps a byte slice so pool round trips move only pointers.
-// Spent headers (B == nil) park in hdrPool, so neither GetBuf nor PutBuf
-// allocates once both pools are warm.
-type pooledBuf struct{ b []byte }
-
-var bufPool = sync.Pool{New: func() any { return &pooledBuf{b: make([]byte, 0, 1024)} }}
-var hdrPool = sync.Pool{New: func() any { return new(pooledBuf) }}
 
 // writerPool recycles wire.Writers for MarshalAppend/AppendBatch: encode is
 // an interface method, so a stack-allocated Writer would escape.
@@ -53,27 +39,16 @@ func putWriter(w *wire.Writer) []byte {
 	return buf
 }
 
-// GetBuf returns an empty encode buffer from the pool. Pass it to
-// MarshalAppend/AppendBatch and release it with PutBuf — or hand it to a
-// transport via SendOwned, in which case the receiver releases it.
-func GetBuf() []byte {
-	h := bufPool.Get().(*pooledBuf)
-	b := h.b[:0]
-	h.b = nil
-	hdrPool.Put(h)
-	return b
-}
+// GetBuf returns an empty encode buffer from the shared frame-buffer pool
+// (internal/bufpool, which the TCP transport's Recv also draws from). Pass
+// it to MarshalAppend/AppendBatch and release it with PutBuf — or hand it to
+// a transport via SendOwned, in which case the receiver releases it.
+func GetBuf() []byte { return bufpool.Get() }
 
-// PutBuf returns a buffer to the pool. The caller must not use b after.
-// Oversized buffers are dropped so payload-sized frames do not pin memory.
-func PutBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > maxPooledBuf {
-		return
-	}
-	h := hdrPool.Get().(*pooledBuf)
-	h.b = b
-	bufPool.Put(h)
-}
+// PutBuf returns a buffer — an encode buffer, or a frame a Conn's Recv
+// returned — to the pool. The caller must not use b after. Buffers outside
+// the pool's capacity bounds are dropped.
+func PutBuf(b []byte) { bufpool.Put(b) }
 
 // AppendBatch encodes msgs as a single batch frame onto buf and returns
 // the extended slice. A one-message batch is encoded as the bare message —
@@ -98,13 +73,25 @@ func AppendBatch(buf []byte, msgs []Msg) []byte {
 // so the caller may recycle b (PutBuf) once ForEachMsg returns. A decode
 // error aborts the iteration; fn errors propagate unchanged.
 func ForEachMsg(b []byte, fn func(Msg) error) error {
+	return forEachMsg(b, false, fn)
+}
+
+// ForEachMsgAliasChunks is ForEachMsg with one exception to the no-alias
+// rule: a DataChunk's Raw is a window into b, not a copy. It exists for the
+// worker's data pump, which lands each chunk in its reassembly buffer inside
+// fn, before b is recycled; fn must not keep Raw past its return.
+func ForEachMsgAliasChunks(b []byte, fn func(Msg) error) error {
+	return forEachMsg(b, true, fn)
+}
+
+func forEachMsg(b []byte, aliasChunks bool, fn func(Msg) error) error {
 	r := wire.NewReader(b)
 	kind := MsgKind(r.Byte())
 	if r.Err != nil {
 		return r.Err
 	}
 	if kind != KindBatch {
-		m, err := unmarshalBody(kind, r)
+		m, err := unmarshalBody(kind, r, aliasChunks)
 		if err != nil {
 			return err
 		}
@@ -126,7 +113,7 @@ func ForEachMsg(b []byte, fn func(Msg) error) error {
 		if r.Err != nil {
 			return fmt.Errorf("proto: batch message %d/%d: %w", i, n, r.Err)
 		}
-		m, err := unmarshalBody(k, r)
+		m, err := unmarshalBody(k, r, aliasChunks)
 		if err != nil {
 			return fmt.Errorf("proto: batch message %d/%d: %w", i, n, err)
 		}
@@ -140,13 +127,20 @@ func ForEachMsg(b []byte, fn func(Msg) error) error {
 	return nil
 }
 
-// unmarshalBody decodes one message body of the given kind from r.
-func unmarshalBody(kind MsgKind, r *wire.Reader) (Msg, error) {
+// unmarshalBody decodes one message body of the given kind from r. With
+// aliasChunks a DataChunk's Raw aliases r's buffer (ForEachMsgAliasChunks).
+func unmarshalBody(kind MsgKind, r *wire.Reader, aliasChunks bool) (Msg, error) {
 	m := newMsg(kind)
 	if m == nil {
 		return nil, fmt.Errorf("proto: unknown message kind %d", kind)
 	}
-	if err := m.decode(r); err != nil {
+	var err error
+	if aliasChunks && kind == KindDataChunk {
+		err = m.(*DataChunk).decodeAliased(r)
+	} else {
+		err = m.decode(r)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("proto: decoding %s: %w", kind, err)
 	}
 	return m, nil

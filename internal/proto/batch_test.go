@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"nimbus/internal/bufpool"
 	"nimbus/internal/wire"
 )
 
@@ -143,7 +144,7 @@ func TestBufPool(t *testing.T) {
 	b = append(b, 1, 2, 3)
 	PutBuf(b)
 	// Oversized buffers must be dropped, not pooled.
-	PutBuf(make([]byte, 0, maxPooledBuf+1))
+	PutBuf(make([]byte, 0, bufpool.MaxCap+1))
 	// Recycling a buffer we do not own again would corrupt the pool; the
 	// API contract (not the implementation) prevents that, so just verify
 	// a fresh Get is usable.

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"reflect"
 	"testing"
 
 	"nimbus/internal/wire"
@@ -90,13 +91,25 @@ func FuzzForEachMsg(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		n := 0
+		var msgs []Msg
 		err := ForEachMsg(b, func(m Msg) error {
 			if m == nil {
 				t.Fatal("ForEachMsg yielded a nil message")
 			}
 			n++
+			msgs = append(msgs, m)
 			return nil
 		})
+		// The data pump's variant differs only in where a chunk's Raw
+		// points: same messages, same verdict.
+		var aliased []Msg
+		aerr := ForEachMsgAliasChunks(b, func(m Msg) error {
+			aliased = append(aliased, m)
+			return nil
+		})
+		if (err == nil) != (aerr == nil) || !reflect.DeepEqual(msgs, aliased) {
+			t.Fatalf("ForEachMsgAliasChunks(%x) = %v, %v; ForEachMsg = %v, %v", b, aliased, aerr, msgs, err)
+		}
 		if err == nil && n == 0 {
 			t.Fatalf("ForEachMsg(%x) yielded nothing and no error", b)
 		}

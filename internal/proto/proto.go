@@ -225,7 +225,7 @@ func Unmarshal(b []byte) (Msg, error) {
 	if r.Err != nil {
 		return nil, r.Err
 	}
-	return unmarshalBody(kind, r)
+	return unmarshalBody(kind, r, false)
 }
 
 func newMsg(kind MsgKind) Msg {
@@ -1489,11 +1489,10 @@ func (m *DataPayload) decode(r *wire.Reader) error {
 	return r.Err
 }
 
-// DataChunk flag bits.
+// DataChunk flag bits. Bit 0 marked flate-compressed chunks until that
+// option was deleted (it never beat the wire it saved); it stays retired,
+// and a receiver aborts a transfer carrying any bit it does not know.
 const (
-	// ChunkCompressed marks Raw as flate-compressed; the receiver inflates
-	// it before reassembly.
-	ChunkCompressed uint8 = 1 << 0
 	// ChunkFetch marks a chunked FetchObject reply riding the control
 	// connection: Fetch carries the FetchObject sequence number and the
 	// controller reassembles the chunks into one ObjectData.
@@ -1524,7 +1523,7 @@ type DataChunk struct {
 	Logical    ids.LogicalID
 	Version    uint64
 	Fetch      uint64
-	// Total is the transfer's full uncompressed size in bytes; the
+	// Total is the transfer's full size in bytes; the
 	// receiver validates reassembly against it.
 	Total uint64
 	Raw   []byte
@@ -1534,6 +1533,14 @@ type DataChunk struct {
 func (*DataChunk) Kind() MsgKind { return KindDataChunk }
 
 func (m *DataChunk) encode(w *wire.Writer) {
+	m.encodeHeader(w)
+	w.Buf = append(w.Buf, m.Raw...)
+}
+
+// encodeHeader writes everything that precedes Raw's bytes, its length
+// prefix included. Raw is the last field so that a sender can put the
+// header and the payload on the wire as two slices.
+func (m *DataChunk) encodeHeader(w *wire.Writer) {
 	w.Uvarint(uint64(m.Job))
 	w.Uvarint(m.Xfer)
 	w.Uvarint(uint64(m.Seq))
@@ -1545,10 +1552,36 @@ func (m *DataChunk) encode(w *wire.Writer) {
 	w.Uvarint(m.Version)
 	w.Uvarint(m.Fetch)
 	w.Uvarint(m.Total)
-	w.Bytes(m.Raw)
+	w.Uvarint(uint64(len(m.Raw)))
+}
+
+// AppendChunkHeader appends the encoding of m up to, not including, Raw's
+// bytes: AppendChunkHeader(buf, m) followed by m.Raw is byte for byte
+// MarshalAppend(buf, m). Senders hand the two to transport.SendVec so the
+// payload is never copied into an encode buffer.
+func AppendChunkHeader(buf []byte, m *DataChunk) []byte {
+	w := wire.Writer{Buf: buf}
+	w.Byte(byte(KindDataChunk))
+	m.encodeHeader(&w)
+	return w.Buf
 }
 
 func (m *DataChunk) decode(r *wire.Reader) error {
+	m.decodeHeader(r)
+	m.Raw = r.BytesCopy()
+	return r.Err
+}
+
+// decodeAliased is decode with Raw left as a window into r's buffer
+// (ForEachMsgAliasChunks).
+func (m *DataChunk) decodeAliased(r *wire.Reader) error {
+	m.decodeHeader(r)
+	m.Raw = r.Bytes()
+	return r.Err
+}
+
+// decodeHeader reads every field but Raw, leaving r at Raw's length prefix.
+func (m *DataChunk) decodeHeader(r *wire.Reader) {
 	m.Job = ids.JobID(r.Uvarint())
 	m.Xfer = r.Uvarint()
 	m.Seq = uint32(r.Uvarint())
@@ -1560,8 +1593,6 @@ func (m *DataChunk) decode(r *wire.Reader) error {
 	m.Version = r.Uvarint()
 	m.Fetch = r.Uvarint()
 	m.Total = r.Uvarint()
-	m.Raw = r.BytesCopy()
-	return r.Err
 }
 
 // DataCredit replenishes a transfer's flow-control window: the receiver
@@ -1665,8 +1696,8 @@ type ReplJob struct {
 	Name   string
 	Weight int
 	// Tenant preserves the job's fair-share tenant across a failover.
-	Tenant  string
-	Applied uint64
+	Tenant    string
+	Applied   uint64
 	Ckpt      uint64
 	CkptCount uint64
 	Manifest  []ManifestEntry

@@ -74,7 +74,7 @@ func everyMessage() []Msg {
 		&Resume{},
 		&DataPayload{DstCommand: 77, Object: 44, Logical: 9, Version: 2, Data: []byte{6}},
 		&DataChunk{
-			Job: 2, Xfer: 31, Seq: 4, Last: true, Flags: ChunkCompressed,
+			Job: 2, Xfer: 31, Seq: 4, Last: true, Flags: ChunkFetch,
 			DstCommand: 77, Object: 44, Logical: 9, Version: 2, Fetch: 13,
 			Total: 1 << 20, Raw: []byte{1, 2, 3},
 		},

@@ -1,8 +1,7 @@
 // Package stream implements the chunked data-plane transfer discipline
 // shared by the worker↔worker push path and the worker→controller fetch
-// path: slicing large objects into fixed-size chunks, optional per-chunk
-// flate compression, and strict in-order reassembly with hostile-input
-// validation.
+// path: slicing large objects into fixed-size chunks and strict in-order
+// reassembly with hostile-input validation.
 //
 // The protocol is deliberately minimal. A transfer is a sender-allocated
 // Xfer ID plus a run of DataChunk frames with consecutive Seq numbers; the
@@ -10,24 +9,21 @@
 // connection, so the receiver accepts exactly the next sequence number,
 // drops duplicates silently (a sender that redialed mid-transfer restarts
 // from zero), and treats a gap as corruption. Flow control (DataCredit)
-// and spill policy live with the endpoints; this package only validates
-// and decodes.
+// and spill policy live with the endpoints; this package only validates.
 package stream
 
 import (
-	"bytes"
-	"compress/flate"
 	"errors"
 	"fmt"
-	"io"
-	"sync"
 
 	"nimbus/internal/proto"
 )
 
-// DefaultChunkSize is the default transfer chunk size. It matches the
-// proto buffer pool's maximum pooled capacity, so every chunk frame the
-// sender marshals comes from — and returns to — the pool.
+// DefaultChunkSize is the default transfer chunk size. A chunk frame — this
+// many payload bytes plus a few dozen header bytes — fits the frame-buffer
+// pool's largest pooled capacity (bufpool.MaxCap), so the buffer a receiver
+// gets a chunk in, and the one a sender without vectored sends marshals it
+// into, both come from and return to the pool.
 const DefaultChunkSize = 256 << 10
 
 // InitWindow is the number of chunks a sender may have in flight before
@@ -44,58 +40,6 @@ const MaxWindow = 1024
 // prefix); the receiver drops it silently.
 var ErrDup = errors.New("stream: duplicate chunk")
 
-var flateWriters = sync.Pool{New: func() any {
-	w, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
-	return w
-}}
-
-// Compress flate-compresses raw, returning nil if the result is not
-// smaller than the input (incompressible data rides uncompressed — paying
-// inflate cost for zero byte savings helps no one).
-func Compress(raw []byte) []byte {
-	var buf bytes.Buffer
-	buf.Grow(len(raw) / 2)
-	fw := flateWriters.Get().(*flate.Writer)
-	fw.Reset(&buf)
-	if _, err := fw.Write(raw); err != nil {
-		flateWriters.Put(fw)
-		return nil
-	}
-	if err := fw.Close(); err != nil {
-		flateWriters.Put(fw)
-		return nil
-	}
-	flateWriters.Put(fw)
-	if buf.Len() >= len(raw) {
-		return nil
-	}
-	return buf.Bytes()
-}
-
-// Decompress inflates raw, refusing to produce more than limit bytes —
-// the chunk-size bound the sender committed to — so a hostile compressed
-// chunk cannot balloon receiver memory.
-func Decompress(raw []byte, limit int) ([]byte, error) {
-	fr := flate.NewReader(bytes.NewReader(raw))
-	out := make([]byte, 0, limit)
-	buf := make([]byte, 32<<10)
-	for {
-		n, err := fr.Read(buf)
-		if n > 0 {
-			if len(out)+n > limit {
-				return nil, fmt.Errorf("stream: inflated chunk exceeds %d bytes", limit)
-			}
-			out = append(out, buf[:n]...)
-		}
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("stream: inflate: %w", err)
-		}
-	}
-}
-
 // Reassembler validates one transfer's chunk run. It tracks ordering and
 // size only; the caller owns accumulation (RAM buffer or spill file), so
 // the same validation serves both the worker's budgeted receive path and
@@ -103,8 +47,7 @@ func Decompress(raw []byte, limit int) ([]byte, error) {
 type Reassembler struct {
 	Xfer  uint64
 	Total uint64
-	// ChunkSize bounds each chunk's decoded size (zero means
-	// DefaultChunkSize); decompression refuses to inflate past it.
+	// ChunkSize bounds each chunk's payload (zero means DefaultChunkSize).
 	ChunkSize int
 
 	next uint32
@@ -114,8 +57,8 @@ type Reassembler struct {
 // Got reports the bytes landed so far.
 func (ra *Reassembler) Got() uint64 { return ra.got }
 
-// Accept validates chunk c and returns its decoded bytes for the caller
-// to append. A nil result with ErrDup means the chunk was already landed
+// Accept validates chunk c and returns its payload (c.Raw) for the caller
+// to land. A nil result with ErrDup means the chunk was already landed
 // (drop silently); any other error is a protocol violation and the caller
 // must abort the transfer.
 func (ra *Reassembler) Accept(c *proto.DataChunk) ([]byte, error) {
@@ -135,14 +78,11 @@ func (ra *Reassembler) Accept(c *proto.DataChunk) ([]byte, error) {
 	if limit <= 0 {
 		limit = DefaultChunkSize
 	}
+	if unknown := c.Flags &^ proto.ChunkFetch; unknown != 0 {
+		return nil, fmt.Errorf("stream: unknown chunk flags %#x", unknown)
+	}
 	raw := c.Raw
-	if c.Flags&proto.ChunkCompressed != 0 {
-		var err error
-		raw, err = Decompress(raw, limit)
-		if err != nil {
-			return nil, err
-		}
-	} else if len(raw) > limit {
+	if len(raw) > limit {
 		return nil, fmt.Errorf("stream: chunk of %d bytes exceeds chunk size %d", len(raw), limit)
 	}
 	if ra.got+uint64(len(raw)) > ra.Total {

@@ -3,7 +3,6 @@ package stream
 import (
 	"bytes"
 	"errors"
-	"math/rand"
 	"testing"
 
 	"nimbus/internal/proto"
@@ -36,36 +35,6 @@ func TestReassembleInOrder(t *testing.T) {
 	}
 	if ra.Got() != 1000 {
 		t.Fatalf("Got() = %d, want 1000", ra.Got())
-	}
-}
-
-func TestReassembleCompressed(t *testing.T) {
-	data := bytes.Repeat([]byte("nimbus "), 4096)
-	comp := Compress(data)
-	if comp == nil {
-		t.Fatal("repetitive data should compress")
-	}
-	if len(comp) >= len(data) {
-		t.Fatalf("compressed %d >= raw %d", len(comp), len(data))
-	}
-	ra := &Reassembler{Xfer: 1, Total: uint64(len(data)), ChunkSize: len(data)}
-	c := chunk(1, 0, true, uint64(len(data)), comp)
-	c.Flags = proto.ChunkCompressed
-	raw, err := ra.Accept(c)
-	if err != nil {
-		t.Fatalf("accept compressed: %v", err)
-	}
-	if !bytes.Equal(raw, data) {
-		t.Fatal("inflated bytes differ from input")
-	}
-}
-
-func TestCompressIncompressible(t *testing.T) {
-	data := make([]byte, 4096)
-	rnd := rand.New(rand.NewSource(1))
-	rnd.Read(data)
-	if Compress(data) != nil {
-		t.Fatal("random data should be reported incompressible")
 	}
 }
 
@@ -102,27 +71,30 @@ func TestHostileChunkTruncated(t *testing.T) {
 	}
 }
 
-// Corrupt compressed Raw must error, not panic or return garbage.
-func TestHostileChunkCorruptCompressed(t *testing.T) {
+// A flag bit this build does not know — the retired compression bit 0, or
+// anything above ChunkFetch — aborts the transfer rather than landing bytes
+// whose meaning the receiver cannot know.
+func TestHostileChunkUnknownFlags(t *testing.T) {
+	for _, flags := range []uint8{1 << 0, 1 << 2, 1 << 7, proto.ChunkFetch | 1<<0} {
+		ra := &Reassembler{Xfer: 1, Total: 100, ChunkSize: 100}
+		c := chunk(1, 0, true, 100, make([]byte, 100))
+		c.Flags = flags
+		if _, err := ra.Accept(c); err == nil || errors.Is(err, ErrDup) {
+			t.Fatalf("flags %#x not rejected: %v", flags, err)
+		}
+		if ra.Got() != 0 {
+			t.Fatalf("flags %#x: rejected chunk advanced the reassembler to %d", flags, ra.Got())
+		}
+	}
 	ra := &Reassembler{Xfer: 1, Total: 100, ChunkSize: 100}
-	c := chunk(1, 0, true, 100, []byte{0xff, 0x00, 0xab, 0x13})
-	c.Flags = proto.ChunkCompressed
-	if _, err := ra.Accept(c); err == nil {
-		t.Fatal("corrupt flate stream not rejected")
+	c := chunk(1, 0, true, 100, make([]byte, 100))
+	c.Flags = proto.ChunkFetch
+	raw, err := ra.Accept(c)
+	if err != nil {
+		t.Fatalf("ChunkFetch chunk rejected: %v", err)
 	}
-}
-
-// A compressed chunk must not inflate past the chunk-size bound.
-func TestHostileChunkInflateBomb(t *testing.T) {
-	comp := Compress(make([]byte, 1<<20)) // zeros compress absurdly well
-	if comp == nil {
-		t.Fatal("zeros should compress")
-	}
-	ra := &Reassembler{Xfer: 1, Total: 1 << 20, ChunkSize: 1 << 10}
-	c := chunk(1, 0, false, 1<<20, comp)
-	c.Flags = proto.ChunkCompressed
-	if _, err := ra.Accept(c); err == nil {
-		t.Fatal("inflate past chunk size not rejected")
+	if &raw[0] != &c.Raw[0] {
+		t.Fatal("Accept returned a copy of c.Raw, not c.Raw")
 	}
 }
 
@@ -148,7 +120,7 @@ func TestHostileChunkTotalFlip(t *testing.T) {
 	}
 }
 
-// An uncompressed chunk larger than the negotiated chunk size is refused
+// A chunk larger than the negotiated chunk size is refused
 // (it would bypass the per-chunk memory bound credits account in).
 func TestHostileChunkOversized(t *testing.T) {
 	ra := &Reassembler{Xfer: 1, Total: 1 << 20, ChunkSize: 1 << 10}

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net"
 	"sync"
+
+	"nimbus/internal/bufpool"
 )
 
 // maxFrame bounds a single framed message. Data-plane payloads in this
@@ -58,17 +60,25 @@ func (l *tcpListener) Addr() string { return l.nl.Addr().String() }
 
 // tcpConn frames messages over a net.Conn. Sends are serialized by a mutex
 // and flushed immediately: control-plane messages are small and latency
-// sensitive, so batching is left to callers.
+// sensitive, so batching is left to callers. A frame that fits the bufio
+// writer is staged there so length and body leave in one write; anything
+// larger, and every SendVec, is a gathered write (writev) straight from the
+// caller's slices — no staging copy, one syscall.
 //
-// tcpConn deliberately does not implement OwnedSender: Send copies into the
-// bufio writer and returns without retaining b, so a pooled caller buffer
-// is already reusable the moment Send returns — taking ownership would only
-// move the recycle from the sender (which has the pool warm) to nobody.
+// tcpConn implements VecSender but not OwnedSender: neither send path
+// retains the caller's bytes past its return, so a pooled caller buffer is
+// reusable at once and taking ownership would only move the recycle from
+// the sender (which has the pool warm) to nobody. Recv draws its result
+// from bufpool; the caller owns it and recycles it with bufpool.Put
+// (proto.PutBuf).
 type tcpConn struct {
 	nc net.Conn
 
 	sendMu sync.Mutex
 	bw     *bufio.Writer
+	vhead  []byte      // gathered-write scratch: length prefix ‖ head
+	vparts [2][]byte   // the two slices of one gathered write
+	vec    net.Buffers // vparts[:], rebuilt per send because WriteTo consumes it
 
 	recvMu sync.Mutex
 	br     *bufio.Reader
@@ -88,8 +98,8 @@ func newTCPConn(nc net.Conn) *tcpConn {
 }
 
 func (c *tcpConn) Send(b []byte) error {
-	if len(b) > maxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(b))
+	if 4+len(b) > c.bw.Size() {
+		return c.SendVec(nil, b)
 	}
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
@@ -102,6 +112,27 @@ func (c *tcpConn) Send(b []byte) error {
 		return c.sendErr(err)
 	}
 	if err := c.bw.Flush(); err != nil {
+		return c.sendErr(err)
+	}
+	return nil
+}
+
+// SendVec implements VecSender. The bufio writer is empty whenever sendMu
+// is free (Send flushes before releasing it), so the two paths interleave
+// without reordering bytes.
+func (c *tcpConn) SendVec(head, body []byte) error {
+	n := len(head) + len(body)
+	if n > maxFrame {
+		return fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+	}
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
+	c.vhead = append(binary.BigEndian.AppendUint32(c.vhead[:0], uint32(n)), head...)
+	c.vparts = [2][]byte{c.vhead, body}
+	c.vec = c.vparts[:]
+	_, err := c.vec.WriteTo(c.nc)
+	c.vparts[1] = nil // do not pin the caller's body until the next send
+	if err != nil {
 		return c.sendErr(err)
 	}
 	return nil
@@ -124,8 +155,9 @@ func (c *tcpConn) Recv() ([]byte, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
-	buf := make([]byte, n)
+	buf := bufpool.GetLen(int(n))
 	if _, err := io.ReadFull(c.br, buf); err != nil {
+		bufpool.Put(buf)
 		return nil, c.recvErr(err)
 	}
 	return buf, nil

@@ -13,7 +13,9 @@
 //     multi-process deployments (cmd/nimbus-controller, cmd/nimbus-worker).
 //
 // Both present the same Conn interface: ordered, reliable, message-oriented
-// byte frames.
+// byte frames. Frame buffers circulate through internal/bufpool: whoever
+// ends up holding one — the sender after a copying Send, the receiver after
+// Recv or an owned hand-off — returns it there.
 package transport
 
 import (
@@ -21,6 +23,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"nimbus/internal/bufpool"
 )
 
 // ErrClosed is returned by operations on a closed connection or listener.
@@ -30,7 +34,9 @@ var ErrClosed = errors.New("transport: closed")
 type Conn interface {
 	// Send enqueues one message. It must not retain b after returning.
 	Send(b []byte) error
-	// Recv blocks until a message arrives or the connection closes.
+	// Recv blocks until a message arrives or the connection closes. The
+	// caller owns the result and may recycle it with bufpool.Put
+	// (proto.PutBuf) once nothing refers to it.
 	Recv() ([]byte, error)
 	// Close releases the connection. Pending Recv calls return ErrClosed.
 	Close() error
@@ -56,6 +62,32 @@ func SendOwned(c Conn, b []byte) (owned bool, err error) {
 		return true, os.SendOwned(b)
 	}
 	return false, c.Send(b)
+}
+
+// VecSender is implemented by Conns that can send one frame given as two
+// slices without joining them first. TCP implements it with a gathered
+// write, so a data-plane chunk travels from the object's own storage to the
+// socket without crossing user space.
+type VecSender interface {
+	// SendVec sends the single frame head‖body. It must not retain either
+	// slice after returning.
+	SendVec(head, body []byte) error
+}
+
+// SendVec sends the frame head‖body over c: gathered when c supports it,
+// otherwise joined in a pooled buffer and sent by SendOwned — one copy, as
+// marshaling the whole message would have made. The caller keeps head and
+// body either way.
+func SendVec(c Conn, head, body []byte) error {
+	if vs, ok := c.(VecSender); ok {
+		return vs.SendVec(head, body)
+	}
+	buf := append(append(bufpool.GetLen(len(head) + len(body))[:0], head...), body...)
+	owned, err := SendOwned(c, buf)
+	if !owned {
+		bufpool.Put(buf)
+	}
+	return err
 }
 
 // Listener accepts inbound connections at an address.

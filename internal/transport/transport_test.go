@@ -1,10 +1,16 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
+	"net"
 	"sync"
 	"testing"
 	"time"
+
+	"nimbus/internal/bufpool"
 )
 
 func testConnPair(t *testing.T, tr Transport, addr string) (Conn, Conn) {
@@ -247,4 +253,141 @@ func BenchmarkMemSend(b *testing.B) {
 			return err
 		})
 	})
+}
+
+// rawTCPPeer dials a TCP conn to a bare socket, so a test can read exactly
+// the bytes the framing layer wrote.
+func rawTCPPeer(t *testing.T) (Conn, net.Conn) {
+	t.Helper()
+	nl, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nl.Close()
+	c, err := TCP{}.Dial(nl.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, err := nl.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close(); peer.Close() })
+	return c, peer
+}
+
+// TestTCPSendPathsShareOneByteStream interleaves the three ways a frame
+// leaves a TCP conn — staged small Send, gathered large Send, SendVec — and
+// checks the socket carries them in order, each as length ‖ bytes.
+func TestTCPSendPathsShareOneByteStream(t *testing.T) {
+	c, peer := rawTCPPeer(t)
+	small := []byte("control frame")
+	large := bytes.Repeat([]byte{0xA5}, 200<<10) // past the staging buffer
+	head, body := []byte("chunk header"), bytes.Repeat([]byte{0x5A}, 300<<10)
+	var want []byte
+	frame := func(parts ...[]byte) {
+		n := 0
+		for _, p := range parts {
+			n += len(p)
+		}
+		want = binary.BigEndian.AppendUint32(want, uint32(n))
+		for _, p := range parts {
+			want = append(want, p...)
+		}
+	}
+	sent := make(chan error, 1)
+	go func() {
+		for i := 0; i < 3; i++ {
+			for _, send := range []func() error{
+				func() error { return c.Send(small) },
+				func() error { return SendVec(c, head, body) },
+				func() error { return c.Send(large) },
+				func() error { return SendVec(c, head, nil) },
+			} {
+				if err := send(); err != nil {
+					sent <- err
+					return
+				}
+			}
+		}
+		sent <- nil
+	}()
+	for i := 0; i < 3; i++ {
+		frame(small)
+		frame(head, body)
+		frame(large)
+		frame(head)
+	}
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(peer, got); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("socket bytes differ from the frames sent, in order, as length‖bytes")
+	}
+}
+
+// TestSendVecFallback: on conns without VecSender the helper joins the two
+// parts into one pooled frame — handed over to an OwnedSender, copied by a
+// plain Conn — and the caller's slices stay the caller's.
+func TestSendVecFallback(t *testing.T) {
+	for name, wrap := range map[string]func(Conn) Conn{
+		"owned": func(c Conn) Conn { return c },
+		"plain": func(c Conn) Conn { return sendOnlyConn{c} },
+	} {
+		a, b := Pipe(0)
+		head, body := []byte("head|"), bytes.Repeat([]byte{'b'}, 100<<10)
+		if err := SendVec(wrap(a), head, body); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := append(append([]byte(nil), head...), body...)
+		head[0], body[0] = 'X', 'X' // the receiver must not see this
+		got, err := b.Recv()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: received frame is not head‖body as sent", name)
+		}
+		a.Close()
+		b.Close()
+	}
+}
+
+// TestTCPRecvIsPooled: Recv hands out pool buffers and takes them back, so
+// a thousand tiny round trips leave the pool holding full-size encode
+// buffers, not a thousand exact-length 6-byte ones the next marshal would
+// have to regrow.
+func TestTCPRecvIsPooled(t *testing.T) {
+	a, b := testConnPair(t, TCP{}, "127.0.0.1:0")
+	defer a.Close()
+	defer b.Close()
+	ping := []byte{1, 2, 3, 4, 5, 6}
+	for i := 0; i < 1000; i++ {
+		if err := a.Send(ping); err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, ping) {
+			t.Fatalf("round trip %d: got %x", i, got)
+		}
+		if cap(got) < 1<<10 {
+			t.Fatalf("round trip %d: Recv returned a cap-%d buffer; not from the pool", i, cap(got))
+		}
+		bufpool.Put(got)
+	}
+	if buf := bufpool.Get(); cap(buf) < 1<<10 {
+		t.Fatalf("after 1000 small round trips Get returned cap %d, want >= 1 KiB", cap(buf))
+	}
+	// An exact-length buffer (what a copying Mem Send delivers) is refused.
+	bufpool.Put(make([]byte, 6))
+	if buf := bufpool.Get(); cap(buf) < 1<<10 {
+		t.Fatalf("Put accepted an undersized buffer: Get returned cap %d", cap(buf))
+	}
 }

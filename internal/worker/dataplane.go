@@ -3,6 +3,7 @@ package worker
 import (
 	"sync"
 
+	"nimbus/internal/bufpool"
 	"nimbus/internal/datastore"
 	"nimbus/internal/ids"
 	"nimbus/internal/proto"
@@ -48,6 +49,10 @@ type txXfer struct {
 	data []byte
 	done *pcmd // CopySend to complete once the last chunk is sent
 }
+
+// payloadHeadroom bounds a DataPayload's encoding beyond its Data: the kind
+// byte, five varint routing fields and the length prefix.
+const payloadHeadroom = 64
 
 // admission results of peerConn.enqueue.
 type admit uint8
@@ -285,9 +290,11 @@ func (w *Worker) sendPeer(dst ids.WorkerID, snd *pcmd, obj *datastore.Object) bo
 	js := snd.unit.js
 	if len(obj.Data) <= w.chunkSize {
 		// Small-object fast path: one DataPayload frame, no transfer or
-		// credit bookkeeping. The queue owns the encoded frame; the writer
-		// transfers it to the transport when possible (Mem) so it is not
-		// copied a second time, and recycles it otherwise.
+		// credit bookkeeping, in a pooled buffer asked for at the frame's
+		// size (payload plus header room) so the marshal never regrows it.
+		// The queue owns the frame; the writer transfers it to the
+		// transport when possible (Mem) so it is not copied a second time,
+		// and recycles it otherwise.
 		p := &proto.DataPayload{
 			Job:        js.id,
 			DstCommand: c.DstCommand,
@@ -296,7 +303,7 @@ func (w *Worker) sendPeer(dst ids.WorkerID, snd *pcmd, obj *datastore.Object) bo
 			Version:    obj.Version,
 			Data:       obj.Data,
 		}
-		frame := proto.MarshalAppend(proto.GetBuf(), p)
+		frame := proto.MarshalAppend(bufpool.GetLen(len(obj.Data) + payloadHeadroom)[:0], p)
 		switch pc.enqueue(peerItem{frame: frame, size: int64(len(frame))}) {
 		case admitOK:
 			w.Stats.CopiesSent.Add(1)
@@ -447,13 +454,16 @@ func (w *Worker) sendFrame(pc *peerConn, connp *transport.Conn, b []byte) bool {
 }
 
 // sendXfer streams one object as a run of DataChunk frames under the
-// receiver's credit window, optionally flate-compressing each chunk. A
+// receiver's credit window. Each chunk goes out as its encoded header plus
+// a slice of the object's own buffer (transport.SendVec): the payload is
+// never copied into an encode buffer, and over TCP not copied at all. A
 // connection failure mid-transfer redials and restarts from Seq 0: the
 // fresh connection starts with fresh receiver state (the partial
 // reassembly died with the old connection), so the replay lands cleanly.
 // Returns false when the worker is stopping.
 func (w *Worker) sendXfer(pc *peerConn, connp *transport.Conn, t *txXfer) bool {
 	m := t.hdr
+	head := make([]byte, 0, 128) // re-encoded in place per chunk; a header is under 100 bytes
 	for {
 		pc.beginXfer(t.hdr.Xfer)
 		off := 0
@@ -468,23 +478,11 @@ func (w *Worker) sendXfer(pc *peerConn, connp *transport.Conn, t *txXfer) bool {
 			if end > len(t.data) {
 				end = len(t.data)
 			}
-			raw := t.data[off:end]
 			m.Seq = seq
 			m.Last = end == len(t.data)
-			m.Flags = 0
-			m.Raw = raw
-			if w.compress {
-				if c := stream.Compress(raw); c != nil {
-					m.Flags = proto.ChunkCompressed
-					m.Raw = c
-				}
-			}
-			buf := proto.MarshalAppend(proto.GetBuf(), &m)
-			owned, err := transport.SendOwned(*connp, buf)
-			if !owned {
-				proto.PutBuf(buf)
-			}
-			if err != nil {
+			m.Raw = t.data[off:end]
+			head = proto.AppendChunkHeader(head[:0], &m)
+			if err := transport.SendVec(*connp, head, m.Raw); err != nil {
 				if !w.redialPeer(pc, connp) {
 					return false
 				}

@@ -48,7 +48,10 @@ type rxConn struct {
 }
 
 // dataPump drains one inbound data-plane connection: chunks reassemble
-// here, everything else forwards to the event loop.
+// here, everything else forwards to the event loop. It is the one decoder
+// that lets a message alias its frame: a chunk's Raw points into raw, and
+// handleChunk copies it into the reassembly buffer (or the spill file)
+// before raw is recycled — the payload's only copy on the receive side.
 func (w *Worker) dataPump(conn transport.Conn) {
 	defer w.wg.Done()
 	rx := &rxConn{w: w, conn: conn, xfers: make(map[uint64]*rxXfer)}
@@ -58,7 +61,7 @@ func (w *Worker) dataPump(conn transport.Conn) {
 		if err != nil {
 			return
 		}
-		err = proto.ForEachMsg(raw, func(msg proto.Msg) error {
+		err = proto.ForEachMsgAliasChunks(raw, func(msg proto.Msg) error {
 			if c, ok := msg.(*proto.DataChunk); ok {
 				return rx.handleChunk(c)
 			}
@@ -131,8 +134,12 @@ func (rx *rxConn) handleChunk(c *proto.DataChunk) error {
 	return rx.deliver(x)
 }
 
-// land appends decoded bytes, spilling the transfer to disk when total
-// in-flight reassembly exceeds the worker's receive budget.
+// land copies a chunk's bytes into the transfer, spilling it to disk when
+// total in-flight reassembly exceeds the worker's receive budget. The RAM
+// buffer is allocated once, on the first chunk, at the transfer's declared
+// size — clamped to the receive budget, past which it would have spilled
+// anyway, so a hostile Total reserves no more than that — and every later
+// append lands in place. Only bytes actually landed are charged.
 func (x *rxXfer) land(w *Worker, raw []byte) error {
 	if x.sw != nil {
 		if err := x.sw.Write(raw); err != nil {
@@ -143,6 +150,9 @@ func (x *rxXfer) land(w *Worker, raw []byte) error {
 	}
 	if w.rxBytes.Add(int64(len(raw))) <= w.recvBudget {
 		x.held += int64(len(raw))
+		if x.buf == nil {
+			x.buf = make([]byte, 0, min(x.ra.Total, uint64(w.recvBudget)))
+		}
 		x.buf = append(x.buf, raw...)
 		return nil
 	}

@@ -41,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"net"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -91,9 +92,6 @@ type Config struct {
 	// SpillDir is where receive-side spill files live. Empty means a
 	// private temp directory, removed at Stop.
 	SpillDir string
-	// CompressChunks flate-compresses data-plane chunks when that shrinks
-	// them (incompressible chunks ride raw).
-	CompressChunks bool
 	// FleetJoin selects the elastic-fleet handshake: the worker announces
 	// itself (FleetAnnounce) instead of registering, is warmed with every
 	// live job's templates before taking traffic, and honors drain /
@@ -215,6 +213,9 @@ type Worker struct {
 
 	peers     map[ids.WorkerID]string
 	peerConns map[ids.WorkerID]*peerConn
+	// dataAddr is the data-plane address announced to the controller; set
+	// once in Start, before any goroutine that reads it.
+	dataAddr string
 
 	// Streaming data-plane configuration (resolved defaults) and state.
 	// xferSeq allocates transfer IDs (event-loop confined — sendPeer and
@@ -223,7 +224,6 @@ type Worker struct {
 	chunkSize      int
 	peerQueueBytes int64
 	recvBudget     int64
-	compress       bool
 	spill          *datastore.SpillFS
 	spillOwned     bool
 	spillClean     sync.Once
@@ -483,7 +483,6 @@ func New(cfg Config) *Worker {
 		chunkSize:      cfg.ChunkSize,
 		peerQueueBytes: cfg.PeerQueueBytes,
 		recvBudget:     cfg.RecvBudget,
-		compress:       cfg.CompressChunks,
 	}
 }
 
@@ -612,6 +611,7 @@ func (w *Worker) Start() error {
 		w.removeSpillDir()
 		return fmt.Errorf("worker: data listen: %w", err)
 	}
+	w.dataAddr = announcedAddr(w.cfg.DataAddr, dl.Addr())
 	// The controller may not be listening yet (or may be mid-failover):
 	// retry with backoff for a bounded window instead of failing hard.
 	ctrl, err := transport.DialRetry(w.cfg.Transport, w.cfg.ControlAddr, transport.Backoff{}, 0, 2*time.Second, w.stopped)
@@ -624,7 +624,7 @@ func (w *Worker) Start() error {
 	if w.cfg.FleetJoin {
 		return w.startFleet(ctrl, dl)
 	}
-	if err := w.sendCtrl(&proto.RegisterWorker{DataAddr: w.cfg.DataAddr, Slots: w.cfg.Slots}); err != nil {
+	if err := w.sendCtrl(&proto.RegisterWorker{DataAddr: w.dataAddr, Slots: w.cfg.Slots}); err != nil {
 		dl.Close()
 		w.removeSpillDir()
 		return fmt.Errorf("worker: register: %w", err)
@@ -682,7 +682,7 @@ func (w *Worker) startFleet(ctrl transport.Conn, dl transport.Listener) error {
 		w.removeSpillDir()
 		return err
 	}
-	if err := w.sendCtrl(&proto.FleetAnnounce{DataAddr: w.cfg.DataAddr, Slots: w.cfg.Slots}); err != nil {
+	if err := w.sendCtrl(&proto.FleetAnnounce{DataAddr: w.dataAddr, Slots: w.cfg.Slots}); err != nil {
 		return fail(fmt.Errorf("worker: fleet announce: %w", err))
 	}
 	raw, err := ctrl.Recv()
@@ -725,6 +725,22 @@ func (w *Worker) startFleet(ctrl transport.Conn, dl transport.Listener) error {
 		go w.heartbeatLoop()
 	}
 	return nil
+}
+
+// announcedAddr is the data-plane address a worker gives the controller to
+// hand to its peers: the configured one, except that a configured port of 0
+// (let the kernel pick) is replaced by the port the listener actually bound.
+// The configured host is kept — the listener reports a resolved or wildcard
+// IP, which is not what a peer on another machine should dial.
+func announcedAddr(configured, bound string) string {
+	host, port, err := net.SplitHostPort(configured)
+	if err != nil || port != "0" {
+		return configured
+	}
+	if _, port, err = net.SplitHostPort(bound); err != nil {
+		return configured
+	}
+	return net.JoinHostPort(host, port)
 }
 
 // Ready is closed once the controller has entered this worker into the
@@ -997,7 +1013,7 @@ func (w *Worker) reconnectLoop() {
 // the worker stops mid-handshake.
 func (w *Worker) reconnectHandshake(conn transport.Conn) (*proto.RegisterWorkerAck, []proto.Msg, error) {
 	buf := proto.MarshalAppend(proto.GetBuf(), &proto.WorkerReconnect{
-		Worker: w.id, DataAddr: w.cfg.DataAddr, Slots: w.cfg.Slots,
+		Worker: w.id, DataAddr: w.dataAddr, Slots: w.cfg.Slots,
 	})
 	if owned, err := transport.SendOwned(conn, buf); err != nil {
 		if !owned {
@@ -1292,7 +1308,8 @@ func (w *Worker) fetchObject(m *proto.FetchObject) {
 	// Large fetch replies ride the chunked path over the control
 	// connection, marked ChunkFetch and keyed by the fetch sequence so the
 	// controller's reassembler can synthesize the ObjectData. No credits:
-	// fetches are controller-requested and rare, not a shuffle.
+	// fetches are controller-requested and rare, not a shuffle. Like the
+	// peer path, each chunk is its header plus a slice of the object.
 	w.xferSeq++
 	ck := proto.DataChunk{
 		Job:     m.Job,
@@ -1303,6 +1320,7 @@ func (w *Worker) fetchObject(m *proto.FetchObject) {
 		Fetch:   m.Seq,
 		Total:   uint64(len(data)),
 	}
+	head := make([]byte, 0, 128)
 	for off, seq := 0, uint32(0); off < len(data); seq++ {
 		end := off + w.chunkSize
 		if end > len(data) {
@@ -1311,7 +1329,8 @@ func (w *Worker) fetchObject(m *proto.FetchObject) {
 		ck.Seq = seq
 		ck.Last = end == len(data)
 		ck.Raw = data[off:end]
-		if err := w.sendCtrl(&ck); err != nil {
+		head = proto.AppendChunkHeader(head[:0], &ck)
+		if err := transport.SendVec(w.ctrl, head, ck.Raw); err != nil {
 			return
 		}
 		off = end
