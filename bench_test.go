@@ -876,3 +876,128 @@ func BenchmarkProtoCodec(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkPeerWriterTCP measures the peer writer's flush rule over real
+// sockets (DESIGN.md "Wire budget"). Two workers on loopback TCP, the
+// benchmark playing their controller; one op is the LR block's worth of
+// small copies — 435 CopySends of an empty object, queued by one
+// SpawnCommands — timed until the receiving worker has completed every
+// CopyRecv. frames/op is what the workers count as copies sent, writes/op
+// the flushes their peer writers issued (one write(2) each): a writer that
+// flushed per frame would report 435 for both.
+func BenchmarkPeerWriterTCP(b *testing.B) {
+	const copies = 435
+	tr := transport.TCP{}
+	lis, err := tr.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer lis.Close()
+	var workers [2]*worker.Worker
+	started := make(chan error, len(workers))
+	for i := range workers {
+		workers[i] = worker.New(worker.Config{
+			ControlAddr: lis.Addr(), DataAddr: "127.0.0.1:0", Transport: tr,
+			Slots: 2, Registry: fn.NewRegistry(), Logf: func(string, ...any) {},
+		})
+		go func(w *worker.Worker) { started <- w.Start() }(workers[i])
+	}
+	var conns [2]transport.Conn
+	peers := map[ids.WorkerID]string{}
+	for i := range conns {
+		if conns[i], err = lis.Accept(); err != nil {
+			b.Fatal(err)
+		}
+		defer conns[i].Close()
+		raw, err := conns[i].Recv()
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := proto.Unmarshal(raw)
+		if err != nil {
+			b.Fatal(err)
+		}
+		reg, ok := m.(*proto.RegisterWorker)
+		if !ok {
+			b.Fatalf("first message = %s", m.Kind())
+		}
+		peers[ids.WorkerID(i+1)] = reg.DataAddr
+	}
+	send := func(i int, m proto.Msg) {
+		if err := conns[i].Send(proto.Marshal(m)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := range conns {
+		send(i, &proto.RegisterWorkerAck{Worker: ids.WorkerID(i + 1), Peers: peers})
+		if err := <-started; err != nil {
+			b.Fatalf("worker start: %v", err)
+		}
+	}
+	defer workers[0].Stop()
+	defer workers[1].Stop()
+	go func() { // the sender's completions are not waited on, only drained
+		for {
+			raw, err := conns[0].Recv()
+			if err != nil {
+				return
+			}
+			proto.PutBuf(raw)
+		}
+	}()
+
+	send(0, &proto.SpawnCommands{Job: 1, Cmds: []*command.Command{
+		{ID: 1, Kind: command.Create, Writes: []ids.ObjectID{5}, Logical: 5},
+	}})
+	next := ids.CommandID(2)
+	op := func() {
+		sends, recvs := make([]*command.Command, copies), make([]*command.Command, copies)
+		first := next + copies // this op's CopyRecv IDs are [first, first+copies)
+		for k := range sends {
+			sends[k] = &command.Command{ID: next + ids.CommandID(k), Kind: command.CopySend,
+				Reads: []ids.ObjectID{5}, Logical: 5, DstWorker: 2, DstCommand: first + ids.CommandID(k)}
+			recvs[k] = &command.Command{ID: first + ids.CommandID(k), Kind: command.CopyRecv,
+				Writes: []ids.ObjectID{ids.ObjectID(100 + k)}, Logical: 5}
+		}
+		next = first + copies
+		send(1, &proto.SpawnCommands{Job: 1, Cmds: recvs})
+		send(0, &proto.SpawnCommands{Job: 1, Cmds: sends})
+		for done := 0; done < copies; {
+			raw, err := conns[1].Recv()
+			if err != nil {
+				b.Fatal(err)
+			}
+			err = proto.ForEachMsg(raw, func(m proto.Msg) error {
+				if c, ok := m.(*proto.Complete); ok {
+					for _, id := range c.IDs {
+						if id >= first && id < next {
+							done++
+						}
+					}
+				}
+				return nil
+			})
+			proto.PutBuf(raw)
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	counts := func() (frames, writes uint64) {
+		for _, w := range workers {
+			frames += w.Stats.CopiesSent.Load()
+			writes += w.Stats.PeerFlushes.Load()
+		}
+		return
+	}
+	op() // dial the peer, warm the pools
+	frames0, writes0 := counts()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+	frames, writes := counts()
+	b.ReportMetric(float64(frames-frames0)/float64(b.N), "frames/op")
+	b.ReportMetric(float64(writes-writes0)/float64(b.N), "writes/op")
+}

@@ -13,11 +13,12 @@
 // so tests can assert two runs (or two engines) share a schedule before
 // trusting a reproduction.
 //
-// Wrapped connections deliberately implement neither transport.OwnedSender
-// nor transport.VecSender: transport.SendOwned and transport.SendVec fall
-// back to the copying Send path, so pooled buffers stay owned by the caller
-// even when chaos drops or duplicates a frame, and every fault sees a frame
-// as one contiguous slice.
+// Wrapped connections deliberately implement none of transport.OwnedSender,
+// transport.VecSender and transport.BufferedSender: transport.SendOwned,
+// transport.SendVec and transport.SendBuffered fall back to the copying Send
+// path, so pooled buffers stay owned by the caller even when chaos drops or
+// duplicates a frame, every fault sees a frame as one contiguous slice, and
+// a frame's ordinal never depends on how a sender's queue happened to drain.
 package chaos
 
 import (
@@ -306,8 +307,8 @@ func (l *faultListener) Close() error { return l.inner.Close() }
 func (l *faultListener) Addr() string { return l.inner.Addr() }
 
 // faultConn applies the schedule to outbound frames. It intentionally
-// implements only transport.Conn, never transport.OwnedSender or
-// transport.VecSender — see the package comment.
+// implements only transport.Conn, none of the transport's optional send
+// capabilities — see the package comment.
 type faultConn struct {
 	t     *Transport
 	inner transport.Conn

@@ -484,22 +484,26 @@ func TestFleetDrainAbortedByFailover(t *testing.T) {
 		t.Fatalf("promotion: %v", err)
 	}
 	// The full fleet reassembles under the new controller: all three
-	// workers reconnect as active, nobody is draining.
+	// workers reconnect as active, nobody is draining. A worker clears its
+	// own flag when its event loop processes the reconnect ack, which can
+	// be after the controller already counts it, so the flags are part of
+	// the polled condition.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		st := c.Controller.FleetStats()
-		if st.Workers == 3 && st.Draining == 0 {
+		flagged := 0
+		for _, w := range c.Workers {
+			if w.Draining() {
+				flagged++
+			}
+		}
+		if st.Workers == 3 && st.Draining == 0 && flagged == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("fleet never reassembled after failover: %+v", st)
+			t.Fatalf("fleet never reassembled after failover: %+v, %d workers still flagged draining", st, flagged)
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-	for _, w := range c.Workers {
-		if w.Draining() {
-			t.Fatal("worker still flagged draining after failover readmission")
-		}
 	}
 	// The job completes correctly on the restored fleet.
 	if err := d.Barrier(); err != nil {

@@ -58,19 +58,28 @@ func (l *tcpListener) Accept() (Conn, error) {
 func (l *tcpListener) Close() error { return l.nl.Close() }
 func (l *tcpListener) Addr() string { return l.nl.Addr().String() }
 
-// tcpConn frames messages over a net.Conn. Sends are serialized by a mutex
-// and flushed immediately: control-plane messages are small and latency
-// sensitive, so batching is left to callers. A frame that fits the bufio
-// writer is staged there so length and body leave in one write; anything
-// larger, and every SendVec, is a gathered write (writev) straight from the
-// caller's slices — no staging copy, one syscall.
+// tcpConn frames messages over a net.Conn: a 4-byte big-endian length, then
+// the frame. All sends are serialized by one mutex and form one byte stream
+// in call order, whichever of the three paths a frame takes:
 //
-// tcpConn implements VecSender but not OwnedSender: neither send path
-// retains the caller's bytes past its return, so a pooled caller buffer is
-// reusable at once and taking ownership would only move the recycle from
-// the sender (which has the pool warm) to nobody. Recv draws its result
-// from bufpool; the caller owns it and recycles it with bufpool.Put
-// (proto.PutBuf).
+//   - Send stages length‖frame in the 64 KiB bufio writer and flushes, so a
+//     control message leaves at once in one write.
+//   - SendBuffered stages the same bytes and does not flush: a caller with a
+//     run of small frames (the worker's peer writer) pays one write for the
+//     run, at its Flush. The stage writes itself out when it fills, so a run
+//     of any length costs ⌈bytes/64 KiB⌉ writes. Frame boundaries on the
+//     wire are unchanged; a receiver cannot tell the paths apart.
+//   - SendVec, and a Send or SendBuffered of a frame too big for the stage,
+//     is a gathered write (writev) straight from the caller's slices — no
+//     staging copy, one syscall — after flushing whatever is staged, which
+//     is what keeps the stream ordered.
+//
+// tcpConn implements VecSender and BufferedSender but not OwnedSender: no
+// send path retains the caller's bytes past its return, so a pooled caller
+// buffer is reusable at once and taking ownership would only move the
+// recycle from the sender (which has the pool warm) to nobody. Recv draws
+// its result from bufpool; the caller owns it and recycles it with
+// bufpool.Put (proto.PutBuf).
 type tcpConn struct {
 	nc net.Conn
 
@@ -103,6 +112,32 @@ func (c *tcpConn) Send(b []byte) error {
 	}
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
+	if err := c.stage(b); err != nil {
+		return err
+	}
+	return c.flushStage()
+}
+
+// SendBuffered implements BufferedSender.
+func (c *tcpConn) SendBuffered(b []byte) error {
+	if 4+len(b) > c.bw.Size() {
+		return c.SendVec(nil, b)
+	}
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
+	return c.stage(b)
+}
+
+// Flush implements BufferedSender.
+func (c *tcpConn) Flush() error {
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
+	return c.flushStage()
+}
+
+// stage appends length‖b to the bufio writer, which writes itself out when
+// full. Caller holds sendMu.
+func (c *tcpConn) stage(b []byte) error {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(b)))
 	if _, err := c.bw.Write(hdr[:]); err != nil {
@@ -111,15 +146,19 @@ func (c *tcpConn) Send(b []byte) error {
 	if _, err := c.bw.Write(b); err != nil {
 		return c.sendErr(err)
 	}
+	return nil
+}
+
+// flushStage writes out the bufio writer. Caller holds sendMu.
+func (c *tcpConn) flushStage() error {
 	if err := c.bw.Flush(); err != nil {
 		return c.sendErr(err)
 	}
 	return nil
 }
 
-// SendVec implements VecSender. The bufio writer is empty whenever sendMu
-// is free (Send flushes before releasing it), so the two paths interleave
-// without reordering bytes.
+// SendVec implements VecSender. Staged frames were sent first, so they
+// leave first.
 func (c *tcpConn) SendVec(head, body []byte) error {
 	n := len(head) + len(body)
 	if n > maxFrame {
@@ -127,6 +166,9 @@ func (c *tcpConn) SendVec(head, body []byte) error {
 	}
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
+	if err := c.flushStage(); err != nil {
+		return err
+	}
 	c.vhead = append(binary.BigEndian.AppendUint32(c.vhead[:0], uint32(n)), head...)
 	c.vparts = [2][]byte{c.vhead, body}
 	c.vec = c.vparts[:]

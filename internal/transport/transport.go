@@ -90,6 +90,40 @@ func SendVec(c Conn, head, body []byte) error {
 	return err
 }
 
+// BufferedSender is implemented by Conns that can stage a frame and write it
+// out later, so a sender with a run of small frames pays one write for the
+// run instead of one per frame. TCP implements it. Staged frames keep their
+// place in the Conn's one ordered byte stream: the Conn's other send methods
+// write out whatever is staged before their own frame, and the stage writes
+// itself out when it fills. Nothing else writes it out: a caller that stages
+// must Flush before it waits on anything, or the peer never sees the frames.
+type BufferedSender interface {
+	// SendBuffered stages one frame. It must not retain b after returning.
+	SendBuffered(b []byte) error
+	// Flush writes out every staged frame. An error means any of them may
+	// be lost.
+	Flush() error
+}
+
+// SendBuffered stages b on c when c supports it (the caller keeps b) and is
+// SendOwned otherwise: a Conn without a stage sends each frame at once, as
+// its own frame. owned is SendOwned's.
+func SendBuffered(c Conn, b []byte) (owned bool, err error) {
+	if bs, ok := c.(BufferedSender); ok {
+		return false, bs.SendBuffered(b)
+	}
+	return SendOwned(c, b)
+}
+
+// Flush writes out what SendBuffered staged on c; on a Conn without a stage
+// there is nothing to write.
+func Flush(c Conn) error {
+	if bs, ok := c.(BufferedSender); ok {
+		return bs.Flush()
+	}
+	return nil
+}
+
 // Listener accepts inbound connections at an address.
 type Listener interface {
 	// Accept blocks until an inbound connection arrives.

@@ -33,6 +33,18 @@ import (
 //     the transport (the writer posts evDone). Until then the object's
 //     buffer is shared with the store, which is safe because before sets
 //     order any writer of the object after the copy's completion.
+//
+// Small frames leave by one rule: write while the queue has more, flush
+// before anything that can block. The writer stages each single-frame item
+// on the connection (transport.SendBuffered) and flushes when it finds the
+// queue empty, before it starts a chunked transfer (which waits on credit),
+// and before it exits; a redial writes off whatever the dead connection
+// still held. A frame sent into an idle queue therefore leaves at once, and
+// a run of frames queued faster than the writer drains them — the LR
+// block's 435 copy frames per iteration — leaves in one write per drained
+// run. There is no timer and no size knob: the only cap is the transport's
+// own stage. Connections without a stage (Mem, chaos, any wrapper) send
+// each frame as it is popped, exactly as before.
 
 // peerItem is one queue entry: a pre-marshaled single frame (small
 // payloads, at most one chunk) or a chunked transfer descriptor.
@@ -99,6 +111,15 @@ type peerConn struct {
 	window  int64
 	aborted bool
 
+	// Writer-goroutine confined: the current connection, whether it stages
+	// small frames (transport.BufferedSender), how many it holds staged —
+	// what a failure now would lose — and the chunk-header scratch sendXfer
+	// re-encodes into (a header is under 100 bytes).
+	conn      transport.Conn
+	stages    bool
+	staged    uint64
+	chunkHead []byte
+
 	// parked holds CopySend commands waiting for queue space. Event-loop
 	// confined: only sendPeer appends and retryParked drains.
 	parked []*pcmd
@@ -131,10 +152,13 @@ func (pc *peerConn) enqueue(it peerItem) admit {
 	return admitOK
 }
 
-func (pc *peerConn) next() (peerItem, bool) {
+// next pops the head of the queue. With wait it blocks until there is an
+// item or the queue closes; without, an empty queue returns false at once —
+// the writer's cue to flush before it sleeps.
+func (pc *peerConn) next(wait bool) (peerItem, bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	for pc.head == len(pc.queue) && !pc.closed {
+	for wait && pc.head == len(pc.queue) && !pc.closed {
 		pc.cond.Wait()
 	}
 	if pc.head == len(pc.queue) {
@@ -374,27 +398,32 @@ func (w *Worker) retryParked(pc *peerConn) {
 func (w *Worker) peerWriter(pc *peerConn) {
 	defer w.wg.Done()
 	defer pc.markDead()
-	conn, err := transport.DialRetry(w.cfg.Transport, pc.addr, transport.Backoff{}, 0, 0, w.stopped)
-	if err != nil {
+	if !w.dialPeer(pc) {
 		return // worker stopping
 	}
-	w.wg.Add(1)
-	go w.creditPump(conn, pc)
-	defer func() { conn.Close() }()
+	defer func() { pc.conn.Close() }()
 	for {
-		it, ok := pc.next()
+		// Wait for the next item only with nothing staged; otherwise an
+		// empty queue means flush first, then come back and wait.
+		it, ok := pc.next(pc.staged == 0)
 		if !ok {
-			return
+			if pc.staged == 0 {
+				return // queue closed
+			}
+			if !w.flushPeer(pc) {
+				return
+			}
+			continue
 		}
 		if it.xfer == nil {
-			alive := w.sendFrame(pc, &conn, it.frame)
+			alive := w.sendFrame(pc, it.frame)
 			pc.release(it.size)
 			if !alive {
 				return
 			}
 			continue
 		}
-		alive := w.sendXfer(pc, &conn, it.xfer)
+		alive := w.sendXfer(pc, it.xfer)
 		pc.release(it.size)
 		if it.xfer.done != nil {
 			// Deferred CopySend completion: the object's buffer was shared
@@ -408,32 +437,68 @@ func (w *Worker) peerWriter(pc *peerConn) {
 	}
 }
 
-// redialPeer replaces a failed connection, retrying until the worker
-// stops. Each fresh connection gets its own creditPump (the old one exits
-// with its connection).
-func (w *Worker) redialPeer(pc *peerConn, connp *transport.Conn) bool {
-	(*connp).Close()
+// dialPeer connects the writer to its peer, retrying until the worker
+// stops (false). Each connection gets its own creditPump, which exits with
+// it.
+func (w *Worker) dialPeer(pc *peerConn) bool {
 	conn, err := transport.DialRetry(w.cfg.Transport, pc.addr, transport.Backoff{}, 0, 0, w.stopped)
 	if err != nil {
 		return false
 	}
-	w.Stats.PeerRedials.Add(1)
-	*connp = conn
+	pc.conn = conn
+	_, pc.stages = conn.(transport.BufferedSender)
 	w.wg.Add(1)
 	go w.creditPump(conn, pc)
 	return true
 }
 
-// sendFrame delivers one pre-marshaled frame, redialing on failure. A
+// redialPeer replaces a failed connection. Frames the old one held staged
+// are gone with it — their buffers were recycled at hand-over — so they are
+// counted lost here, the one place a connection is given up. The count is
+// an upper bound: a stage that filled wrote some of them out already.
+func (w *Worker) redialPeer(pc *peerConn) bool {
+	if pc.staged > 0 {
+		w.Stats.PeerSendDrops.Add(pc.staged)
+		w.cfg.Logf("worker %s: %d staged frames to peer %s lost with the connection", w.id, pc.staged, pc.dst)
+		pc.staged = 0
+	}
+	pc.conn.Close()
+	if !w.dialPeer(pc) {
+		return false
+	}
+	w.Stats.PeerRedials.Add(1)
+	return true
+}
+
+// flushPeer writes out the frames staged since the last flush, redialing if
+// the connection fails under them. Returns false when the worker is
+// stopping.
+func (w *Worker) flushPeer(pc *peerConn) bool {
+	if pc.staged == 0 {
+		return true
+	}
+	w.Stats.PeerFlushes.Add(1)
+	if err := transport.Flush(pc.conn); err != nil {
+		return w.redialPeer(pc)
+	}
+	pc.staged = 0
+	return true
+}
+
+// sendFrame hands one pre-marshaled frame to the connection without
+// flushing it (the writer loop decides when), redialing on failure. A
 // frame a failing transport consumed (owned) cannot be resent — that one
 // payload is dropped and counted, but the connection still recovers for
 // subsequent traffic. Returns false when the worker is stopping.
-func (w *Worker) sendFrame(pc *peerConn, connp *transport.Conn, b []byte) bool {
+func (w *Worker) sendFrame(pc *peerConn, b []byte) bool {
 	for {
-		owned, err := transport.SendOwned(*connp, b)
+		owned, err := transport.SendBuffered(pc.conn, b)
 		if err == nil {
 			if !owned {
 				proto.PutBuf(b)
+			}
+			if pc.stages {
+				pc.staged++
 			}
 			return true
 		}
@@ -441,7 +506,7 @@ func (w *Worker) sendFrame(pc *peerConn, connp *transport.Conn, b []byte) bool {
 			w.Stats.PeerSendDrops.Add(1)
 			w.cfg.Logf("worker %s: frame to peer %s lost: %v", w.id, pc.dst, err)
 		}
-		if !w.redialPeer(pc, connp) {
+		if !w.redialPeer(pc) {
 			if !owned {
 				proto.PutBuf(b)
 			}
@@ -461,9 +526,13 @@ func (w *Worker) sendFrame(pc *peerConn, connp *transport.Conn, b []byte) bool {
 // fresh connection starts with fresh receiver state (the partial
 // reassembly died with the old connection), so the replay lands cleanly.
 // Returns false when the worker is stopping.
-func (w *Worker) sendXfer(pc *peerConn, connp *transport.Conn, t *txXfer) bool {
+func (w *Worker) sendXfer(pc *peerConn, t *txXfer) bool {
+	// awaitCredit can block; small frames staged ahead of this transfer
+	// leave first. Chunks are never staged, so once is enough.
+	if !w.flushPeer(pc) {
+		return false
+	}
 	m := t.hdr
-	head := make([]byte, 0, 128) // re-encoded in place per chunk; a header is under 100 bytes
 	for {
 		pc.beginXfer(t.hdr.Xfer)
 		off := 0
@@ -481,9 +550,9 @@ func (w *Worker) sendXfer(pc *peerConn, connp *transport.Conn, t *txXfer) bool {
 			m.Seq = seq
 			m.Last = end == len(t.data)
 			m.Raw = t.data[off:end]
-			head = proto.AppendChunkHeader(head[:0], &m)
-			if err := transport.SendVec(*connp, head, m.Raw); err != nil {
-				if !w.redialPeer(pc, connp) {
+			pc.chunkHead = proto.AppendChunkHeader(pc.chunkHead[:0], &m)
+			if err := transport.SendVec(pc.conn, pc.chunkHead, m.Raw); err != nil {
+				if !w.redialPeer(pc) {
 					return false
 				}
 				break // restart the transfer from Seq 0 on the fresh connection

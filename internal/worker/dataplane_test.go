@@ -86,7 +86,7 @@ func TestPeerConnConcurrentRace(t *testing.T) {
 	go func() { // consumer
 		defer wg.Done()
 		for {
-			it, ok := pc.next()
+			it, ok := pc.next(true)
 			if !ok {
 				return
 			}
@@ -453,13 +453,13 @@ func TestSmallSendAllocCeiling(t *testing.T) {
 		if !w.execSend(js, snd) {
 			t.Fatal("small send did not complete synchronously")
 		}
-		it, _ := pc.next()
+		it, _ := pc.next(true)
 		proto.PutBuf(it.frame)
 		pc.release(it.size)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		w.execSend(js, snd)
-		it, _ := pc.next()
+		it, _ := pc.next(true)
 		proto.PutBuf(it.frame)
 		pc.release(it.size)
 	})

@@ -1,0 +1,205 @@
+package worker
+
+import (
+	"bytes"
+	"encoding/binary"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"nimbus/internal/ids"
+	"nimbus/internal/stream"
+	"nimbus/internal/transport"
+)
+
+// These tests pin the peer writer's flush rule (DESIGN.md "Wire budget"):
+// write while the queue has more, flush before anything that can block. A
+// run of queued frames costs one flush, and no frame is ever left staged
+// with the writer asleep.
+
+// heldDial is a Transport whose Dial waits for release to close, so a test
+// can fill a peer queue before the writer has a connection — what the
+// writer then drains is one run of known length. wrap, if set, wraps each
+// dialed connection.
+type heldDial struct {
+	transport.Transport
+	release chan struct{}
+	wrap    func(transport.Conn) transport.Conn
+}
+
+func (h *heldDial) Dial(addr string) (transport.Conn, error) {
+	<-h.release
+	c, err := h.Transport.Dial(addr)
+	if err == nil && h.wrap != nil {
+		c = h.wrap(c)
+	}
+	return c, err
+}
+
+// sendSmall queues one small CopySend whose payload is its sequence number.
+func sendSmall(t *testing.T, snd *Worker, seq int) {
+	t.Helper()
+	js := snd.job(1)
+	js.store.Install(5, 5, uint64(seq), binary.BigEndian.AppendUint64(nil, uint64(seq)))
+	if !snd.execSend(js, copySendCmd(snd, js, ids.CommandID(seq), 5, 2)) {
+		t.Fatal("small send did not complete at admission")
+	}
+}
+
+// expectSmall waits for the receiver's next payload and checks it is seq.
+func expectSmall(t *testing.T, rcv *Worker, seq int) {
+	t.Helper()
+	got := delivered(t, rcv)
+	if len(got) != 8 || binary.BigEndian.Uint64(got) != uint64(seq) {
+		t.Fatalf("received payload %x, want sequence number %d", got, seq)
+	}
+}
+
+func TestPeerWriterFlushesOncePerDrainedRun(t *testing.T) {
+	const n = 1000
+	tr := &heldDial{Transport: transport.TCP{}, release: make(chan struct{})}
+	snd, rcv, addr := pumpPair(t, tr, "127.0.0.1:0", Config{})
+	snd.peers[2] = addr
+
+	// Queued while the writer is still dialing: one run, one flush (1000
+	// 25-byte frames fit the connection's stage with room to spare).
+	for i := 0; i < n; i++ {
+		sendSmall(t, snd, i)
+	}
+	close(tr.release)
+	for i := 0; i < n; i++ {
+		expectSmall(t, rcv, i)
+	}
+	if got := snd.Stats.PeerFlushes.Load(); got != 1 {
+		t.Fatalf("PeerFlushes = %d for one run of %d queued frames, want 1", got, n)
+	}
+
+	// Queued back-to-back against a live, idle writer: how the run splits
+	// depends on scheduling, but the writer must find frames waiting far
+	// more often than not.
+	for i := n; i < 2*n; i++ {
+		sendSmall(t, snd, i)
+	}
+	for i := n; i < 2*n; i++ {
+		expectSmall(t, rcv, i)
+	}
+	live := snd.Stats.PeerFlushes.Load() - 1
+	t.Logf("%d frames against a live writer left in %d flushes", n, live)
+	if live > n/2 {
+		t.Fatalf("PeerFlushes = %d for %d back-to-back frames: the writer is flushing per frame", live, n)
+	}
+	if got := snd.Stats.CopiesSent.Load(); got != 2*n {
+		t.Fatalf("CopiesSent = %d, want %d", got, 2*n)
+	}
+	if got := snd.Stats.PeerSendDrops.Load(); got != 0 {
+		t.Fatalf("PeerSendDrops = %d, want 0", got)
+	}
+}
+
+// A single frame into an idle queue is received with nothing sent after it:
+// the writer flushes before it sleeps, on a fresh connection and on one
+// that has been idle.
+func TestPeerWriterIdleSendLeavesAtOnce(t *testing.T) {
+	snd, rcv, addr := pumpPair(t, transport.TCP{}, "127.0.0.1:0", Config{})
+	snd.peers[2] = addr
+	for i := 0; i < 3; i++ {
+		sendSmall(t, snd, i)
+		expectSmall(t, rcv, i) // fails after 10 s if the frame is stranded
+		if got := snd.Stats.PeerFlushes.Load(); got != uint64(i+1) {
+			t.Fatalf("PeerFlushes = %d after %d lone sends", got, i+1)
+		}
+	}
+}
+
+// small → chunked transfer → small on one peer. The transfer is longer than
+// the initial credit window, so the writer blocks on credit mid-way; the
+// small frame staged ahead of it must already be out (it arrives first),
+// and the one behind it must not be stranded.
+func TestPeerWriterOrdersSmallFramesAroundTransfer(t *testing.T) {
+	const chunk = 4 << 10
+	tr := &heldDial{Transport: transport.TCP{}, release: make(chan struct{})}
+	snd, rcv, addr := pumpPair(t, tr, "127.0.0.1:0", Config{ChunkSize: chunk})
+	snd.peers[2] = addr
+	js := snd.job(1)
+	big := patterned((stream.InitWindow+4)*chunk, 9)
+	js.store.Install(6, 6, 1, big)
+
+	sendSmall(t, snd, 1)
+	if snd.execSend(js, copySendCmd(snd, js, 2, 6, 2)) {
+		t.Fatal("multi-chunk send completed synchronously")
+	}
+	sendSmall(t, snd, 3)
+	close(tr.release) // the writer finds all three queued
+
+	expectSmall(t, rcv, 1)
+	if got := delivered(t, rcv); !bytes.Equal(got, big) {
+		t.Fatalf("transfer arrived as %d bytes, differing from the %d sent", len(got), len(big))
+	}
+	expectSmall(t, rcv, 3)
+	awaitSent(t, snd)
+	if got := snd.Stats.ChunksSent.Load(); got != stream.InitWindow+4 {
+		t.Fatalf("ChunksSent = %d, want %d", got, stream.InitWindow+4)
+	}
+	if got := snd.Stats.PeerFlushes.Load(); got != 2 {
+		t.Fatalf("PeerFlushes = %d, want 2: one ahead of the transfer, one when the queue emptied", got)
+	}
+}
+
+// dyingConn forwards to a TCP conn and, once armed, closes the socket just
+// before the next Flush: the connection dies with frames staged.
+type dyingConn struct {
+	transport.Conn
+	stage transport.BufferedSender
+	armed *atomic.Bool
+}
+
+func (c *dyingConn) SendBuffered(b []byte) error { return c.stage.SendBuffered(b) }
+
+func (c *dyingConn) Flush() error {
+	if c.armed.CompareAndSwap(true, false) {
+		c.Conn.Close()
+	}
+	return c.stage.Flush()
+}
+
+// A connection that dies under staged frames costs exactly those frames,
+// counted; the writer redials and later traffic flows in order.
+func TestPeerWriterCountsStagedFramesLostWithConnection(t *testing.T) {
+	const lost = 5
+	var armed atomic.Bool
+	armed.Store(true)
+	tr := &heldDial{
+		Transport: transport.TCP{},
+		release:   make(chan struct{}),
+		wrap: func(c transport.Conn) transport.Conn {
+			return &dyingConn{Conn: c, stage: c.(transport.BufferedSender), armed: &armed}
+		},
+	}
+	snd, rcv, addr := pumpPair(t, tr, "127.0.0.1:0", Config{})
+	snd.peers[2] = addr
+	for i := 0; i < lost; i++ {
+		sendSmall(t, snd, i)
+	}
+	close(tr.release)
+	deadline := time.Now().Add(10 * time.Second)
+	for snd.Stats.PeerRedials.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("writer never redialed after its connection died")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if got := snd.Stats.PeerSendDrops.Load(); got != lost {
+		t.Fatalf("PeerSendDrops = %d, want the %d frames staged when the connection died", got, lost)
+	}
+	for i := lost; i < lost+3; i++ {
+		sendSmall(t, snd, i)
+	}
+	// The lost frames never reached the wire, so the first arrival is the
+	// first frame sent on the new connection.
+	for i := lost; i < lost+3; i++ {
+		expectSmall(t, rcv, i)
+	}
+	if got := snd.Stats.PeerSendDrops.Load(); got != lost {
+		t.Fatalf("PeerSendDrops = %d after recovery, want %d", got, lost)
+	}
+}

@@ -147,13 +147,17 @@ type Stats struct {
 	// Data-plane counters. PeerSendDrops counts payloads dropped on the
 	// floor (no peer address, or a dead/consumed frame on a failed
 	// connection); ParkedSends counts CopySends that waited for queue
-	// space; PeerRedials counts data-plane reconnects. ChunksSent /
+	// space; PeerRedials counts data-plane reconnects. PeerFlushes counts
+	// the flushes peer writers issued for staged small frames (one write
+	// each on TCP, none on a transport without a stage), so
+	// CopiesSent/PeerFlushes is the frames per write. ChunksSent /
 	// ChunksRecv / XfersSent / XfersRecv account the chunked path, Spills
 	// / SpilledBytes the receive-side disk overflow, and RxAborts the
 	// transfers refused for protocol violations.
 	PeerSendDrops atomic.Uint64
 	ParkedSends   atomic.Uint64
 	PeerRedials   atomic.Uint64
+	PeerFlushes   atomic.Uint64
 	ChunksSent    atomic.Uint64
 	ChunksRecv    atomic.Uint64
 	XfersSent     atomic.Uint64
