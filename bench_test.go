@@ -877,39 +877,35 @@ func BenchmarkProtoCodec(b *testing.B) {
 	})
 }
 
-// BenchmarkPeerWriterTCP measures the peer writer's flush rule over real
-// sockets (DESIGN.md "Wire budget"). Two workers on loopback TCP, the
-// benchmark playing their controller; one op is the LR block's worth of
-// small copies — 435 CopySends of an empty object, queued by one
-// SpawnCommands — timed until the receiving worker has completed every
-// CopyRecv. frames/op is what the workers count as copies sent, writes/op
-// the flushes their peer writers issued (one write(2) each): a writer that
-// flushed per frame would report 435 for both.
-func BenchmarkPeerWriterTCP(b *testing.B) {
-	const copies = 435
-	tr := transport.TCP{}
-	lis, err := tr.Listen("127.0.0.1:0")
+// startWorkersUnderFakeController starts n real workers and plays their
+// controller: it accepts the registrations, acks each with every worker's
+// data address, and returns the workers with the controller's ends of their
+// control connections. Everything stops with the benchmark.
+func startWorkersUnderFakeController(b *testing.B, tr transport.Transport, ctlAddr string, dataAddr func(i int) string, n, slots int) ([]*worker.Worker, []transport.Conn) {
+	b.Helper()
+	lis, err := tr.Listen(ctlAddr)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer lis.Close()
-	var workers [2]*worker.Worker
-	started := make(chan error, len(workers))
+	b.Cleanup(func() { lis.Close() })
+	workers := make([]*worker.Worker, n)
+	started := make(chan error, n)
 	for i := range workers {
 		workers[i] = worker.New(worker.Config{
-			ControlAddr: lis.Addr(), DataAddr: "127.0.0.1:0", Transport: tr,
-			Slots: 2, Registry: fn.NewRegistry(), Logf: func(string, ...any) {},
+			ControlAddr: lis.Addr(), DataAddr: dataAddr(i), Transport: tr,
+			Slots: slots, Registry: fn.NewRegistry(), Logf: func(string, ...any) {},
 		})
 		go func(w *worker.Worker) { started <- w.Start() }(workers[i])
 	}
-	var conns [2]transport.Conn
+	conns := make([]transport.Conn, n)
 	peers := map[ids.WorkerID]string{}
 	for i := range conns {
 		if conns[i], err = lis.Accept(); err != nil {
 			b.Fatal(err)
 		}
-		defer conns[i].Close()
-		raw, err := conns[i].Recv()
+		conn := conns[i]
+		b.Cleanup(func() { conn.Close() })
+		raw, err := conn.Recv()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -923,19 +919,37 @@ func BenchmarkPeerWriterTCP(b *testing.B) {
 		}
 		peers[ids.WorkerID(i+1)] = reg.DataAddr
 	}
+	for i, conn := range conns {
+		if err := conn.Send(proto.Marshal(&proto.RegisterWorkerAck{Worker: ids.WorkerID(i + 1), Peers: peers})); err != nil {
+			b.Fatal(err)
+		}
+		if err := <-started; err != nil {
+			b.Fatalf("worker start: %v", err)
+		}
+	}
+	for _, w := range workers {
+		b.Cleanup(w.Stop)
+	}
+	return workers, conns
+}
+
+// BenchmarkPeerWriterTCP measures the peer writer's flush rule over real
+// sockets (DESIGN.md "Wire budget"). Two workers on loopback TCP, the
+// benchmark playing their controller; one op is the LR block's worth of
+// small copies — 435 CopySends of an empty object, queued by one
+// SpawnCommands — timed until the receiving worker has completed every
+// CopyRecv. frames/op is what the workers count as copies sent, writes/op
+// the flushes their peer writers issued (one write(2) each): a writer that
+// flushed per frame would report 435 for both.
+func BenchmarkPeerWriterTCP(b *testing.B) {
+	const copies = 435
+	workers, conns := startWorkersUnderFakeController(b, transport.TCP{}, "127.0.0.1:0",
+		func(int) string { return "127.0.0.1:0" }, 2, 2)
 	send := func(i int, m proto.Msg) {
 		if err := conns[i].Send(proto.Marshal(m)); err != nil {
 			b.Fatal(err)
 		}
 	}
-	for i := range conns {
-		send(i, &proto.RegisterWorkerAck{Worker: ids.WorkerID(i + 1), Peers: peers})
-		if err := <-started; err != nil {
-			b.Fatalf("worker start: %v", err)
-		}
-	}
-	defer workers[0].Stop()
-	defer workers[1].Stop()
 	go func() { // the sender's completions are not waited on, only drained
 		for {
 			raw, err := conns[0].Recv()
@@ -1000,4 +1014,82 @@ func BenchmarkPeerWriterTCP(b *testing.B) {
 	frames, writes := counts()
 	b.ReportMetric(float64(frames-frames0)/float64(b.N), "frames/op")
 	b.ReportMetric(float64(writes-writes0)/float64(b.N), "writes/op")
+}
+
+// BenchmarkWorkerLoopNopTasks measures the worker's hand-off cost per task
+// (DESIGN.md "Wakeup budget"): one started worker on zero-latency Mem, the
+// benchmark playing its controller; one op instantiates a cached template
+// of 144 no-op tasks — a worker's quarter of the LR block: 128 independent
+// tasks and 16 that each wait for 8 of them — and waits for its BlockDone.
+// events/op is what the event loop handled (144 completions and the
+// instantiate), wakeups/op the loop turns it took: a loop woken per event
+// would report the same number for both.
+func BenchmarkWorkerLoopNopTasks(b *testing.B) {
+	const leaves, fan = 128, 8
+	workers, conns := startWorkersUnderFakeController(b, transport.NewMem(0), "bench/ctl",
+		func(int) string { return "bench/data" }, 1, 8)
+	w, ctl := workers[0], conns[0]
+	send := func(m proto.Msg) {
+		if err := ctl.Send(proto.Marshal(m)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var entries []command.TemplateEntry
+	task := func(before []int32) {
+		i := int32(len(entries))
+		entries = append(entries, command.TemplateEntry{
+			Index: i, Kind: command.Task, Function: fn.FuncNop,
+			Writes: []ids.ObjectID{ids.ObjectID(i + 1)}, BeforeIdx: before,
+			ParamSlot: command.NoParamSlot,
+		})
+	}
+	for i := 0; i < leaves; i++ {
+		task(nil)
+	}
+	for r := 0; r < leaves/fan; r++ {
+		before := make([]int32, fan)
+		for k := range before {
+			before[k] = int32(r*fan + k)
+		}
+		task(before)
+	}
+	send(&proto.InstallTemplate{Job: 1, Template: 1, Name: "bench", Entries: entries})
+	span := uint64(len(entries))
+	inst := uint64(0)
+	op := func() {
+		inst++
+		base := ids.CommandID(1 + inst*span)
+		send(&proto.InstantiateTemplate{Job: 1, Template: 1, Instance: inst, Base: base, DoneWatermark: base})
+		for done := false; !done; {
+			raw, err := ctl.Recv()
+			if err != nil {
+				b.Fatal(err)
+			}
+			err = proto.ForEachMsg(raw, func(m proto.Msg) error {
+				if bd, ok := m.(*proto.BlockDone); ok && bd.Instance == inst {
+					done = true
+				}
+				return nil
+			})
+			proto.PutBuf(raw)
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 8; i++ { // compile the template, warm the arena pool
+		op()
+	}
+	wakeups0, events0 := w.Stats.LoopWakeups.Load(), w.Stats.LoopEvents.Load()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(w.Stats.LoopWakeups.Load()-wakeups0)/float64(b.N), "wakeups/op")
+	b.ReportMetric(float64(w.Stats.LoopEvents.Load()-events0)/float64(b.N), "events/op")
+	if got := w.Stats.TasksRun.Load(); got != inst*span {
+		b.Fatalf("TasksRun = %d after %d instances of %d tasks", got, inst, span)
+	}
 }

@@ -103,8 +103,14 @@ func (s *Store) Create(id ids.ObjectID, logical ids.LogicalID, data []byte) erro
 
 // Ensure returns the object with the given ID, creating an empty one bound
 // to logical if absent. Copy receives and patches use Ensure so that data
-// movement can materialize instances lazily.
+// movement can materialize instances lazily. Executors call it for every
+// read and write of every task, nearly always on an object that exists and
+// is in memory, so that case takes only the shard's read lock (Get); the
+// write lock is for creating the object.
 func (s *Store) Ensure(id ids.ObjectID, logical ids.LogicalID) *Object {
+	if o := s.Get(id); o != nil {
+		return o
+	}
 	sh := s.shardOf(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -150,5 +151,56 @@ func TestSpillWriterAbort(t *testing.T) {
 	}
 	for _, e := range ents {
 		t.Fatalf("abort left %s behind", filepath.Join(fs.Dir(), e.Name()))
+	}
+}
+
+// Ensure takes the shard's read lock when the object exists in memory and
+// the write lock to create it or fault it in. Run under -race: Ensure, Get,
+// Install, InstallSpilled and Destroy race on one ID; Ensure must always
+// return an object, no spill file may outlive the object it backed, and a
+// body must never be faulted twice.
+func TestEnsureRacesInstallDestroyAndSpillFault(t *testing.T) {
+	fs := newTestSpillFS(t)
+	s := New()
+	const id, rounds = 9, 300
+	bodies := make([]*Spilled, rounds)
+	for i := range bodies {
+		bodies[i] = spillBytes(t, fs, []byte("spilled body"))
+	}
+	var wg sync.WaitGroup
+	run := func(f func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				f(i)
+			}
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		run(func(int) {
+			if s.Ensure(id, 1) == nil {
+				t.Error("Ensure returned nil")
+			}
+		})
+	}
+	run(func(int) { s.Get(id) })
+	run(func(i int) { s.Install(id, 1, uint64(i), []byte{byte(i)}) })
+	run(func(int) { s.Destroy(id) })
+	run(func(i int) { s.InstallSpilled(id, 1, uint64(i), bodies[i]) })
+	wg.Wait()
+	if got := s.Faults(); got > rounds {
+		t.Fatalf("Faults() = %d for %d spilled installs: a body was faulted twice", got, rounds)
+	}
+	if o := s.Ensure(id, 1); o == nil || o.spill != nil {
+		t.Fatalf("Ensure after the race = %+v, want an in-memory object", o)
+	}
+	s.Destroy(id)
+	left, err := os.ReadDir(fs.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(left) != 0 {
+		t.Fatalf("%d spill files left behind", len(left))
 	}
 }

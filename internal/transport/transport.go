@@ -240,7 +240,8 @@ func Pipe(latency time.Duration) (Conn, Conn) {
 // memQueue is an unbounded FIFO that releases messages after a latency.
 // Senders never block (matching the asynchronous push model of the Nimbus
 // data plane) and delivery order is preserved because due times are
-// monotone in enqueue order.
+// monotone in enqueue order. With zero latency every message is due at once:
+// items carry no due time and neither side reads the clock.
 type memQueue struct {
 	latency time.Duration
 
@@ -275,7 +276,11 @@ func (q *memQueue) pushOwned(b []byte) error {
 	if q.closed {
 		return ErrClosed
 	}
-	q.queue = append(q.queue, memItem{due: time.Now().Add(q.latency), payload: b})
+	it := memItem{payload: b}
+	if q.latency > 0 {
+		it.due = time.Now().Add(q.latency)
+	}
+	q.queue = append(q.queue, it)
 	q.cond.Signal()
 	return nil
 }
@@ -285,15 +290,17 @@ func (q *memQueue) pop() ([]byte, error) {
 	for {
 		if len(q.queue) > 0 {
 			item := q.queue[0]
-			now := time.Now()
-			if wait := item.due.Sub(now); wait > 0 {
-				// Sleep outside the lock, then re-check; only this reader
-				// pops, so the head cannot change out from under us except
-				// by growing.
-				q.mu.Unlock()
-				time.Sleep(wait)
-				q.mu.Lock()
-				continue
+			if q.latency > 0 {
+				now := time.Now()
+				if wait := item.due.Sub(now); wait > 0 {
+					// Sleep outside the lock, then re-check; only this reader
+					// pops, so the head cannot change out from under us except
+					// by growing.
+					q.mu.Unlock()
+					time.Sleep(wait)
+					q.mu.Lock()
+					continue
+				}
 			}
 			q.queue = q.queue[1:]
 			q.mu.Unlock()

@@ -67,9 +67,43 @@ func exerciseConn(t *testing.T, a, b Conn) {
 	}
 }
 
+// Mem at zero latency stamps no due time and never reads the clock; FIFO
+// order and Recv-after-Close are the same on that path and on the timed one.
 func TestMemOrderingAndClose(t *testing.T) {
-	a, b := testConnPair(t, NewMem(0), "t1")
-	exerciseConn(t, a, b)
+	for _, lat := range []time.Duration{0, time.Millisecond} {
+		t.Run(lat.String(), func(t *testing.T) {
+			a, b := testConnPair(t, NewMem(lat), "t1")
+			exerciseConn(t, a, b)
+		})
+	}
+}
+
+// Frames queued before the sender closed are still delivered, in order, and
+// only then does Recv report ErrClosed — at either latency.
+func TestMemRecvDrainsQueuedFramesBeforeClosed(t *testing.T) {
+	for _, lat := range []time.Duration{0, time.Millisecond} {
+		t.Run(lat.String(), func(t *testing.T) {
+			a, b := Pipe(lat)
+			for i := 0; i < 3; i++ {
+				if err := a.Send([]byte{byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a.Close()
+			for i := 0; i < 3; i++ {
+				got, err := b.Recv()
+				if err != nil || len(got) != 1 || got[0] != byte(i) {
+					t.Fatalf("recv %d after close = %v, %v; want the queued frame", i, got, err)
+				}
+			}
+			if _, err := b.Recv(); err != ErrClosed {
+				t.Fatalf("recv on a drained closed conn = %v, want ErrClosed", err)
+			}
+			if err := a.Send([]byte{9}); err != ErrClosed {
+				t.Fatalf("send after close = %v, want ErrClosed", err)
+			}
+		})
+	}
 }
 
 func TestTCPOrderingAndClose(t *testing.T) {

@@ -14,9 +14,9 @@ import (
 // recycles the frame buffers, keeping the codec pool primed exactly as a
 // live controller connection would.
 //
-// BenchLoop is for measurement only: it must not be mixed with Start, and
-// templates should avoid Task entries unless the caller dispatches the
-// resulting executor goroutines itself.
+// BenchLoop is for measurement only: it must not be mixed with Start. Its
+// executors are live, so templates may hold Task entries; the caller then
+// collects their completions with Drain.
 type BenchLoop struct {
 	W     *Worker
 	drain transport.Conn
@@ -30,6 +30,7 @@ func NewBenchLoop(slots int) *BenchLoop {
 	w.ctrl = local
 	w.id = 1
 	b := &BenchLoop{W: w, drain: remote}
+	w.startExecutors()
 	go func() {
 		for {
 			raw, err := remote.Recv()
@@ -43,8 +44,11 @@ func NewBenchLoop(slots int) *BenchLoop {
 }
 
 // Apply feeds one controller message straight into the worker's handler
-// on the caller's goroutine.
-func (b *BenchLoop) Apply(m proto.Msg) { b.W.handleCtrl(m) }
+// on the caller's goroutine, as one loop turn.
+func (b *BenchLoop) Apply(m proto.Msg) {
+	b.W.handleCtrl(m)
+	b.W.handOff()
+}
 
 // Job exposes one job's namespace (created on first use), for assertions
 // on per-job scheduler state. Messages without an explicit Job land in
@@ -62,19 +66,25 @@ func (b *BenchLoop) busy() bool {
 	return false
 }
 
-// Drain processes completion events posted by executor goroutines until
-// no job has unfinished commands (for callers that do run tasks).
+// Drain processes completion events posted by the executors until no job
+// has unfinished commands (for callers that do run tasks).
 func (b *BenchLoop) Drain() {
 	for b.busy() {
-		ev := <-b.W.events
-		if ev.kind == evDone {
-			b.W.handleDone(ev.cmd)
-		}
+		b.step()
 	}
 }
 
-// Close tears the loopback down.
+// step handles the next posted event as a loop turn of its own.
+func (b *BenchLoop) step() {
+	if ev, ok := b.W.nextEvent(true); ok {
+		b.W.handle(&ev)
+		b.W.handOff()
+	}
+}
+
+// Close tears the loopback down and waits for the executors to exit.
 func (b *BenchLoop) Close() {
+	b.W.finish(nil)
+	b.W.wg.Wait()
 	b.drain.Close()
-	b.W.ctrl.Close()
 }

@@ -64,30 +64,29 @@ func sendXfer(t *testing.T, rx *rxConn, xfer uint64, n int) []byte {
 // want, spilled or in RAM according to wantSpill.
 func expectDelivery(t *testing.T, w *Worker, want []byte, wantSpill bool) {
 	t.Helper()
-	select {
-	case ev := <-w.events:
-		if ev.kind != evData {
-			t.Fatalf("event kind = %d, want evData", ev.kind)
-		}
-		if (ev.spill != nil) != wantSpill {
-			t.Fatalf("spill handle = %v, want spilled=%v", ev.spill, wantSpill)
-		}
-		var got []byte
-		if ev.spill != nil {
-			var err error
-			got, err = ev.spill.Read()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ev.spill.Remove()
-		} else {
-			got = ev.msg.(*proto.DataPayload).Data
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("delivered body differs from sent bytes (%d vs %d)", len(got), len(want))
-		}
-	default:
+	ev, ok := w.nextEvent(false)
+	if !ok {
 		t.Fatal("no payload delivered")
+	}
+	if ev.kind != evData {
+		t.Fatalf("event kind = %d, want evData", ev.kind)
+	}
+	if (ev.spill != nil) != wantSpill {
+		t.Fatalf("spill handle = %v, want spilled=%v", ev.spill, wantSpill)
+	}
+	var got []byte
+	if ev.spill != nil {
+		var err error
+		got, err = ev.spill.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev.spill.Remove()
+	} else {
+		got = ev.msg.(*proto.DataPayload).Data
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("delivered body differs from sent bytes (%d vs %d)", len(got), len(want))
 	}
 }
 
@@ -136,11 +135,7 @@ func TestChaosSpillWriteFaultAbortsWithoutPoison(t *testing.T) {
 			t.Fatalf("chunk %d: %v", seq, err)
 		}
 	}
-	select {
-	case ev := <-w.events:
-		t.Fatalf("faulted transfer delivered an event: %+v", ev)
-	default:
-	}
+	expectNoEvent(t, w, "faulted transfer")
 	if got := w.Stats.RxAborts.Load(); got != 1 {
 		t.Fatalf("RxAborts = %d, want 1", got)
 	}
@@ -185,11 +180,7 @@ func TestChaosSpillSyncFaultDropsOnlyThatDelivery(t *testing.T) {
 		return nil
 	})
 	sendXfer(t, rx, 7, 8)
-	select {
-	case ev := <-w.events:
-		t.Fatalf("failed finalize delivered an event: %+v", ev)
-	default:
-	}
+	expectNoEvent(t, w, "failed finalize")
 	if got := w.rxBytes.Load(); got != 0 {
 		t.Fatalf("rxBytes = %d after finalize failure, want 0", got)
 	}

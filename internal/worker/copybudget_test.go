@@ -107,21 +107,13 @@ func streamOne(t *testing.T, w *Worker, addr string, data []byte) {
 // awaitSent waits for a chunked CopySend's deferred completion.
 func awaitSent(t *testing.T, w *Worker) {
 	t.Helper()
-	for {
-		select {
-		case ev := <-w.events:
-			if ev.kind == evDone {
-				return
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("transfer never completed")
-		}
+	for awaitEvent(t, w).kind != evDone {
 	}
 }
 
 // stopLoopWorker ends a loop worker's writer and pump goroutines.
 func stopLoopWorker(w *Worker) {
-	close(w.stopped)
+	w.finish(nil)
 	w.closePeers()
 	w.wg.Wait()
 }
@@ -216,7 +208,7 @@ func pumpPair(t *testing.T, tr transport.Transport, listen string, cfg Config) (
 	t.Cleanup(func() {
 		lis.Close()
 		stopLoopWorker(snd)
-		close(rcv.stopped)
+		rcv.finish(nil)
 		mu.Lock()
 		for _, c := range conns {
 			c.Close()
@@ -230,17 +222,12 @@ func pumpPair(t *testing.T, tr transport.Transport, listen string, cfg Config) (
 // delivered waits for the receiver's next reassembled payload.
 func delivered(t *testing.T, rcv *Worker) []byte {
 	t.Helper()
-	select {
-	case ev := <-rcv.events:
-		p, ok := ev.msg.(*proto.DataPayload)
-		if ev.kind != evData || !ok || ev.spill != nil {
-			t.Fatalf("receiver got event %+v, want an in-memory payload", ev)
-		}
-		return p.Data
-	case <-time.After(10 * time.Second):
-		t.Fatal("payload never delivered")
-		return nil
+	ev := awaitEvent(t, rcv)
+	p, ok := ev.msg.(*proto.DataPayload)
+	if ev.kind != evData || !ok || ev.spill != nil {
+		t.Fatalf("receiver got event %+v, want an in-memory payload", ev)
 	}
+	return p.Data
 }
 
 // (e) The chaos wrapper implements only Conn, so it exercises the fallback;

@@ -192,17 +192,17 @@ func (pc *peerConn) release(n int64) {
 }
 
 func (pc *peerConn) postSpace() {
-	select {
-	case pc.w.events <- event{kind: evPeerSpace, peer: pc}:
-	case <-pc.w.stopped:
-	}
+	pc.w.mbox.put(event{kind: evPeerSpace, peer: pc})
 }
 
-// close shuts the queue down and recycles whatever it still holds.
+// close shuts the queue to new sends. What it has admitted still leaves:
+// a small CopySend completes at admission, so the controller can count a
+// draining worker's copies done — and decommission it — while their frames
+// wait here. The writer sends them and then exits (next reports false only
+// on an empty queue); markDead recycles what a failed connection strands.
 func (pc *peerConn) close() {
 	pc.mu.Lock()
 	pc.closed = true
-	pc.drainLocked()
 	pc.cond.Broadcast()
 	pc.mu.Unlock()
 }

@@ -30,7 +30,30 @@ func newLoopWorker(t *testing.T, cfg Config) *Worker {
 	cfg.Logf = t.Logf
 	w := New(cfg)
 	w.id = 1
+	w.ctrl, _ = transport.Pipe(0) // so finish can stop it
 	return w
+}
+
+// awaitEvent returns the next event posted to a loop worker — one with no
+// run goroutine, the test standing in for the loop — and fails the test if
+// none arrives in time.
+func awaitEvent(t *testing.T, w *Worker) event {
+	t.Helper()
+	timeout := time.AfterFunc(10*time.Second, w.mbox.close)
+	defer timeout.Stop()
+	ev, ok := w.nextEvent(true)
+	if !ok {
+		t.Fatal("no event posted within 10 s")
+	}
+	return ev
+}
+
+// expectNoEvent fails the test if anything is waiting in the mailbox.
+func expectNoEvent(t *testing.T, w *Worker, what string) {
+	t.Helper()
+	if ev, ok := w.nextEvent(false); ok {
+		t.Fatalf("%s delivered an event: %+v", what, ev)
+	}
 }
 
 // copySendCmd builds an in-flight CopySend pcmd against a fresh unit.
@@ -56,12 +79,11 @@ func copySendCmd(w *Worker, js *jstate, id ids.CommandID, obj ids.ObjectID, dst 
 func TestPeerConnConcurrentRace(t *testing.T) {
 	w := newLoopWorker(t, Config{ControlAddr: "c", DataAddr: "d", PeerQueueBytes: 1 << 16})
 	pc := newPeerConn(w, 2, "peer")
-	quit := make(chan struct{})
+	drained := make(chan struct{})
 	go func() { // drain evPeerSpace posts so postSpace never blocks
+		defer close(drained)
 		for {
-			select {
-			case <-w.events:
-			case <-quit:
+			if _, ok := w.nextEvent(true); !ok {
 				return
 			}
 		}
@@ -110,7 +132,8 @@ func TestPeerConnConcurrentRace(t *testing.T) {
 	if got := pc.enqueue(peerItem{size: 1}); got != admitDead {
 		t.Fatalf("enqueue after close/dead = %v, want admitDead", got)
 	}
-	close(quit)
+	w.finish(nil)
+	<-drained
 }
 
 // TestPeerSendAfterWriterExit is the satellite bugfix check: a peerConn
@@ -267,16 +290,11 @@ func TestStalledReceiverBoundsSender(t *testing.T) {
 
 	done := map[ids.CommandID]bool{}
 	for len(done) < 2 {
-		select {
-		case ev := <-w.events:
-			switch ev.kind {
-			case evDone:
-				done[ev.cmd.cmd.ID] = true
-			case evPeerSpace:
-				w.retryParked(ev.peer)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("transfers stuck: done=%v chunks=%d", done, chunksSeen.Load())
+		switch ev := awaitEvent(t, w); ev.kind {
+		case evDone:
+			done[ev.cmd.cmd.ID] = true
+		case evPeerSpace:
+			w.retryParked(ev.peer)
 		}
 	}
 	// evDone means the writer handed the last chunk to the transport; the
@@ -291,7 +309,7 @@ func TestStalledReceiverBoundsSender(t *testing.T) {
 	if got := w.Stats.XfersSent.Load(); got != 2 {
 		t.Fatalf("XfersSent = %d, want 2", got)
 	}
-	close(w.stopped) // unblock the writer goroutines for Cleanup
+	w.finish(nil) // unblock the writer goroutines for Cleanup
 }
 
 // snd1xfer returns the transfer ID the first execSend allocated (the
@@ -338,22 +356,21 @@ func TestReceiverSpillsOverBudget(t *testing.T) {
 	if got := w.Stats.Spills.Load(); got != 1 {
 		t.Fatalf("Spills = %d, want 1", got)
 	}
-	select {
-	case ev := <-w.events:
-		if ev.kind != evData || ev.spill == nil {
-			t.Fatalf("expected spilled payload event, got kind=%d spill=%v", ev.kind, ev.spill)
-		}
-		got, err := ev.spill.Read()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatal("spilled body differs from sent bytes")
-		}
-		ev.spill.Remove()
-	default:
+	ev, ok := w.nextEvent(false)
+	if !ok {
 		t.Fatal("no payload delivered")
 	}
+	if ev.kind != evData || ev.spill == nil {
+		t.Fatalf("expected spilled payload event, got kind=%d spill=%v", ev.kind, ev.spill)
+	}
+	got, err := ev.spill.Read()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data) {
+		t.Fatal("spilled body differs from sent bytes")
+	}
+	ev.spill.Remove()
 	if got := w.rxBytes.Load(); got != 0 {
 		t.Fatalf("rxBytes = %d after delivery, want 0", got)
 	}
@@ -426,11 +443,7 @@ func TestReceiverHostileChunks(t *testing.T) {
 	if got := w.Stats.RxAborts.Load(); got != 2 {
 		t.Fatalf("RxAborts = %d, want 2", got)
 	}
-	select {
-	case ev := <-w.events:
-		t.Fatalf("hostile chunks delivered an event: %+v", ev)
-	default:
-	}
+	expectNoEvent(t, w, "hostile chunks")
 }
 
 // TestSmallSendAllocCeiling pins the small-object fast path's allocation

@@ -479,11 +479,7 @@ func TestHaltDoesNotOverCreditSlots(t *testing.T) {
 		t.Fatalf("free slots after halt = %d, want 0 (tasks still occupy executors)", b.W.freeSlots)
 	}
 	for i := 0; i < 2; i++ {
-		ev := <-b.W.events
-		if ev.kind != evDone {
-			t.Fatalf("unexpected event kind %d", ev.kind)
-		}
-		b.W.handleDone(ev.cmd)
+		b.step() // each task's stale evDone
 	}
 	if b.W.freeSlots != 2 {
 		t.Fatalf("free slots after stale completions = %d, want 2", b.W.freeSlots)

@@ -3,6 +3,7 @@ package worker
 import (
 	"bytes"
 	"encoding/binary"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -201,5 +202,62 @@ func TestPeerWriterCountsStagedFramesLostWithConnection(t *testing.T) {
 	}
 	if got := snd.Stats.PeerSendDrops.Load(); got != lost {
 		t.Fatalf("PeerSendDrops = %d after recovery, want %d", got, lost)
+	}
+}
+
+// gatedConn blocks its first Send until gate closes, so a test can queue
+// frames behind one the writer is busy with. It implements only Conn: the
+// writer sends each frame as it pops it.
+type gatedConn struct {
+	transport.Conn
+	entered chan struct{}
+	gate    chan struct{}
+	once    sync.Once
+}
+
+func (c *gatedConn) Send(b []byte) error {
+	c.once.Do(func() {
+		close(c.entered)
+		<-c.gate
+	})
+	return c.Conn.Send(b)
+}
+
+// A small CopySend completes when its frame is admitted to the peer queue,
+// so the controller may see a draining worker's last copies done and
+// decommission it while their frames are still queued. Closing the queues
+// must not discard them: the writer sends what was admitted, then exits.
+// (Dropping them was the drain/loop hang: a receiver waited forever on a
+// payload its CopyRecv was owed.)
+func TestPeerQueueAdmittedFramesSurviveClose(t *testing.T) {
+	const n = 20
+	gc := &gatedConn{entered: make(chan struct{}), gate: make(chan struct{})}
+	tr := &heldDial{
+		Transport: transport.TCP{},
+		release:   make(chan struct{}),
+		wrap: func(c transport.Conn) transport.Conn {
+			gc.Conn = c
+			return gc
+		},
+	}
+	close(tr.release)
+	snd, rcv, addr := pumpPair(t, tr, "127.0.0.1:0", Config{})
+	snd.peers[2] = addr
+	sendSmall(t, snd, 0)
+	<-gc.entered // the writer is inside frame 0's send
+	for i := 1; i < n; i++ {
+		sendSmall(t, snd, i) // admitted, waiting in the queue
+	}
+	snd.closePeers() // what the event loop does as the worker stops
+	close(gc.gate)
+	for i := 0; i < n; i++ {
+		expectSmall(t, rcv, i)
+	}
+	if got := snd.Stats.PeerSendDrops.Load(); got != 0 {
+		t.Fatalf("PeerSendDrops = %d, want 0", got)
+	}
+	sendSmall(t, snd, n) // into a closed queue: refused and counted
+	if got := snd.Stats.PeerSendDrops.Load(); got != 1 {
+		t.Fatalf("PeerSendDrops = %d after a send into a closed queue, want 1", got)
 	}
 }

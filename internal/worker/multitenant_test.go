@@ -144,10 +144,7 @@ func TestQuotaFairShare(t *testing.T) {
 	// As job 1's tasks drain, the freed slots must go to job 2 (job 1 is
 	// over quota), until both sit at their fair share.
 	for b.Job(2).running < 2 {
-		ev := <-b.W.events
-		if ev.kind == evDone {
-			b.W.handleDone(ev.cmd)
-		}
+		b.step()
 	}
 	if got := b.Job(1).running; got > 2 {
 		t.Fatalf("job 1 running = %d after contention, want <= quota 2", got)

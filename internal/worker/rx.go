@@ -78,12 +78,10 @@ func (w *Worker) dataPump(conn transport.Conn) {
 }
 
 func (w *Worker) postData(msg proto.Msg) error {
-	select {
-	case w.events <- event{kind: evData, msg: msg}:
-		return nil
-	case <-w.stopped:
+	if !w.mbox.put(event{kind: evData, msg: msg}) {
 		return errPumpStopped
 	}
+	return nil
 }
 
 func (rx *rxConn) handleChunk(c *proto.DataChunk) error {
@@ -218,15 +216,13 @@ func (rx *rxConn) deliver(x *rxXfer) error {
 		Version:    x.hdr.Version,
 		Data:       x.buf,
 	}
-	select {
-	case w.events <- event{kind: evData, msg: p, spill: sp}:
-		return nil
-	case <-w.stopped:
+	if !w.mbox.put(event{kind: evData, msg: p, spill: sp}) {
 		if sp != nil {
 			sp.Remove()
 		}
 		return errPumpStopped
 	}
+	return nil
 }
 
 // credit grants the sender more window on the reverse path. Send failures

@@ -303,17 +303,54 @@ func (w *Worker) dispatch() {
 	}
 }
 
-// startTask claims a slot and launches one task on an executor goroutine.
+// startTask claims a slot for one task. The task reaches an executor when
+// the loop turn that started it ends (handOff).
 func (w *Worker) startTask(pc *pcmd) {
 	pc.unit.js.running++
 	w.freeSlots--
-	w.wg.Add(1)
-	go w.runTask(pc)
+	w.started = append(w.started, pc)
 }
 
-// taskScratch is an executor goroutine's reusable working set: resolved
-// read/write buffers and the function context. Pooled so steady-state task
-// execution does not allocate per command.
+// handOff gives the tasks started since the last hand-off to the executors,
+// under one lock however many there are (event loop only).
+func (w *Worker) handOff() {
+	if len(w.started) == 0 {
+		return
+	}
+	w.work.push(w.started)
+	for i := range w.started {
+		w.started[i] = nil
+	}
+	w.started = w.started[:0]
+}
+
+// startExecutors launches the worker's cfg.Slots persistent executors. They
+// exit when the worker finishes.
+func (w *Worker) startExecutors() {
+	w.wg.Add(w.cfg.Slots)
+	for i := 0; i < w.cfg.Slots; i++ {
+		go w.executor()
+	}
+}
+
+// executor runs tasks from the work queue, one at a time, until the worker
+// stops. The dispatcher claims a slot per queued task, so at most cfg.Slots
+// tasks are ever queued or running and none waits behind a busy executor
+// while another is idle.
+func (w *Worker) executor() {
+	defer w.wg.Done()
+	for {
+		pc, ok := w.work.pop()
+		if !ok {
+			return
+		}
+		w.runTask(pc)
+	}
+}
+
+// taskScratch is an executor's reusable working set: resolved read/write
+// buffers and the function context. Pooled so steady-state task execution
+// does not allocate per command.
 type taskScratch struct {
 	reads  [][]byte
 	objs   []*datastore.Object
@@ -323,10 +360,9 @@ type taskScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(taskScratch) }}
 
-// runTask executes one task command on an executor goroutine, against its
-// job's object store.
+// runTask executes one task command on an executor, against its job's
+// object store.
 func (w *Worker) runTask(pc *pcmd) {
-	defer w.wg.Done()
 	c := &pc.cmd
 	store := pc.unit.js.store
 	f := w.reg.Lookup(c.Function)
@@ -381,12 +417,10 @@ func (w *Worker) runTask(pc *pcmd) {
 	w.postDone(pc)
 }
 
-// postDone reports a command completion back to the event loop.
+// postDone reports a command completion back to the event loop (from an
+// executor or a peer writer, never from the loop itself).
 func (w *Worker) postDone(pc *pcmd) {
-	select {
-	case w.events <- event{kind: evDone, cmd: pc}:
-	case <-w.stopped:
-	}
+	w.mbox.put(event{kind: evDone, cmd: pc})
 }
 
 // execInline runs a non-task command synchronously on the event loop and

@@ -32,9 +32,12 @@
 // index, and barrier accounting uses prefix arrival counters — the
 // steady-state path performs no per-command allocation and no map inserts.
 //
-// All mutable state is confined to a single event loop goroutine; executor
-// goroutines, connection pumps and timers communicate with it through the
-// event channel.
+// All mutable state is confined to a single event loop goroutine. Executors,
+// connection pumps and timers post events to its mailbox (mailbox.go), and
+// the loop handles everything posted while it was busy as one run per
+// wakeup. Tasks run on cfg.Slots persistent executor goroutines fed from one
+// work queue: a loop turn hands the tasks it started over under one lock, and
+// no goroutine is created per task (DESIGN.md "Wakeup budget").
 package worker
 
 import (
@@ -173,6 +176,11 @@ type Stats struct {
 	// UnitsReused counts instantiations served from the arena pool
 	// (steady state: every instantiation after the first few).
 	UnitsReused atomic.Uint64
+	// LoopWakeups counts event-loop turns (one mailbox take each) and
+	// LoopEvents the events they handled, so LoopEvents/LoopWakeups is the
+	// run length — as CopiesSent/PeerFlushes is for peer writes.
+	LoopWakeups atomic.Uint64
+	LoopEvents  atomic.Uint64
 }
 
 // Worker is one Nimbus worker node.
@@ -181,8 +189,10 @@ type Worker struct {
 	id    ids.WorkerID
 	eager bool
 
-	ctrl    transport.Conn
-	events  chan event
+	ctrl transport.Conn
+	// mbox is where every other goroutine posts events for the loop; stopped
+	// closes (and mbox with it) when the loop finishes.
+	mbox    *mailbox
 	stopped chan struct{}
 	stopErr error
 	wg      sync.WaitGroup
@@ -207,8 +217,16 @@ type Worker struct {
 
 	// Shared executor accounting: freeSlots counts unoccupied executor
 	// slots across all jobs; per-job concurrency is additionally bounded
-	// by each jstate's quota.
+	// by each jstate's quota. started collects the tasks dispatch claimed
+	// slots for during the current loop turn; handOff moves them to work,
+	// the executors' queue, at the end of the turn.
 	freeSlots int
+	started   []*pcmd
+	work      *workQueue
+	// hand is the run nextEvent is handing out one event at a time, for
+	// callers that drive the scheduler in place of run (BenchLoop, tests).
+	hand    []event
+	handPos int
 
 	// unitPool recycles instance arenas (units and their pcmd slots)
 	// across jobs. Event-loop confined: units are only acquired and
@@ -408,7 +426,8 @@ const (
 	evPeerSpace
 )
 
-// pcmdRing is a job's runnable queue: a growable power-of-two ring buffer.
+// pcmdRing is a FIFO of pcmds — a job's runnable queue, the executors' work
+// queue — as a growable power-of-two ring buffer.
 // Slots are cleared on pop so a drained queue pins no completed pcmds
 // (the old slice-pop-front retained the whole backing array).
 type pcmdRing struct {
@@ -474,7 +493,8 @@ func New(cfg Config) *Worker {
 	}
 	return &Worker{
 		cfg:            cfg,
-		events:         make(chan event, 1024),
+		mbox:           newMailbox(),
+		work:           newWorkQueue(),
 		stopped:        make(chan struct{}),
 		readyCh:        make(chan struct{}),
 		reg:            cfg.Registry,
@@ -661,6 +681,7 @@ func (w *Worker) Start() error {
 	// turn; there is no warm phase to wait out.
 	w.readyOnce.Do(func() { close(w.readyCh) })
 
+	w.startExecutors()
 	w.wg.Add(3)
 	go w.ctrlPump(ctrl)
 	go w.acceptLoop(dl)
@@ -714,13 +735,14 @@ func (w *Worker) startFleet(ctrl transport.Conn, dl transport.Listener) error {
 	for id, addr := range admit.Peers {
 		w.peers[id] = addr
 	}
+	w.startExecutors()
 	w.wg.Add(2)
 	go w.acceptLoop(dl)
 	go w.run(dl)
-	// The event loop is live and draining, so these sends cannot deadlock
-	// even if the admission frame outruns the channel buffer.
+	// The event loop is live and draining, so these puts cannot deadlock
+	// even if the admission frame outruns the mailbox bound.
 	for _, m := range msgs[1:] {
-		w.events <- event{kind: evCtrl, msg: m}
+		w.mbox.put(event{kind: evCtrl, msg: m})
 	}
 	w.wg.Add(1)
 	go w.ctrlPump(ctrl)
@@ -757,10 +779,7 @@ func (w *Worker) Draining() bool { return w.drainFlag.Load() }
 
 // Stop shuts the worker down and waits for its goroutines.
 func (w *Worker) Stop() {
-	select {
-	case w.events <- event{kind: evClosed}:
-	case <-w.stopped:
-	}
+	w.mbox.put(event{kind: evClosed})
 	w.wg.Wait()
 	w.removeSpillDir()
 }
@@ -833,20 +852,15 @@ func (w *Worker) pump(conn transport.Conn, kind eventKind, label string) {
 		raw, err := conn.Recv()
 		if err != nil {
 			if kind == evCtrl {
-				select {
-				case w.events <- event{kind: evClosed, err: err}:
-				case <-w.stopped:
-				}
+				w.mbox.put(event{kind: evClosed, err: err})
 			}
 			return
 		}
 		err = proto.ForEachMsg(raw, func(msg proto.Msg) error {
-			select {
-			case w.events <- event{kind: kind, msg: msg}:
-				return nil
-			case <-w.stopped:
+			if !w.mbox.put(event{kind: kind, msg: msg}) {
 				return errPumpStopped
 			}
+			return nil
 		})
 		proto.PutBuf(raw)
 		if errors.Is(err, errPumpStopped) {
@@ -885,9 +899,7 @@ func (w *Worker) heartbeatLoop() {
 	for {
 		select {
 		case <-t.C:
-			select {
-			case w.events <- event{kind: evTick}:
-			case <-w.stopped:
+			if !w.mbox.put(event{kind: evTick}) {
 				return
 			}
 		case <-w.stopped:
@@ -911,57 +923,95 @@ func (w *Worker) run(dl transport.Listener) {
 			conn.Close()
 		}
 	}()
-	for ev := range w.events {
-		switch ev.kind {
-		case evCtrl:
-			if shutdown := w.handleCtrl(ev.msg); shutdown {
-				w.finish(nil)
-				return
-			}
-		case evData:
-			if p, ok := ev.msg.(*proto.DataPayload); ok {
-				w.handlePayload(p, ev.spill)
-			}
-		case evPeerSpace:
-			w.retryParked(ev.peer)
-		case evDone:
-			w.handleDone(ev.cmd)
-		case evTick:
-			if w.outage {
-				break
-			}
-			pending := 0
-			for _, js := range w.jobList {
-				pending += js.unfin
-			}
-			_ = w.sendCtrl(&proto.Heartbeat{
-				Worker:  w.id,
-				Pending: pending,
-				Done:    w.Stats.CommandsDone.Load(),
-			})
-		case evClosed:
-			if ev.err != nil {
-				// The control connection dropped without a Shutdown: the
-				// controller crashed (or the link did). Keep executing —
-				// installed templates, queued instances and the data plane
-				// need no controller — and reattach in the background.
-				w.enterOutage(ev.err)
-				break
-			}
-			w.finish(ev.err)
-			return
-		case evReconn:
-			if shutdown := w.completeReconnect(ev.conn, ev.msg.(*proto.RegisterWorkerAck), ev.msgs); shutdown {
+	// One turn per wakeup: take everything posted since the last turn,
+	// handle it in order, then hand the tasks the turn started to the
+	// executors in one go. The two slices swap roles each turn.
+	var batch []event
+	for {
+		if batch = w.mbox.take(batch, true); len(batch) == 0 {
+			return // only a test closes the mailbox under a running loop
+		}
+		w.Stats.LoopWakeups.Add(1)
+		w.Stats.LoopEvents.Add(uint64(len(batch)))
+		for i := range batch {
+			stop := w.handle(&batch[i])
+			batch[i] = event{} // a handled slot pins no payload
+			if stop {
 				w.finish(nil)
 				return
 			}
 		}
+		w.handOff()
 	}
 }
 
+// handle applies one event (event loop only); it reports whether the worker
+// should stop.
+func (w *Worker) handle(ev *event) (stop bool) {
+	switch ev.kind {
+	case evCtrl:
+		return w.handleCtrl(ev.msg)
+	case evData:
+		if p, ok := ev.msg.(*proto.DataPayload); ok {
+			w.handlePayload(p, ev.spill)
+		}
+	case evPeerSpace:
+		w.retryParked(ev.peer)
+	case evDone:
+		w.handleDone(ev.cmd)
+	case evTick:
+		if w.outage {
+			break
+		}
+		pending := 0
+		for _, js := range w.jobList {
+			pending += js.unfin
+		}
+		_ = w.sendCtrl(&proto.Heartbeat{
+			Worker:  w.id,
+			Pending: pending,
+			Done:    w.Stats.CommandsDone.Load(),
+		})
+	case evClosed:
+		if ev.err != nil {
+			// The control connection dropped without a Shutdown: the
+			// controller crashed (or the link did). Keep executing —
+			// installed templates, queued instances and the data plane
+			// need no controller — and reattach in the background.
+			w.enterOutage(ev.err)
+			break
+		}
+		return true
+	case evReconn:
+		return w.completeReconnect(ev.conn, ev.msg.(*proto.RegisterWorkerAck), ev.msgs)
+	}
+	return false
+}
+
+// nextEvent pops one posted event, for callers that drive the scheduler by
+// hand in place of run. With wait it blocks until there is one; false means
+// none (or, waiting, that the mailbox closed).
+func (w *Worker) nextEvent(wait bool) (event, bool) {
+	if w.handPos == len(w.hand) {
+		w.hand = w.mbox.take(w.hand, wait)
+		w.handPos = 0
+		if len(w.hand) == 0 {
+			return event{}, false
+		}
+	}
+	ev := w.hand[w.handPos]
+	w.hand[w.handPos] = event{}
+	w.handPos++
+	return ev, true
+}
+
+// finish stops the worker: producers' puts fail from here on, executors exit
+// once their current task returns.
 func (w *Worker) finish(err error) {
 	w.stopErr = err
 	close(w.stopped)
+	w.mbox.close()
+	w.work.close()
 	w.ctrl.Close()
 }
 
@@ -1000,9 +1050,7 @@ func (w *Worker) reconnectLoop() {
 				continue
 			}
 		}
-		select {
-		case w.events <- event{kind: evReconn, msg: ack, msgs: extra, conn: conn}:
-		case <-w.stopped:
+		if !w.mbox.put(event{kind: evReconn, msg: ack, msgs: extra, conn: conn}) {
 			conn.Close()
 		}
 		return
@@ -1210,7 +1258,7 @@ func (w *Worker) getUnit(js *jstate, n int) *unit {
 
 // releaseUnit returns an arena to the pool. Callers must guarantee no
 // outstanding references to the unit's pcmds: a unit is released only when
-// remaining hits zero, at which point every executor goroutine has posted
+// remaining hits zero, at which point every executor has posted
 // its completion and every waiter registration has been consumed.
 func (w *Worker) releaseUnit(u *unit) {
 	u.js = nil
@@ -1256,7 +1304,7 @@ func (w *Worker) halt(js *jstate, m *proto.Halt) {
 	// the flush (the map-based path kept them in the done map): sweep
 	// them into the done map before dropping the arenas. Queued units
 	// have no completions yet. Flushed arenas are abandoned to the GC,
-	// not pooled — stale executor goroutines may still hold their pcmds.
+	// not pooled — the work queue and executors may still hold their pcmds.
 	for _, u := range js.liveUnits {
 		if !u.activated {
 			continue
@@ -1281,11 +1329,12 @@ func (w *Worker) halt(js *jstate, m *proto.Halt) {
 	js.units = nil
 	js.runnable.reset()
 	js.unfin = 0
-	// freeSlots and js.running are NOT reset: in-flight tasks still occupy
-	// real executor goroutines and return their slots through the
-	// stale-epoch path as they drain, preserving freeSlots + running ==
-	// Slots. (The old reset-plus-credit double-counted and let the
-	// concurrency limit creep past cfg.Slots after every recovery.)
+	// freeSlots and js.running are NOT reset: tasks already handed to the
+	// executors still occupy them (or wait in the work queue) and return
+	// their slots through the stale-epoch path as they drain, preserving
+	// freeSlots + running == Slots. (The old reset-plus-credit
+	// double-counted and let the concurrency limit creep past cfg.Slots
+	// after every recovery.)
 	js.completions = js.completions[:0]
 	// Arrival accounting restarts empty: nothing admitted before the
 	// halt can complete anymore.
