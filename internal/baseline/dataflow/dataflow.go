@@ -378,11 +378,18 @@ func (n *node) runIteration(base ids.CommandID) {
 		}
 	}
 
+	// Pick the initially ready set before launching any of it: a launched
+	// command's completion decrements its waiters' missing counts (and
+	// launches the ones it frees), so reading missing while launching
+	// races with that and can launch a command twice.
+	var ready []*state
 	for _, idx := range order {
-		st := states[idx]
-		if st.missing == 0 {
-			launch(st)
+		if st := states[idx]; st.missing == 0 {
+			ready = append(ready, st)
 		}
+	}
+	for _, st := range ready {
+		launch(st)
 	}
 	mu.Lock()
 	for remaining > 0 {

@@ -161,72 +161,17 @@ func (c *Command) String() string {
 	return b.String()
 }
 
-// Encode appends the command's wire form to w.
-func (c *Command) Encode(w *wire.Writer) {
-	w.Uvarint(uint64(c.ID))
-	w.Byte(byte(c.Kind))
-	w.Uvarint(uint64(c.Function))
-	w.Uvarint(uint64(len(c.Reads)))
-	for _, o := range c.Reads {
-		w.Uvarint(uint64(o))
-	}
-	w.Uvarint(uint64(len(c.Writes)))
-	for _, o := range c.Writes {
-		w.Uvarint(uint64(o))
-	}
-	w.Uvarint(uint64(len(c.Before)))
-	for _, b := range c.Before {
-		w.Uvarint(uint64(b))
-	}
-	w.Bytes(c.Params)
-	w.Uvarint(uint64(c.DstWorker))
-	w.Uvarint(uint64(c.DstCommand))
-	w.Uvarint(uint64(c.Logical))
-	w.Uvarint(c.Version)
-}
-
-// Decode reads a command from r into c, replacing its contents.
-func (c *Command) Decode(r *wire.Reader) error {
-	c.ID = ids.CommandID(r.Uvarint())
-	c.Kind = Kind(r.Byte())
-	c.Function = ids.FunctionID(r.Uvarint())
-	nr := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	c.Reads = nil
-	if nr > 0 {
-		c.Reads = make([]ids.ObjectID, nr)
-		for i := range c.Reads {
-			c.Reads[i] = ids.ObjectID(r.Uvarint())
-		}
-	}
-	nw := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	c.Writes = nil
-	if nw > 0 {
-		c.Writes = make([]ids.ObjectID, nw)
-		for i := range c.Writes {
-			c.Writes[i] = ids.ObjectID(r.Uvarint())
-		}
-	}
-	nb := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	c.Before = nil
-	if nb > 0 {
-		c.Before = make([]ids.CommandID, nb)
-		for i := range c.Before {
-			c.Before[i] = ids.CommandID(r.Uvarint())
-		}
-	}
-	c.Params = params.Blob(r.BytesCopy())
-	c.DstWorker = ids.WorkerID(r.Uvarint())
-	c.DstCommand = ids.CommandID(r.Uvarint())
-	c.Logical = ids.LogicalID(r.Uvarint())
-	c.Version = r.Uvarint()
-	return r.Err
+// Fields walks the command's wire form: encoding or decoding, as wc says.
+func (c *Command) Fields(wc *wire.Coder) {
+	wire.Uv(wc, &c.ID)
+	wire.U8(wc, &c.Kind)
+	wire.Uv(wc, &c.Function)
+	wire.List(wc, &c.Reads, wire.Uv[ids.ObjectID])
+	wire.List(wc, &c.Writes, wire.Uv[ids.ObjectID])
+	wire.List(wc, &c.Before, wire.Uv[ids.CommandID])
+	wire.BytesOf(wc, &c.Params)
+	wire.Uv(wc, &c.DstWorker)
+	wire.Uv(wc, &c.DstCommand)
+	wire.Uv(wc, &c.Logical)
+	wc.U64(&c.Version)
 }

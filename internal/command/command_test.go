@@ -22,12 +22,19 @@ func sampleCommand() *Command {
 	}
 }
 
+// roundTrip runs src's walk encoding, then dst's walk decoding the bytes.
+func roundTrip(src, dst interface{ Fields(*wire.Coder) }) error {
+	var enc wire.Coder
+	src.Fields(&enc)
+	dec := wire.Coder{Decoding: true, R: wire.Reader{Buf: enc.W.Buf}}
+	dst.Fields(&dec)
+	return dec.R.Err
+}
+
 func TestCommandRoundTrip(t *testing.T) {
 	c := sampleCommand()
-	var w wire.Writer
-	c.Encode(&w)
 	var got Command
-	if err := got.Decode(wire.NewReader(w.Buf)); err != nil {
+	if err := roundTrip(c, &got); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if !reflect.DeepEqual(c, &got) {
@@ -97,10 +104,8 @@ func TestQuickEntryRoundTrip(t *testing.T) {
 			e.Reads = append(e.Reads, ids.ObjectID(r))
 		}
 		e.BeforeIdx = append(e.BeforeIdx, before...)
-		var w wire.Writer
-		e.Encode(&w)
 		var got TemplateEntry
-		if err := got.Decode(wire.NewReader(w.Buf)); err != nil {
+		if err := roundTrip(&e, &got); err != nil {
 			return false
 		}
 		if got.Index != e.Index || got.Function != e.Function || got.ParamSlot != e.ParamSlot {
@@ -126,10 +131,8 @@ func TestEditRoundTrip(t *testing.T) {
 			{Index: 9, Kind: Task, Function: 3, ParamSlot: NoParamSlot},
 		},
 	}
-	var w wire.Writer
-	e.Encode(&w)
 	var got Edit
-	if err := got.Decode(wire.NewReader(w.Buf)); err != nil {
+	if err := roundTrip(&e, &got); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if len(got.Remove) != 2 || got.Remove[1] != 5 || len(got.Add) != 1 || got.Add[0].Index != 9 {

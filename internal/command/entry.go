@@ -91,74 +91,19 @@ func (e *TemplateEntry) Clone() *TemplateEntry {
 	return &d
 }
 
-// Encode appends the entry's wire form to w.
-func (e *TemplateEntry) Encode(w *wire.Writer) {
-	w.Varint(int64(e.Index))
-	w.Byte(byte(e.Kind))
-	w.Uvarint(uint64(e.Function))
-	w.Uvarint(uint64(len(e.Reads)))
-	for _, o := range e.Reads {
-		w.Uvarint(uint64(o))
-	}
-	w.Uvarint(uint64(len(e.Writes)))
-	for _, o := range e.Writes {
-		w.Uvarint(uint64(o))
-	}
-	w.Uvarint(uint64(e.Logical))
-	w.Uvarint(uint64(len(e.BeforeIdx)))
-	for _, b := range e.BeforeIdx {
-		w.Varint(int64(b))
-	}
-	w.Varint(int64(e.ParamSlot))
-	w.Bytes(e.Fixed)
-	w.Uvarint(uint64(e.DstWorker))
-	w.Varint(int64(e.DstIdx))
-}
-
-// Decode reads an entry from r into e, replacing its contents.
-func (e *TemplateEntry) Decode(r *wire.Reader) error {
-	e.Index = int32(r.Varint())
-	e.Kind = Kind(r.Byte())
-	e.Function = ids.FunctionID(r.Uvarint())
-	nr := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	e.Reads = nil
-	if nr > 0 {
-		e.Reads = make([]ids.ObjectID, nr)
-		for i := range e.Reads {
-			e.Reads[i] = ids.ObjectID(r.Uvarint())
-		}
-	}
-	nw := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	e.Writes = nil
-	if nw > 0 {
-		e.Writes = make([]ids.ObjectID, nw)
-		for i := range e.Writes {
-			e.Writes[i] = ids.ObjectID(r.Uvarint())
-		}
-	}
-	e.Logical = ids.LogicalID(r.Uvarint())
-	nb := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	e.BeforeIdx = nil
-	if nb > 0 {
-		e.BeforeIdx = make([]int32, nb)
-		for i := range e.BeforeIdx {
-			e.BeforeIdx[i] = int32(r.Varint())
-		}
-	}
-	e.ParamSlot = int32(r.Varint())
-	e.Fixed = params.Blob(r.BytesCopy())
-	e.DstWorker = ids.WorkerID(r.Uvarint())
-	e.DstIdx = int32(r.Varint())
-	return r.Err
+// Fields walks the entry's wire form: encoding or decoding, as c says.
+func (e *TemplateEntry) Fields(c *wire.Coder) {
+	wire.Sv(c, &e.Index)
+	wire.U8(c, &e.Kind)
+	wire.Uv(c, &e.Function)
+	wire.List(c, &e.Reads, wire.Uv[ids.ObjectID])
+	wire.List(c, &e.Writes, wire.Uv[ids.ObjectID])
+	wire.Uv(c, &e.Logical)
+	wire.List(c, &e.BeforeIdx, wire.Sv[int32])
+	wire.Sv(c, &e.ParamSlot)
+	wire.BytesOf(c, &e.Fixed)
+	wire.Uv(c, &e.DstWorker)
+	wire.Sv(c, &e.DstIdx)
 }
 
 // Edit is an in-place modification to an installed worker template
@@ -175,37 +120,8 @@ type Edit struct {
 	Add []TemplateEntry
 }
 
-// Encode appends the edit's wire form to w.
-func (e *Edit) Encode(w *wire.Writer) {
-	w.Uvarint(uint64(len(e.Remove)))
-	for _, idx := range e.Remove {
-		w.Varint(int64(idx))
-	}
-	w.Uvarint(uint64(len(e.Add)))
-	for i := range e.Add {
-		e.Add[i].Encode(w)
-	}
-}
-
-// Decode reads an edit from r into e, replacing its contents.
-func (e *Edit) Decode(r *wire.Reader) error {
-	nrm := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	e.Remove = make([]int32, nrm)
-	for i := range e.Remove {
-		e.Remove[i] = int32(r.Varint())
-	}
-	na := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	e.Add = make([]TemplateEntry, na)
-	for i := range e.Add {
-		if err := e.Add[i].Decode(r); err != nil {
-			return err
-		}
-	}
-	return r.Err
+// Fields walks the edit's wire form: encoding or decoding, as c says.
+func (e *Edit) Fields(c *wire.Coder) {
+	wire.List(c, &e.Remove, wire.Sv[int32])
+	wire.Each(c, &e.Add, (*TemplateEntry).Fields)
 }

@@ -947,18 +947,10 @@ func (c *Controller) registerWorker(m *proto.RegisterWorker, conn transport.Conn
 		j.ledgers[id] = flow.NewLedger(id)
 	}
 
-	peers := c.peerMap()
 	c.sendWorker(ws, &proto.RegisterWorkerAck{
-		Worker: id, Peers: peers, Eager: c.cfg.Mode == ModeCentral,
+		Worker: id, Peers: c.peerMap(), Eager: c.cfg.Mode == ModeCentral,
 	})
-	// Refresh every other worker's peer map.
-	for _, other := range c.workers {
-		if other.id != id && other.alive {
-			c.sendWorker(other, &proto.RegisterWorkerAck{
-				Worker: other.id, Peers: peers, Eager: c.cfg.Mode == ModeCentral,
-			})
-		}
-	}
+	c.refreshPeers(id)
 	// The new worker needs every admitted job's slot quota. Existing
 	// workers' shares are unchanged by a join (shares are per-worker
 	// slots × weight / totalWeight), so only the newcomer is told.
@@ -968,6 +960,8 @@ func (c *Controller) registerWorker(m *proto.RegisterWorker, conn transport.Conn
 	c.maybeStartTakeover()
 }
 
+// peerMap is the data-plane address of every worker a peer may still
+// address: alive and not decommissioned.
 func (c *Controller) peerMap() map[ids.WorkerID]string {
 	peers := make(map[ids.WorkerID]string, len(c.workers))
 	for id, ws := range c.workers {
@@ -976,6 +970,20 @@ func (c *Controller) peerMap() map[ids.WorkerID]string {
 		}
 	}
 	return peers
+}
+
+// refreshPeers sends the current peer map to every worker in it but except
+// (the worker whose arrival or departure changed the map, which is told in
+// its own way), as a RegisterWorkerAck echoing the recipient's ID.
+func (c *Controller) refreshPeers(except ids.WorkerID) {
+	peers := c.peerMap()
+	for id := range peers {
+		if id != except {
+			c.sendWorker(c.workers[id], &proto.RegisterWorkerAck{
+				Worker: id, Peers: peers, Eager: c.cfg.Mode == ModeCentral,
+			})
+		}
+	}
 }
 
 // endJob tears one job down: worker-side namespaces are dropped, in-flight

@@ -322,14 +322,7 @@ func (c *Controller) finishJoin(ws *workerState, planned map[ids.JobID]*warmJob)
 		}
 		j.autoValid = false
 	}
-	peers := c.peerMap()
-	for _, other := range c.workers {
-		if other.id != ws.id && other.alive && other.phase != phaseDecommissioned {
-			c.sendWorker(other, &proto.RegisterWorkerAck{
-				Worker: other.id, Peers: peers, Eager: c.cfg.Mode == ModeCentral,
-			})
-		}
-	}
+	c.refreshPeers(ws.id)
 	c.sendQuotas(ws)
 	c.sendWorker(ws, &proto.FleetReady{Worker: ws.id})
 	c.Stats.FleetJoins.Add(1)
@@ -480,14 +473,7 @@ func (c *Controller) decommission(ws *workerState) {
 		delete(j.ledgers, ws.id)
 	}
 	c.sendWorker(ws, &proto.FleetDecommission{Worker: ws.id})
-	peers := c.peerMap()
-	for _, other := range c.workers {
-		if other.id != ws.id && other.alive && other.phase != phaseDecommissioned {
-			c.sendWorker(other, &proto.RegisterWorkerAck{
-				Worker: other.id, Peers: peers, Eager: c.cfg.Mode == ModeCentral,
-			})
-		}
-	}
+	c.refreshPeers(ws.id)
 	c.Stats.FleetDrains.Add(1)
 	c.drainLat.record(time.Since(ws.drainStart))
 	c.cfg.Logf("controller: worker %s decommissioned (drained in %v)",

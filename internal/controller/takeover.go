@@ -230,17 +230,10 @@ func (c *Controller) reconnectWorker(m *proto.WorkerReconnect, conn transport.Co
 	for _, j := range c.jobs {
 		j.ledgers[m.Worker] = flow.NewLedger(m.Worker)
 	}
-	peers := c.peerMap()
 	c.sendWorker(ws, &proto.RegisterWorkerAck{
-		Worker: m.Worker, Peers: peers, Eager: c.cfg.Mode == ModeCentral,
+		Worker: m.Worker, Peers: c.peerMap(), Eager: c.cfg.Mode == ModeCentral,
 	})
-	for _, other := range c.workers {
-		if other.id != m.Worker && other.alive {
-			c.sendWorker(other, &proto.RegisterWorkerAck{
-				Worker: other.id, Peers: peers, Eager: c.cfg.Mode == ModeCentral,
-			})
-		}
-	}
+	c.refreshPeers(m.Worker)
 	c.sendQuotas(ws)
 	c.wg.Add(1)
 	go c.pump(conn, m.Worker, ids.NoJob, false)

@@ -170,39 +170,10 @@ func (v Var) Below(p int, threshold float64) Pred {
 // default fair-share weight. It blocks until the controller admits the
 // job and returns its handle.
 func Connect(tr transport.Transport, addr, name string) (*Driver, error) {
-	return ConnectContext(context.Background(), tr, addr, name, 1)
+	return ConnectOpts(context.Background(), tr, addr, Opts{Name: name})
 }
 
-// ConnectFailover is Connect with additional endpoints to reattach
-// through when the controller at addr dies: a promoted standby re-binds
-// addr itself on shared-memory transports, but on TCP it listens on its
-// own address, which the driver must know in advance.
-func ConnectFailover(tr transport.Transport, addr, name string, failover ...string) (*Driver, error) {
-	return ConnectContext(context.Background(), tr, addr, name, 1, failover...)
-}
-
-// ConnectWeighted is Connect with an explicit fair-share weight: a job
-// with weight 2 receives twice the executor-slot share of a weight-1 job
-// on every worker.
-func ConnectWeighted(tr transport.Transport, addr, name string, weight int) (*Driver, error) {
-	return ConnectContext(context.Background(), tr, addr, name, weight)
-}
-
-// ConnectContext is ConnectWeighted with a deadline over the whole
-// connection handshake — dial plus admission. v1's Connect blocked
-// forever when the controller accepted the connection but never acked
-// admission; cancelling ctx closes the half-open connection and returns
-// ctx's error. Transports' Dial is not context-aware: if ctx fires while
-// the dial itself is still blocked, ConnectContext returns immediately
-// but the dialing goroutine lingers until the transport's own dial
-// timeout (the OS's, for TCP) fires, at which point it closes any
-// connection it made and exits.
-func ConnectContext(ctx context.Context, tr transport.Transport, addr, name string, weight int, failover ...string) (*Driver, error) {
-	return ConnectOpts(ctx, tr, addr, Opts{Name: name, Weight: weight, Failover: failover})
-}
-
-// Opts bundles the session parameters for ConnectOpts. Name and Weight
-// mirror ConnectWeighted; the rest are front-door extras.
+// Opts bundles the session parameters for ConnectOpts.
 type Opts struct {
 	// Name labels the session in controller logs and replication records.
 	Name string
@@ -216,8 +187,10 @@ type Opts struct {
 	// Priority orders the controller's bounded admission queue when the
 	// job cap is reached: higher admits first, FIFO within a band.
 	Priority uint8
-	// Failover lists additional controller endpoints to reattach through,
-	// as in ConnectFailover.
+	// Failover lists additional controller endpoints to reattach through
+	// when the controller at addr dies: a promoted standby re-binds addr
+	// itself on shared-memory transports, but on TCP it listens on its own
+	// address, which the driver must know in advance.
 	Failover []string
 }
 
@@ -250,10 +223,18 @@ func (e *RejectError) Error() string {
 // Is matches the ErrAdmissionRejected sentinel.
 func (e *RejectError) Is(target error) bool { return target == ErrAdmissionRejected }
 
-// ConnectOpts is the full-surface connect: ConnectContext's deadline
-// semantics plus the front-door session parameters (tenant, priority).
-// Pass a *Mux as tr to multiplex the session over a shared gateway
+// ConnectOpts is the full-surface connect: a deadline over the whole
+// connection handshake — dial plus admission — and the session parameters
+// in o. Pass a *Mux as tr to multiplex the session over a shared gateway
 // connection pool instead of a dedicated connection.
+//
+// v1's Connect blocked forever when the controller accepted the
+// connection but never acked admission; cancelling ctx closes the
+// half-open connection and returns ctx's error. Transports' Dial is not
+// context-aware: if ctx fires while the dial itself is still blocked,
+// ConnectOpts returns immediately but the dialing goroutine lingers until
+// the transport's own dial timeout (the OS's, for TCP) fires, at which
+// point it closes any connection it made and exits.
 func ConnectOpts(ctx context.Context, tr transport.Transport, addr string, o Opts) (*Driver, error) {
 	if o.Weight <= 0 {
 		o.Weight = 1

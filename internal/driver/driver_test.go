@@ -427,9 +427,9 @@ func TestLoopDoneResolvesFuture(t *testing.T) {
 	}
 }
 
-// TestConnectContextDeadline: admission that never acks must not block
-// Connect forever.
-func TestConnectContextDeadline(t *testing.T) {
+// TestConnectDeadline: admission that never acks must not block a connect
+// past its context's deadline.
+func TestConnectDeadline(t *testing.T) {
 	tr := transport.NewMem(0)
 	lis, err := tr.Listen("fake/deaf")
 	if err != nil {
@@ -447,7 +447,7 @@ func TestConnectContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, err := driver.ConnectContext(ctx, tr, "fake/deaf", "deaf", 1); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := driver.ConnectOpts(ctx, tr, "fake/deaf", driver.Opts{Name: "deaf"}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("connect error = %v, want deadline exceeded", err)
 	}
 	if time.Since(start) > 5*time.Second {

@@ -15,9 +15,9 @@ import (
 // issued (send in driver.go) and remembers the request message behind
 // every in-flight future (request in future.go). When the connection to
 // the controller dies, recover walks the session's endpoint list — the
-// primary first, then the failover endpoints passed to ConnectFailover —
-// reattaches to whichever controller answers for the job, reconciles the
-// journal against the applied-operation count that controller reports,
+// primary first, then the endpoints in Opts.Failover — reattaches to
+// whichever controller answers for the job, reconciles the journal
+// against the applied-operation count that controller reports,
 // and re-issues the unresolved futures under their original seqs. The
 // controller dedupes re-issued request seqs, so a request that survived
 // on a live controller (a transient driver-side disconnect) is answered

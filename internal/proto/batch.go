@@ -21,21 +21,31 @@ import (
 // Messages are self-delimiting (every decoder consumes exactly the bytes
 // its encoder produced), so a batch needs no per-message length prefixes.
 
-// writerPool recycles wire.Writers for MarshalAppend/AppendBatch: encode is
-// an interface method, so a stack-allocated Writer would escape.
-var writerPool = sync.Pool{New: func() any { return new(wire.Writer) }}
+// coderPool recycles wire.Coders for every encode and decode entry point:
+// fields is an interface method, so a stack-allocated Coder would escape and
+// cost one allocation per message.
+var coderPool = sync.Pool{New: func() any { return new(wire.Coder) }}
 
-func getWriter(buf []byte) *wire.Writer {
-	w := writerPool.Get().(*wire.Writer)
-	w.Buf = buf
-	return w
+// encoder returns a coder whose walks append to buf.
+func encoder(buf []byte) *wire.Coder {
+	c := coderPool.Get().(*wire.Coder)
+	c.W.Buf = buf
+	return c
 }
 
-// putWriter detaches and returns the writer's buffer, recycling the writer.
-func putWriter(w *wire.Writer) []byte {
-	buf := w.Buf
-	w.Buf = nil
-	writerPool.Put(w)
+// decoder returns a coder whose walks read b; alias as in wire.Coder.
+func decoder(b []byte, alias bool) *wire.Coder {
+	c := coderPool.Get().(*wire.Coder)
+	c.Decoding, c.Alias, c.R.Buf = true, alias, b
+	return c
+}
+
+// putCoder recycles c, zeroed so that it pins neither buffer, and returns
+// what it encoded.
+func putCoder(c *wire.Coder) []byte {
+	buf := c.W.Buf
+	*c = wire.Coder{}
+	coderPool.Put(c)
 	return buf
 }
 
@@ -58,14 +68,14 @@ func AppendBatch(buf []byte, msgs []Msg) []byte {
 	if len(msgs) == 1 {
 		return MarshalAppend(buf, msgs[0])
 	}
-	w := getWriter(buf)
-	w.Byte(byte(KindBatch))
-	w.Uvarint(uint64(len(msgs)))
+	c := encoder(buf)
+	c.W.Byte(byte(KindBatch))
+	c.W.Uvarint(uint64(len(msgs)))
 	for _, m := range msgs {
-		w.Byte(byte(m.Kind()))
-		m.encode(w)
+		c.W.Byte(byte(m.Kind()))
+		m.fields(c)
 	}
-	return putWriter(w)
+	return putCoder(c)
 }
 
 // ForEachMsg decodes a received frame — either a single message or a batch
@@ -85,13 +95,15 @@ func ForEachMsgAliasChunks(b []byte, fn func(Msg) error) error {
 }
 
 func forEachMsg(b []byte, aliasChunks bool, fn func(Msg) error) error {
-	r := wire.NewReader(b)
+	c := decoder(b, aliasChunks)
+	defer putCoder(c)
+	r := &c.R
 	kind := MsgKind(r.Byte())
 	if r.Err != nil {
 		return r.Err
 	}
 	if kind != KindBatch {
-		m, err := unmarshalBody(kind, r, aliasChunks)
+		m, err := unmarshalBody(kind, c)
 		if err != nil {
 			return err
 		}
@@ -113,7 +125,7 @@ func forEachMsg(b []byte, aliasChunks bool, fn func(Msg) error) error {
 		if r.Err != nil {
 			return fmt.Errorf("proto: batch message %d/%d: %w", i, n, r.Err)
 		}
-		m, err := unmarshalBody(k, r, aliasChunks)
+		m, err := unmarshalBody(k, c)
 		if err != nil {
 			return fmt.Errorf("proto: batch message %d/%d: %w", i, n, err)
 		}
@@ -127,21 +139,14 @@ func forEachMsg(b []byte, aliasChunks bool, fn func(Msg) error) error {
 	return nil
 }
 
-// unmarshalBody decodes one message body of the given kind from r. With
-// aliasChunks a DataChunk's Raw aliases r's buffer (ForEachMsgAliasChunks).
-func unmarshalBody(kind MsgKind, r *wire.Reader, aliasChunks bool) (Msg, error) {
+// unmarshalBody decodes one message body of the given kind from c's reader.
+func unmarshalBody(kind MsgKind, c *wire.Coder) (Msg, error) {
 	m := newMsg(kind)
 	if m == nil {
 		return nil, fmt.Errorf("proto: unknown message kind %d", kind)
 	}
-	var err error
-	if aliasChunks && kind == KindDataChunk {
-		err = m.(*DataChunk).decodeAliased(r)
-	} else {
-		err = m.decode(r)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("proto: decoding %s: %w", kind, err)
+	if m.fields(c); c.R.Err != nil {
+		return nil, fmt.Errorf("proto: decoding %s: %w", kind, c.R.Err)
 	}
 	return m, nil
 }

@@ -180,6 +180,33 @@ func TestMarshalSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestUnmarshalAllocCeiling bounds what decoding costs on the two paths that
+// run per iteration: the steady-state instantiation is its message and
+// nothing else (empty ParamArray and Edits decode as nil, the coder is
+// pooled), a data payload is its message plus the copy of Data.
+func TestUnmarshalAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool randomly drops puts; the ceiling is unverifiable")
+	}
+	for _, tc := range []struct {
+		m       Msg
+		ceiling float64
+	}{
+		{steadyStateInstantiate(), 1},
+		{&DataPayload{Job: 1, DstCommand: 1<<40 + 3, Object: 9, Logical: 4, Version: 77, Data: make([]byte, 13)}, 2},
+	} {
+		frame := Marshal(tc.m)
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, err := Unmarshal(frame); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.ceiling {
+			t.Errorf("Unmarshal of a %s allocates %.1f times per op, want at most %.0f", tc.m.Kind(), allocs, tc.ceiling)
+		}
+	}
+}
+
 // TestMarshalSteadyStatePooledCorrectness is the race-safe companion to
 // TestMarshalSteadyStateZeroAlloc: the alloc assertion above is meaningless
 // under -race (sync.Pool randomly drops puts there), but the pooled

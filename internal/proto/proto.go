@@ -17,10 +17,17 @@
 // wire package's varint encoding. Marshal/Unmarshal round every message
 // through a flat []byte so the same messages flow over the in-memory and
 // TCP transports unchanged.
+//
+// A wire type is its struct and one method, fields, that visits the fields
+// in wire order with a wire.Coder; the coder's direction makes that walk
+// the encoder or the decoder, so the two cannot disagree. Adding a kind is
+// a const, a row in the kinds table, the struct with its Kind and fields,
+// and a row in the tests' everyMessage (DESIGN.md "One walk per message").
 package proto
 
 import (
 	"fmt"
+	"sort"
 
 	"nimbus/internal/command"
 	"nimbus/internal/ids"
@@ -32,8 +39,9 @@ import (
 type Msg interface {
 	// Kind returns the message discriminator byte.
 	Kind() MsgKind
-	encode(w *wire.Writer)
-	decode(r *wire.Reader) error
+	// fields visits the message's fields in wire order; the coder's
+	// direction makes the one walk the encoder or the decoder.
+	fields(c *wire.Coder)
 }
 
 // MsgKind discriminates message types on the wire.
@@ -113,70 +121,74 @@ const (
 // collide with it.
 const KindBatch MsgKind = 0xFF
 
-// kindNames is the static name table indexed by MsgKind; it exists so
-// String never allocates on the hot logging/error paths.
-var kindNames = [...]string{
-	KindRegisterWorker:      "register-worker",
-	KindRegisterWorkerAck:   "register-worker-ack",
-	KindRegisterDriver:      "register-driver",
-	KindDefineVariable:      "define-variable",
-	KindPut:                 "put",
-	KindGet:                 "get",
-	KindGetResult:           "get-result",
-	KindSubmitStage:         "submit-stage",
-	KindTemplateStart:       "template-start",
-	KindTemplateEnd:         "template-end",
-	KindInstantiateBlock:    "instantiate-block",
-	KindBarrier:             "barrier",
-	KindBarrierDone:         "barrier-done",
-	KindCheckpointReq:       "checkpoint",
-	KindShutdown:            "shutdown",
-	KindSpawnCommands:       "spawn-commands",
-	KindInstallTemplate:     "install-template",
-	KindInstantiateTemplate: "instantiate-template",
-	KindInstallPatch:        "install-patch",
-	KindInstantiatePatch:    "instantiate-patch",
-	KindComplete:            "complete",
-	KindBlockDone:           "block-done",
-	KindHeartbeat:           "heartbeat",
-	KindFetchObject:         "fetch-object",
-	KindObjectData:          "object-data",
-	KindHalt:                "halt",
-	KindHaltAck:             "halt-ack",
-	KindResume:              "resume",
-	KindDataPayload:         "data-payload",
-	KindErrorMsg:            "error",
-	KindRegisterDriverAck:   "register-driver-ack",
-	KindJobEnd:              "job-end",
-	KindJobQuota:            "job-quota",
-	KindInstantiateWhile:    "instantiate-while",
-	KindLoopDone:            "loop-done",
-	KindReplAttach:          "repl-attach",
-	KindReplSnapshot:        "repl-snapshot",
-	KindReplOp:              "repl-op",
-	KindReplAck:             "repl-ack",
-	KindReplCkpt:            "repl-ckpt",
-	KindReplJobStart:        "repl-job-start",
-	KindReplJobEnd:          "repl-job-end",
-	KindLeaseRenew:          "lease-renew",
-	KindWorkerReconnect:     "worker-reconnect",
-	KindDriverReattach:      "driver-reattach",
-	KindReattachAck:         "reattach-ack",
-	KindDataChunk:           "data-chunk",
-	KindDataCredit:          "data-credit",
-	KindXferAbort:           "xfer-abort",
-	KindSaveFailed:          "save-failed",
-	KindGatewayHello:        "gateway-hello",
-	KindMuxData:             "mux-data",
-	KindSessionClose:        "session-close",
-	KindAdmissionReject:     "admission-reject",
-	KindFleetAnnounce:       "fleet-announce",
-	KindFleetAdmit:          "fleet-admit",
-	KindFleetWarm:           "fleet-warm",
-	KindFleetWarmAck:        "fleet-warm-ack",
-	KindFleetReady:          "fleet-ready",
-	KindFleetDrain:          "fleet-drain",
-	KindFleetDecommission:   "fleet-decommission",
+// kinds is the message table indexed by MsgKind: the name String returns
+// (static, so the hot logging/error paths never allocate) and the
+// constructor Unmarshal decodes into. A kind is registered by its row here.
+var kinds = [KindMax]struct {
+	name string
+	new  func() Msg
+}{
+	KindRegisterWorker:      {"register-worker", func() Msg { return new(RegisterWorker) }},
+	KindRegisterWorkerAck:   {"register-worker-ack", func() Msg { return new(RegisterWorkerAck) }},
+	KindRegisterDriver:      {"register-driver", func() Msg { return new(RegisterDriver) }},
+	KindDefineVariable:      {"define-variable", func() Msg { return new(DefineVariable) }},
+	KindPut:                 {"put", func() Msg { return new(Put) }},
+	KindGet:                 {"get", func() Msg { return new(Get) }},
+	KindGetResult:           {"get-result", func() Msg { return new(GetResult) }},
+	KindSubmitStage:         {"submit-stage", func() Msg { return new(SubmitStage) }},
+	KindTemplateStart:       {"template-start", func() Msg { return new(TemplateStart) }},
+	KindTemplateEnd:         {"template-end", func() Msg { return new(TemplateEnd) }},
+	KindInstantiateBlock:    {"instantiate-block", func() Msg { return new(InstantiateBlock) }},
+	KindBarrier:             {"barrier", func() Msg { return new(Barrier) }},
+	KindBarrierDone:         {"barrier-done", func() Msg { return new(BarrierDone) }},
+	KindCheckpointReq:       {"checkpoint", func() Msg { return new(CheckpointReq) }},
+	KindShutdown:            {"shutdown", func() Msg { return new(Shutdown) }},
+	KindSpawnCommands:       {"spawn-commands", func() Msg { return new(SpawnCommands) }},
+	KindInstallTemplate:     {"install-template", func() Msg { return new(InstallTemplate) }},
+	KindInstantiateTemplate: {"instantiate-template", func() Msg { return new(InstantiateTemplate) }},
+	KindInstallPatch:        {"install-patch", func() Msg { return new(InstallPatch) }},
+	KindInstantiatePatch:    {"instantiate-patch", func() Msg { return new(InstantiatePatch) }},
+	KindComplete:            {"complete", func() Msg { return new(Complete) }},
+	KindBlockDone:           {"block-done", func() Msg { return new(BlockDone) }},
+	KindHeartbeat:           {"heartbeat", func() Msg { return new(Heartbeat) }},
+	KindFetchObject:         {"fetch-object", func() Msg { return new(FetchObject) }},
+	KindObjectData:          {"object-data", func() Msg { return new(ObjectData) }},
+	KindHalt:                {"halt", func() Msg { return new(Halt) }},
+	KindHaltAck:             {"halt-ack", func() Msg { return new(HaltAck) }},
+	KindResume:              {"resume", func() Msg { return new(Resume) }},
+	KindDataPayload:         {"data-payload", func() Msg { return new(DataPayload) }},
+	KindErrorMsg:            {"error", func() Msg { return new(ErrorMsg) }},
+	KindRegisterDriverAck:   {"register-driver-ack", func() Msg { return new(RegisterDriverAck) }},
+	KindJobEnd:              {"job-end", func() Msg { return new(JobEnd) }},
+	KindJobQuota:            {"job-quota", func() Msg { return new(JobQuota) }},
+	KindInstantiateWhile:    {"instantiate-while", func() Msg { return new(InstantiateWhile) }},
+	KindLoopDone:            {"loop-done", func() Msg { return new(LoopDone) }},
+	KindReplAttach:          {"repl-attach", func() Msg { return new(ReplAttach) }},
+	KindReplSnapshot:        {"repl-snapshot", func() Msg { return new(ReplSnapshot) }},
+	KindReplOp:              {"repl-op", func() Msg { return new(ReplOp) }},
+	KindReplAck:             {"repl-ack", func() Msg { return new(ReplAck) }},
+	KindReplCkpt:            {"repl-ckpt", func() Msg { return new(ReplCkpt) }},
+	KindReplJobStart:        {"repl-job-start", func() Msg { return new(ReplJobStart) }},
+	KindReplJobEnd:          {"repl-job-end", func() Msg { return new(ReplJobEnd) }},
+	KindLeaseRenew:          {"lease-renew", func() Msg { return new(LeaseRenew) }},
+	KindWorkerReconnect:     {"worker-reconnect", func() Msg { return new(WorkerReconnect) }},
+	KindDriverReattach:      {"driver-reattach", func() Msg { return new(DriverReattach) }},
+	KindReattachAck:         {"reattach-ack", func() Msg { return new(ReattachAck) }},
+	KindDataChunk:           {"data-chunk", func() Msg { return new(DataChunk) }},
+	KindDataCredit:          {"data-credit", func() Msg { return new(DataCredit) }},
+	KindXferAbort:           {"xfer-abort", func() Msg { return new(XferAbort) }},
+	KindSaveFailed:          {"save-failed", func() Msg { return new(SaveFailed) }},
+	KindGatewayHello:        {"gateway-hello", func() Msg { return new(GatewayHello) }},
+	KindMuxData:             {"mux-data", func() Msg { return new(MuxData) }},
+	KindSessionClose:        {"session-close", func() Msg { return new(SessionClose) }},
+	KindAdmissionReject:     {"admission-reject", func() Msg { return new(AdmissionReject) }},
+	KindFleetAnnounce:       {"fleet-announce", func() Msg { return new(FleetAnnounce) }},
+	KindFleetAdmit:          {"fleet-admit", func() Msg { return new(FleetAdmit) }},
+	KindFleetWarm:           {"fleet-warm", func() Msg { return new(FleetWarm) }},
+	KindFleetWarmAck:        {"fleet-warm-ack", func() Msg { return new(FleetWarmAck) }},
+	KindFleetReady:          {"fleet-ready", func() Msg { return new(FleetReady) }},
+	KindFleetDrain:          {"fleet-drain", func() Msg { return new(FleetDrain) }},
+	KindFleetDecommission:   {"fleet-decommission", func() Msg { return new(FleetDecommission) }},
 }
 
 // String returns the message kind name.
@@ -184,177 +196,44 @@ func (k MsgKind) String() string {
 	if k == KindBatch {
 		return "batch"
 	}
-	if int(k) < len(kindNames) && kindNames[k] != "" {
-		return kindNames[k]
+	if k < KindMax && kinds[k].name != "" {
+		return kinds[k].name
 	}
 	return fmt.Sprintf("msg(%d)", uint8(k))
 }
 
-// Marshal encodes m with its kind prefix.
-func Marshal(m Msg) []byte {
-	var w wire.Writer
-	w.Buf = make([]byte, 0, 64)
-	w.Byte(byte(m.Kind()))
-	m.encode(&w)
-	return w.Buf
+// newMsg returns an empty message of the given kind, or nil for a kind
+// with no table row.
+func newMsg(kind MsgKind) Msg {
+	if kind >= KindMax || kinds[kind].new == nil {
+		return nil
+	}
+	return kinds[kind].new()
 }
+
+// Marshal encodes m with its kind prefix.
+func Marshal(m Msg) []byte { return MarshalAppend(make([]byte, 0, 64), m) }
 
 // MarshalAppend encodes m (kind prefix included) onto buf and returns the
 // extended slice. With a buffer of sufficient capacity — e.g. one from
 // GetBuf — it performs no allocations, which is what keeps the controller's
-// steady-state instantiation path allocation-free. (The Writer is pooled:
-// encode is an interface call, so a stack Writer would escape and cost one
-// allocation per message.)
+// steady-state instantiation path allocation-free.
 func MarshalAppend(buf []byte, m Msg) []byte {
-	w := getWriter(buf)
-	w.Byte(byte(m.Kind()))
-	m.encode(w)
-	return putWriter(w)
-}
-
-// MarshalInto encodes m into w (kind prefix included), reusing w's buffer.
-func MarshalInto(m Msg, w *wire.Writer) {
-	w.Byte(byte(m.Kind()))
-	m.encode(w)
+	c := encoder(buf)
+	c.W.Byte(byte(m.Kind()))
+	m.fields(c)
+	return putCoder(c)
 }
 
 // Unmarshal decodes one message from b. Batch frames need ForEachMsg.
 func Unmarshal(b []byte) (Msg, error) {
-	r := wire.NewReader(b)
-	kind := MsgKind(r.Byte())
-	if r.Err != nil {
-		return nil, r.Err
+	c := decoder(b, false)
+	defer putCoder(c)
+	kind := MsgKind(c.R.Byte())
+	if c.R.Err != nil {
+		return nil, c.R.Err
 	}
-	return unmarshalBody(kind, r, false)
-}
-
-func newMsg(kind MsgKind) Msg {
-	switch kind {
-	case KindRegisterWorker:
-		return &RegisterWorker{}
-	case KindRegisterWorkerAck:
-		return &RegisterWorkerAck{}
-	case KindRegisterDriver:
-		return &RegisterDriver{}
-	case KindDefineVariable:
-		return &DefineVariable{}
-	case KindPut:
-		return &Put{}
-	case KindGet:
-		return &Get{}
-	case KindGetResult:
-		return &GetResult{}
-	case KindSubmitStage:
-		return &SubmitStage{}
-	case KindTemplateStart:
-		return &TemplateStart{}
-	case KindTemplateEnd:
-		return &TemplateEnd{}
-	case KindInstantiateBlock:
-		return &InstantiateBlock{}
-	case KindBarrier:
-		return &Barrier{}
-	case KindBarrierDone:
-		return &BarrierDone{}
-	case KindCheckpointReq:
-		return &CheckpointReq{}
-	case KindShutdown:
-		return &Shutdown{}
-	case KindSpawnCommands:
-		return &SpawnCommands{}
-	case KindInstallTemplate:
-		return &InstallTemplate{}
-	case KindInstantiateTemplate:
-		return &InstantiateTemplate{}
-	case KindInstallPatch:
-		return &InstallPatch{}
-	case KindInstantiatePatch:
-		return &InstantiatePatch{}
-	case KindComplete:
-		return &Complete{}
-	case KindBlockDone:
-		return &BlockDone{}
-	case KindHeartbeat:
-		return &Heartbeat{}
-	case KindFetchObject:
-		return &FetchObject{}
-	case KindObjectData:
-		return &ObjectData{}
-	case KindHalt:
-		return &Halt{}
-	case KindHaltAck:
-		return &HaltAck{}
-	case KindResume:
-		return &Resume{}
-	case KindDataPayload:
-		return &DataPayload{}
-	case KindErrorMsg:
-		return &ErrorMsg{}
-	case KindRegisterDriverAck:
-		return &RegisterDriverAck{}
-	case KindJobEnd:
-		return &JobEnd{}
-	case KindJobQuota:
-		return &JobQuota{}
-	case KindInstantiateWhile:
-		return &InstantiateWhile{}
-	case KindLoopDone:
-		return &LoopDone{}
-	case KindReplAttach:
-		return &ReplAttach{}
-	case KindReplSnapshot:
-		return &ReplSnapshot{}
-	case KindReplOp:
-		return &ReplOp{}
-	case KindReplAck:
-		return &ReplAck{}
-	case KindReplCkpt:
-		return &ReplCkpt{}
-	case KindReplJobStart:
-		return &ReplJobStart{}
-	case KindReplJobEnd:
-		return &ReplJobEnd{}
-	case KindLeaseRenew:
-		return &LeaseRenew{}
-	case KindWorkerReconnect:
-		return &WorkerReconnect{}
-	case KindDriverReattach:
-		return &DriverReattach{}
-	case KindReattachAck:
-		return &ReattachAck{}
-	case KindDataChunk:
-		return &DataChunk{}
-	case KindDataCredit:
-		return &DataCredit{}
-	case KindXferAbort:
-		return &XferAbort{}
-	case KindSaveFailed:
-		return &SaveFailed{}
-	case KindGatewayHello:
-		return &GatewayHello{}
-	case KindMuxData:
-		return &MuxData{}
-	case KindSessionClose:
-		return &SessionClose{}
-	case KindAdmissionReject:
-		return &AdmissionReject{}
-	case KindFleetAnnounce:
-		return &FleetAnnounce{}
-	case KindFleetAdmit:
-		return &FleetAdmit{}
-	case KindFleetWarm:
-		return &FleetWarm{}
-	case KindFleetWarmAck:
-		return &FleetWarmAck{}
-	case KindFleetReady:
-		return &FleetReady{}
-	case KindFleetDrain:
-		return &FleetDrain{}
-	case KindFleetDecommission:
-		return &FleetDecommission{}
-	default:
-		return nil
-	}
+	return unmarshalBody(kind, c)
 }
 
 // ---------------------------------------------------------------------------
@@ -374,15 +253,9 @@ type RegisterWorker struct {
 // Kind implements Msg.
 func (*RegisterWorker) Kind() MsgKind { return KindRegisterWorker }
 
-func (m *RegisterWorker) encode(w *wire.Writer) {
-	w.String(m.DataAddr)
-	w.Uvarint(uint64(m.Slots))
-}
-
-func (m *RegisterWorker) decode(r *wire.Reader) error {
-	m.DataAddr = r.String()
-	m.Slots = int(r.Uvarint())
-	return r.Err
+func (m *RegisterWorker) fields(c *wire.Coder) {
+	c.Str(&m.DataAddr)
+	wire.Uv(c, &m.Slots)
 }
 
 // RegisterWorkerAck assigns the worker its ID and tells it about its peers'
@@ -400,29 +273,44 @@ type RegisterWorkerAck struct {
 // Kind implements Msg.
 func (*RegisterWorkerAck) Kind() MsgKind { return KindRegisterWorkerAck }
 
-func (m *RegisterWorkerAck) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Worker))
-	w.Uvarint(uint64(len(m.Peers)))
-	for id, addr := range m.Peers {
-		w.Uvarint(uint64(id))
-		w.String(addr)
-	}
-	w.Bool(m.Eager)
+func (m *RegisterWorkerAck) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Worker)
+	peers(c, &m.Peers)
+	c.Bool(&m.Eager)
 }
 
-func (m *RegisterWorkerAck) decode(r *wire.Reader) error {
-	m.Worker = ids.WorkerID(r.Uvarint())
-	n := r.Count()
-	if r.Err != nil {
-		return r.Err
+// peer is one entry of a peer map on the wire.
+type peer struct {
+	id   ids.WorkerID
+	addr string
+}
+
+func (p *peer) fields(c *wire.Coder) {
+	wire.Uv(c, &p.id)
+	c.Str(&p.addr)
+}
+
+// peers walks a peer map as a sequence of entries. They are written in
+// ascending key order, so a frame is a function of its message; a decoder
+// accepts any order.
+func peers(c *wire.Coder, v *map[ids.WorkerID]string) {
+	var ps []peer
+	if !c.Decoding {
+		for id, addr := range *v {
+			ps = append(ps, peer{id, addr})
+		}
+		sort.Slice(ps, func(i, j int) bool { return ps[i].id < ps[j].id })
 	}
-	m.Peers = make(map[ids.WorkerID]string, n)
-	for i := 0; i < n; i++ {
-		id := ids.WorkerID(r.Uvarint())
-		m.Peers[id] = r.String()
+	wire.Each(c, &ps, (*peer).fields)
+	if c.Decoding {
+		*v = nil
+		if len(ps) > 0 {
+			*v = make(map[ids.WorkerID]string, len(ps))
+		}
+		for _, p := range ps {
+			(*v)[p.id] = p.addr
+		}
 	}
-	m.Eager = r.Bool()
-	return r.Err
 }
 
 // RegisterDriver is the first message a driver sends to the controller.
@@ -446,19 +334,11 @@ type RegisterDriver struct {
 // Kind implements Msg.
 func (*RegisterDriver) Kind() MsgKind { return KindRegisterDriver }
 
-func (m *RegisterDriver) encode(w *wire.Writer) {
-	w.String(m.Name)
-	w.Uvarint(uint64(m.Weight))
-	w.String(m.Tenant)
-	w.Byte(m.Priority)
-}
-
-func (m *RegisterDriver) decode(r *wire.Reader) error {
-	m.Name = r.String()
-	m.Weight = int(r.Uvarint())
-	m.Tenant = r.String()
-	m.Priority = r.Byte()
-	return r.Err
+func (m *RegisterDriver) fields(c *wire.Coder) {
+	c.Str(&m.Name)
+	wire.Uv(c, &m.Weight)
+	c.Str(&m.Tenant)
+	c.Byte(&m.Priority)
 }
 
 // RegisterDriverAck admits a driver and hands it its job handle.
@@ -469,12 +349,7 @@ type RegisterDriverAck struct {
 // Kind implements Msg.
 func (*RegisterDriverAck) Kind() MsgKind { return KindRegisterDriverAck }
 
-func (m *RegisterDriverAck) encode(w *wire.Writer) { w.Uvarint(uint64(m.Job)) }
-
-func (m *RegisterDriverAck) decode(r *wire.Reader) error {
-	m.Job = ids.JobID(r.Uvarint())
-	return r.Err
-}
+func (m *RegisterDriverAck) fields(c *wire.Coder) { wire.Uv(c, &m.Job) }
 
 // JobEnd ends a job. Driver → controller it is the graceful variant of a
 // disconnect (the controller tears the job down either way); controller →
@@ -487,12 +362,7 @@ type JobEnd struct {
 // Kind implements Msg.
 func (*JobEnd) Kind() MsgKind { return KindJobEnd }
 
-func (m *JobEnd) encode(w *wire.Writer) { w.Uvarint(uint64(m.Job)) }
-
-func (m *JobEnd) decode(r *wire.Reader) error {
-	m.Job = ids.JobID(r.Uvarint())
-	return r.Err
-}
+func (m *JobEnd) fields(c *wire.Coder) { wire.Uv(c, &m.Job) }
 
 // JobQuota sets one job's executor-slot share on a worker. The controller
 // recomputes shares whenever a job arrives or exits (weighted fair share
@@ -507,15 +377,9 @@ type JobQuota struct {
 // Kind implements Msg.
 func (*JobQuota) Kind() MsgKind { return KindJobQuota }
 
-func (m *JobQuota) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Job))
-	w.Uvarint(uint64(m.Slots))
-}
-
-func (m *JobQuota) decode(r *wire.Reader) error {
-	m.Job = ids.JobID(r.Uvarint())
-	m.Slots = int(r.Uvarint())
-	return r.Err
+func (m *JobQuota) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Job)
+	wire.Uv(c, &m.Slots)
 }
 
 // ---------------------------------------------------------------------------
@@ -531,17 +395,10 @@ type DefineVariable struct {
 // Kind implements Msg.
 func (*DefineVariable) Kind() MsgKind { return KindDefineVariable }
 
-func (m *DefineVariable) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Var))
-	w.String(m.Name)
-	w.Uvarint(uint64(m.Partitions))
-}
-
-func (m *DefineVariable) decode(r *wire.Reader) error {
-	m.Var = ids.VariableID(r.Uvarint())
-	m.Name = r.String()
-	m.Partitions = int(r.Uvarint())
-	return r.Err
+func (m *DefineVariable) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Var)
+	c.Str(&m.Name)
+	wire.Uv(c, &m.Partitions)
 }
 
 // Put uploads initial contents for one partition of a variable. The
@@ -555,17 +412,10 @@ type Put struct {
 // Kind implements Msg.
 func (*Put) Kind() MsgKind { return KindPut }
 
-func (m *Put) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Var))
-	w.Uvarint(uint64(m.Partition))
-	w.Bytes(m.Data)
-}
-
-func (m *Put) decode(r *wire.Reader) error {
-	m.Var = ids.VariableID(r.Uvarint())
-	m.Partition = int(r.Uvarint())
-	m.Data = r.BytesCopy()
-	return r.Err
+func (m *Put) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Var)
+	wire.Uv(c, &m.Partition)
+	wire.BytesOf(c, &m.Data)
 }
 
 // Get requests the current contents of one partition. It is a
@@ -581,17 +431,10 @@ type Get struct {
 // Kind implements Msg.
 func (*Get) Kind() MsgKind { return KindGet }
 
-func (m *Get) encode(w *wire.Writer) {
-	w.Uvarint(m.Seq)
-	w.Uvarint(uint64(m.Var))
-	w.Uvarint(uint64(m.Partition))
-}
-
-func (m *Get) decode(r *wire.Reader) error {
-	m.Seq = r.Uvarint()
-	m.Var = ids.VariableID(r.Uvarint())
-	m.Partition = int(r.Uvarint())
-	return r.Err
+func (m *Get) fields(c *wire.Coder) {
+	c.U64(&m.Seq)
+	wire.Uv(c, &m.Var)
+	wire.Uv(c, &m.Partition)
 }
 
 // GetResult answers a Get.
@@ -603,15 +446,9 @@ type GetResult struct {
 // Kind implements Msg.
 func (*GetResult) Kind() MsgKind { return KindGetResult }
 
-func (m *GetResult) encode(w *wire.Writer) {
-	w.Uvarint(m.Seq)
-	w.Bytes(m.Data)
-}
-
-func (m *GetResult) decode(r *wire.Reader) error {
-	m.Seq = r.Uvarint()
-	m.Data = r.BytesCopy()
-	return r.Err
+func (m *GetResult) fields(c *wire.Coder) {
+	c.U64(&m.Seq)
+	wire.BytesOf(c, &m.Data)
 }
 
 // AccessPattern describes how a stage's tasks map onto a variable's
@@ -647,19 +484,11 @@ type VarRef struct {
 	Fixed int
 }
 
-func (v *VarRef) encode(w *wire.Writer) {
-	w.Uvarint(uint64(v.Var))
-	w.Bool(v.Write)
-	w.Byte(byte(v.Pattern))
-	w.Uvarint(uint64(v.Fixed))
-}
-
-func (v *VarRef) decode(r *wire.Reader) error {
-	v.Var = ids.VariableID(r.Uvarint())
-	v.Write = r.Bool()
-	v.Pattern = AccessPattern(r.Byte())
-	v.Fixed = int(r.Uvarint())
-	return r.Err
+func (m *VarRef) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Var)
+	c.Bool(&m.Write)
+	wire.U8(c, &m.Pattern)
+	wire.Uv(c, &m.Fixed)
 }
 
 // SubmitStage submits one parallel operation. The controller expands it
@@ -683,47 +512,13 @@ type SubmitStage struct {
 // Kind implements Msg.
 func (*SubmitStage) Kind() MsgKind { return KindSubmitStage }
 
-func (m *SubmitStage) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Stage))
-	w.Uvarint(uint64(m.Fn))
-	w.Uvarint(uint64(m.Tasks))
-	w.Uvarint(uint64(len(m.Refs)))
-	for i := range m.Refs {
-		m.Refs[i].encode(w)
-	}
-	w.Bytes(m.Params)
-	w.Uvarint(uint64(len(m.PerTask)))
-	for _, p := range m.PerTask {
-		w.Bytes(p)
-	}
-}
-
-func (m *SubmitStage) decode(r *wire.Reader) error {
-	m.Stage = ids.StageID(r.Uvarint())
-	m.Fn = ids.FunctionID(r.Uvarint())
-	m.Tasks = int(r.Uvarint())
-	n := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	m.Refs = make([]VarRef, n)
-	for i := range m.Refs {
-		if err := m.Refs[i].decode(r); err != nil {
-			return err
-		}
-	}
-	m.Params = params.Blob(r.BytesCopy())
-	np := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	if np > 0 {
-		m.PerTask = make([]params.Blob, np)
-		for i := range m.PerTask {
-			m.PerTask[i] = params.Blob(r.BytesCopy())
-		}
-	}
-	return r.Err
+func (m *SubmitStage) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Stage)
+	wire.Uv(c, &m.Fn)
+	wire.Uv(c, &m.Tasks)
+	wire.Each(c, &m.Refs, (*VarRef).fields)
+	wire.BytesOf(c, &m.Params)
+	wire.List(c, &m.PerTask, wire.BytesOf[params.Blob])
 }
 
 // TemplateStart marks the beginning of a basic block in the driver's task
@@ -735,12 +530,7 @@ type TemplateStart struct {
 // Kind implements Msg.
 func (*TemplateStart) Kind() MsgKind { return KindTemplateStart }
 
-func (m *TemplateStart) encode(w *wire.Writer) { w.String(m.Name) }
-
-func (m *TemplateStart) decode(r *wire.Reader) error {
-	m.Name = r.String()
-	return r.Err
-}
+func (m *TemplateStart) fields(c *wire.Coder) { c.Str(&m.Name) }
 
 // TemplateEnd marks the end of a basic block. On receipt the controller
 // post-processes the recorded task graph into a controller template and
@@ -752,12 +542,7 @@ type TemplateEnd struct {
 // Kind implements Msg.
 func (*TemplateEnd) Kind() MsgKind { return KindTemplateEnd }
 
-func (m *TemplateEnd) encode(w *wire.Writer) { w.String(m.Name) }
-
-func (m *TemplateEnd) decode(r *wire.Reader) error {
-	m.Name = r.String()
-	return r.Err
-}
+func (m *TemplateEnd) fields(c *wire.Coder) { c.Str(&m.Name) }
 
 // InstantiateBlock asks the controller to execute an installed controller
 // template again. ParamArray is indexed by the parameter slots recorded at
@@ -770,25 +555,9 @@ type InstantiateBlock struct {
 // Kind implements Msg.
 func (*InstantiateBlock) Kind() MsgKind { return KindInstantiateBlock }
 
-func (m *InstantiateBlock) encode(w *wire.Writer) {
-	w.String(m.Name)
-	w.Uvarint(uint64(len(m.ParamArray)))
-	for _, p := range m.ParamArray {
-		w.Bytes(p)
-	}
-}
-
-func (m *InstantiateBlock) decode(r *wire.Reader) error {
-	m.Name = r.String()
-	n := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	m.ParamArray = make([]params.Blob, n)
-	for i := range m.ParamArray {
-		m.ParamArray[i] = params.Blob(r.BytesCopy())
-	}
-	return r.Err
+func (m *InstantiateBlock) fields(c *wire.Coder) {
+	c.Str(&m.Name)
+	wire.List(c, &m.ParamArray, wire.BytesOf[params.Blob])
 }
 
 // PredOp is a loop predicate's comparison operator.
@@ -831,23 +600,15 @@ type Pred struct {
 	Threshold float64
 }
 
+func (p *Pred) fields(c *wire.Coder) {
+	wire.Uv(c, &p.Var)
+	wire.Uv(c, &p.Partition)
+	wire.U8(c, &p.Op)
+	c.F64(&p.Threshold)
+}
+
 // Holds evaluates the predicate against a fetched scalar.
 func (p Pred) Holds(v float64) bool { return p.Op.Holds(v, p.Threshold) }
-
-func (p *Pred) encode(w *wire.Writer) {
-	w.Uvarint(uint64(p.Var))
-	w.Uvarint(uint64(p.Partition))
-	w.Byte(byte(p.Op))
-	w.Float64(p.Threshold)
-}
-
-func (p *Pred) decode(r *wire.Reader) error {
-	p.Var = ids.VariableID(r.Uvarint())
-	p.Partition = int(r.Uvarint())
-	p.Op = PredOp(r.Byte())
-	p.Threshold = r.Float64()
-	return r.Err
-}
 
 // InstantiateWhile submits a whole data-dependent loop in one message
 // (driver API v2): the controller instantiates the named template
@@ -868,33 +629,12 @@ type InstantiateWhile struct {
 // Kind implements Msg.
 func (*InstantiateWhile) Kind() MsgKind { return KindInstantiateWhile }
 
-func (m *InstantiateWhile) encode(w *wire.Writer) {
-	w.Uvarint(m.Seq)
-	w.String(m.Name)
-	m.Pred.encode(w)
-	w.Uvarint(uint64(m.MaxIters))
-	w.Uvarint(uint64(len(m.ParamArray)))
-	for _, p := range m.ParamArray {
-		w.Bytes(p)
-	}
-}
-
-func (m *InstantiateWhile) decode(r *wire.Reader) error {
-	m.Seq = r.Uvarint()
-	m.Name = r.String()
-	if err := m.Pred.decode(r); err != nil {
-		return err
-	}
-	m.MaxIters = int(r.Uvarint())
-	n := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	m.ParamArray = make([]params.Blob, n)
-	for i := range m.ParamArray {
-		m.ParamArray[i] = params.Blob(r.BytesCopy())
-	}
-	return r.Err
+func (m *InstantiateWhile) fields(c *wire.Coder) {
+	c.U64(&m.Seq)
+	c.Str(&m.Name)
+	m.Pred.fields(c)
+	wire.Uv(c, &m.MaxIters)
+	wire.List(c, &m.ParamArray, wire.BytesOf[params.Blob])
 }
 
 // LoopDone answers an InstantiateWhile once its loop exits: how many
@@ -913,19 +653,11 @@ type LoopDone struct {
 // Kind implements Msg.
 func (*LoopDone) Kind() MsgKind { return KindLoopDone }
 
-func (m *LoopDone) encode(w *wire.Writer) {
-	w.Uvarint(m.Seq)
-	w.Uvarint(uint64(m.Iters))
-	w.Float64(m.LastValue)
-	w.String(m.Err)
-}
-
-func (m *LoopDone) decode(r *wire.Reader) error {
-	m.Seq = r.Uvarint()
-	m.Iters = int(r.Uvarint())
-	m.LastValue = r.Float64()
-	m.Err = r.String()
-	return r.Err
+func (m *LoopDone) fields(c *wire.Coder) {
+	c.U64(&m.Seq)
+	wire.Uv(c, &m.Iters)
+	c.F64(&m.LastValue)
+	c.Str(&m.Err)
 }
 
 // Barrier asks the controller to reply (BarrierDone) once all previously
@@ -937,12 +669,7 @@ type Barrier struct {
 // Kind implements Msg.
 func (*Barrier) Kind() MsgKind { return KindBarrier }
 
-func (m *Barrier) encode(w *wire.Writer) { w.Uvarint(m.Seq) }
-
-func (m *Barrier) decode(r *wire.Reader) error {
-	m.Seq = r.Uvarint()
-	return r.Err
-}
+func (m *Barrier) fields(c *wire.Coder) { c.U64(&m.Seq) }
 
 // BarrierDone answers a Barrier (and a CheckpointReq, whose commit is a
 // barrier from the driver's point of view). Applied is the job's logged
@@ -961,17 +688,10 @@ type BarrierDone struct {
 // Kind implements Msg.
 func (*BarrierDone) Kind() MsgKind { return KindBarrierDone }
 
-func (m *BarrierDone) encode(w *wire.Writer) {
-	w.Uvarint(m.Seq)
-	w.Uvarint(m.Applied)
-	w.String(m.Err)
-}
-
-func (m *BarrierDone) decode(r *wire.Reader) error {
-	m.Seq = r.Uvarint()
-	m.Applied = r.Uvarint()
-	m.Err = r.String()
-	return r.Err
+func (m *BarrierDone) fields(c *wire.Coder) {
+	c.U64(&m.Seq)
+	c.U64(&m.Applied)
+	c.Str(&m.Err)
 }
 
 // CheckpointReq asks the controller to take a checkpoint (paper §4.4):
@@ -983,12 +703,7 @@ type CheckpointReq struct {
 // Kind implements Msg.
 func (*CheckpointReq) Kind() MsgKind { return KindCheckpointReq }
 
-func (m *CheckpointReq) encode(w *wire.Writer) { w.Uvarint(m.Seq) }
-
-func (m *CheckpointReq) decode(r *wire.Reader) error {
-	m.Seq = r.Uvarint()
-	return r.Err
-}
+func (m *CheckpointReq) fields(c *wire.Coder) { c.U64(&m.Seq) }
 
 // Shutdown terminates a node.
 type Shutdown struct{}
@@ -996,8 +711,7 @@ type Shutdown struct{}
 // Kind implements Msg.
 func (*Shutdown) Kind() MsgKind { return KindShutdown }
 
-func (m *Shutdown) encode(*wire.Writer)         {}
-func (m *Shutdown) decode(r *wire.Reader) error { return r.Err }
+func (*Shutdown) fields(*wire.Coder) {}
 
 // ---------------------------------------------------------------------------
 // Controller → worker
@@ -1020,30 +734,10 @@ type SpawnCommands struct {
 // Kind implements Msg.
 func (*SpawnCommands) Kind() MsgKind { return KindSpawnCommands }
 
-func (m *SpawnCommands) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Job))
-	w.Bool(m.Barrier)
-	w.Uvarint(uint64(len(m.Cmds)))
-	for _, c := range m.Cmds {
-		c.Encode(w)
-	}
-}
-
-func (m *SpawnCommands) decode(r *wire.Reader) error {
-	m.Job = ids.JobID(r.Uvarint())
-	m.Barrier = r.Bool()
-	n := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	m.Cmds = make([]*command.Command, n)
-	for i := range m.Cmds {
-		m.Cmds[i] = &command.Command{}
-		if err := m.Cmds[i].Decode(r); err != nil {
-			return err
-		}
-	}
-	return r.Err
+func (m *SpawnCommands) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Job)
+	c.Bool(&m.Barrier)
+	wire.EachPtr(c, &m.Cmds, (*command.Command).Fields)
 }
 
 // InstallTemplate installs a worker template: the worker's slice of a basic
@@ -1061,31 +755,11 @@ type InstallTemplate struct {
 // Kind implements Msg.
 func (*InstallTemplate) Kind() MsgKind { return KindInstallTemplate }
 
-func (m *InstallTemplate) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Job))
-	w.Uvarint(uint64(m.Template))
-	w.String(m.Name)
-	w.Uvarint(uint64(len(m.Entries)))
-	for i := range m.Entries {
-		m.Entries[i].Encode(w)
-	}
-}
-
-func (m *InstallTemplate) decode(r *wire.Reader) error {
-	m.Job = ids.JobID(r.Uvarint())
-	m.Template = ids.TemplateID(r.Uvarint())
-	m.Name = r.String()
-	n := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	m.Entries = make([]command.TemplateEntry, n)
-	for i := range m.Entries {
-		if err := m.Entries[i].Decode(r); err != nil {
-			return err
-		}
-	}
-	return r.Err
+func (m *InstallTemplate) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Job)
+	wire.Uv(c, &m.Template)
+	c.Str(&m.Name)
+	wire.Each(c, &m.Entries, (*command.TemplateEntry).Fields)
 }
 
 // InstantiateTemplate executes an installed worker template: one message
@@ -1114,47 +788,14 @@ type InstantiateTemplate struct {
 // Kind implements Msg.
 func (*InstantiateTemplate) Kind() MsgKind { return KindInstantiateTemplate }
 
-func (m *InstantiateTemplate) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Job))
-	w.Uvarint(uint64(m.Template))
-	w.Uvarint(m.Instance)
-	w.Uvarint(uint64(m.Base))
-	w.Uvarint(uint64(len(m.ParamArray)))
-	for _, p := range m.ParamArray {
-		w.Bytes(p)
-	}
-	w.Uvarint(uint64(len(m.Edits)))
-	for i := range m.Edits {
-		m.Edits[i].Encode(w)
-	}
-	w.Uvarint(uint64(m.DoneWatermark))
-}
-
-func (m *InstantiateTemplate) decode(r *wire.Reader) error {
-	m.Job = ids.JobID(r.Uvarint())
-	m.Template = ids.TemplateID(r.Uvarint())
-	m.Instance = r.Uvarint()
-	m.Base = ids.CommandID(r.Uvarint())
-	n := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	m.ParamArray = make([]params.Blob, n)
-	for i := range m.ParamArray {
-		m.ParamArray[i] = params.Blob(r.BytesCopy())
-	}
-	ne := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	m.Edits = make([]command.Edit, ne)
-	for i := range m.Edits {
-		if err := m.Edits[i].Decode(r); err != nil {
-			return err
-		}
-	}
-	m.DoneWatermark = ids.CommandID(r.Uvarint())
-	return r.Err
+func (m *InstantiateTemplate) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Job)
+	wire.Uv(c, &m.Template)
+	c.U64(&m.Instance)
+	wire.Uv(c, &m.Base)
+	wire.List(c, &m.ParamArray, wire.BytesOf[params.Blob])
+	wire.Each(c, &m.Edits, (*command.Edit).Fields)
+	wire.Uv(c, &m.DoneWatermark)
 }
 
 // InstallPatch caches a patch (a small block of copy commands that
@@ -1169,29 +810,10 @@ type InstallPatch struct {
 // Kind implements Msg.
 func (*InstallPatch) Kind() MsgKind { return KindInstallPatch }
 
-func (m *InstallPatch) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Job))
-	w.Uvarint(uint64(m.Patch))
-	w.Uvarint(uint64(len(m.Entries)))
-	for i := range m.Entries {
-		m.Entries[i].Encode(w)
-	}
-}
-
-func (m *InstallPatch) decode(r *wire.Reader) error {
-	m.Job = ids.JobID(r.Uvarint())
-	m.Patch = ids.PatchID(r.Uvarint())
-	n := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	m.Entries = make([]command.TemplateEntry, n)
-	for i := range m.Entries {
-		if err := m.Entries[i].Decode(r); err != nil {
-			return err
-		}
-	}
-	return r.Err
+func (m *InstallPatch) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Job)
+	wire.Uv(c, &m.Patch)
+	wire.Each(c, &m.Entries, (*command.TemplateEntry).Fields)
 }
 
 // InstantiatePatch executes a cached patch.
@@ -1204,17 +826,10 @@ type InstantiatePatch struct {
 // Kind implements Msg.
 func (*InstantiatePatch) Kind() MsgKind { return KindInstantiatePatch }
 
-func (m *InstantiatePatch) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Job))
-	w.Uvarint(uint64(m.Patch))
-	w.Uvarint(uint64(m.Base))
-}
-
-func (m *InstantiatePatch) decode(r *wire.Reader) error {
-	m.Job = ids.JobID(r.Uvarint())
-	m.Patch = ids.PatchID(r.Uvarint())
-	m.Base = ids.CommandID(r.Uvarint())
-	return r.Err
+func (m *InstantiatePatch) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Job)
+	wire.Uv(c, &m.Patch)
+	wire.Uv(c, &m.Base)
 }
 
 // Halt tells a worker to stop executing one job's work, flush that job's
@@ -1229,15 +844,9 @@ type Halt struct {
 // Kind implements Msg.
 func (*Halt) Kind() MsgKind { return KindHalt }
 
-func (m *Halt) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Job))
-	w.Uvarint(m.Seq)
-}
-
-func (m *Halt) decode(r *wire.Reader) error {
-	m.Job = ids.JobID(r.Uvarint())
-	m.Seq = r.Uvarint()
-	return r.Err
+func (m *Halt) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Job)
+	c.U64(&m.Seq)
 }
 
 // HaltAck acknowledges a Halt.
@@ -1250,17 +859,10 @@ type HaltAck struct {
 // Kind implements Msg.
 func (*HaltAck) Kind() MsgKind { return KindHaltAck }
 
-func (m *HaltAck) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Job))
-	w.Uvarint(m.Seq)
-	w.Uvarint(uint64(m.Worker))
-}
-
-func (m *HaltAck) decode(r *wire.Reader) error {
-	m.Job = ids.JobID(r.Uvarint())
-	m.Seq = r.Uvarint()
-	m.Worker = ids.WorkerID(r.Uvarint())
-	return r.Err
+func (m *HaltAck) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Job)
+	c.U64(&m.Seq)
+	wire.Uv(c, &m.Worker)
 }
 
 // SaveFailed reports a durable Save that errored on a worker
@@ -1279,19 +881,11 @@ type SaveFailed struct {
 // Kind implements Msg.
 func (*SaveFailed) Kind() MsgKind { return KindSaveFailed }
 
-func (m *SaveFailed) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Job))
-	w.Uvarint(m.Ckpt)
-	w.Uvarint(uint64(m.Logical))
-	w.String(m.Err)
-}
-
-func (m *SaveFailed) decode(r *wire.Reader) error {
-	m.Job = ids.JobID(r.Uvarint())
-	m.Ckpt = r.Uvarint()
-	m.Logical = ids.LogicalID(r.Uvarint())
-	m.Err = r.String()
-	return r.Err
+func (m *SaveFailed) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Job)
+	c.U64(&m.Ckpt)
+	wire.Uv(c, &m.Logical)
+	c.Str(&m.Err)
 }
 
 // Resume lifts one job's Halt.
@@ -1302,12 +896,7 @@ type Resume struct {
 // Kind implements Msg.
 func (*Resume) Kind() MsgKind { return KindResume }
 
-func (m *Resume) encode(w *wire.Writer) { w.Uvarint(uint64(m.Job)) }
-
-func (m *Resume) decode(r *wire.Reader) error {
-	m.Job = ids.JobID(r.Uvarint())
-	return r.Err
-}
+func (m *Resume) fields(c *wire.Coder) { wire.Uv(c, &m.Job) }
 
 // ---------------------------------------------------------------------------
 // Worker → controller
@@ -1327,27 +916,10 @@ type Complete struct {
 // Kind implements Msg.
 func (*Complete) Kind() MsgKind { return KindComplete }
 
-func (m *Complete) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Job))
-	w.Uvarint(uint64(m.Worker))
-	w.Uvarint(uint64(len(m.IDs)))
-	for _, id := range m.IDs {
-		w.Uvarint(uint64(id))
-	}
-}
-
-func (m *Complete) decode(r *wire.Reader) error {
-	m.Job = ids.JobID(r.Uvarint())
-	m.Worker = ids.WorkerID(r.Uvarint())
-	n := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	m.IDs = make([]ids.CommandID, n)
-	for i := range m.IDs {
-		m.IDs[i] = ids.CommandID(r.Uvarint())
-	}
-	return r.Err
+func (m *Complete) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Job)
+	wire.Uv(c, &m.Worker)
+	wire.List(c, &m.IDs, wire.Uv[ids.CommandID])
 }
 
 // BlockDone reports that every command of a template instance assigned to
@@ -1361,17 +933,10 @@ type BlockDone struct {
 // Kind implements Msg.
 func (*BlockDone) Kind() MsgKind { return KindBlockDone }
 
-func (m *BlockDone) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Job))
-	w.Uvarint(uint64(m.Worker))
-	w.Uvarint(m.Instance)
-}
-
-func (m *BlockDone) decode(r *wire.Reader) error {
-	m.Job = ids.JobID(r.Uvarint())
-	m.Worker = ids.WorkerID(r.Uvarint())
-	m.Instance = r.Uvarint()
-	return r.Err
+func (m *BlockDone) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Job)
+	wire.Uv(c, &m.Worker)
+	c.U64(&m.Instance)
 }
 
 // Heartbeat carries liveness and load statistics. Missed heartbeats mark a
@@ -1385,17 +950,10 @@ type Heartbeat struct {
 // Kind implements Msg.
 func (*Heartbeat) Kind() MsgKind { return KindHeartbeat }
 
-func (m *Heartbeat) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Worker))
-	w.Uvarint(uint64(m.Pending))
-	w.Uvarint(m.Done)
-}
-
-func (m *Heartbeat) decode(r *wire.Reader) error {
-	m.Worker = ids.WorkerID(r.Uvarint())
-	m.Pending = int(r.Uvarint())
-	m.Done = r.Uvarint()
-	return r.Err
+func (m *Heartbeat) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Worker)
+	wire.Uv(c, &m.Pending)
+	c.U64(&m.Done)
 }
 
 // FetchObject asks a worker for a physical object's contents (serving
@@ -1411,17 +969,10 @@ type FetchObject struct {
 // Kind implements Msg.
 func (*FetchObject) Kind() MsgKind { return KindFetchObject }
 
-func (m *FetchObject) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Job))
-	w.Uvarint(m.Seq)
-	w.Uvarint(uint64(m.Object))
-}
-
-func (m *FetchObject) decode(r *wire.Reader) error {
-	m.Job = ids.JobID(r.Uvarint())
-	m.Seq = r.Uvarint()
-	m.Object = ids.ObjectID(r.Uvarint())
-	return r.Err
+func (m *FetchObject) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Job)
+	c.U64(&m.Seq)
+	wire.Uv(c, &m.Object)
 }
 
 // ObjectData answers FetchObject.
@@ -1435,19 +986,11 @@ type ObjectData struct {
 // Kind implements Msg.
 func (*ObjectData) Kind() MsgKind { return KindObjectData }
 
-func (m *ObjectData) encode(w *wire.Writer) {
-	w.Uvarint(m.Seq)
-	w.Uvarint(uint64(m.Object))
-	w.Uvarint(m.Version)
-	w.Bytes(m.Data)
-}
-
-func (m *ObjectData) decode(r *wire.Reader) error {
-	m.Seq = r.Uvarint()
-	m.Object = ids.ObjectID(r.Uvarint())
-	m.Version = r.Uvarint()
-	m.Data = r.BytesCopy()
-	return r.Err
+func (m *ObjectData) fields(c *wire.Coder) {
+	c.U64(&m.Seq)
+	wire.Uv(c, &m.Object)
+	c.U64(&m.Version)
+	wire.BytesOf(c, &m.Data)
 }
 
 // ---------------------------------------------------------------------------
@@ -1470,23 +1013,13 @@ type DataPayload struct {
 // Kind implements Msg.
 func (*DataPayload) Kind() MsgKind { return KindDataPayload }
 
-func (m *DataPayload) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Job))
-	w.Uvarint(uint64(m.DstCommand))
-	w.Uvarint(uint64(m.Object))
-	w.Uvarint(uint64(m.Logical))
-	w.Uvarint(m.Version)
-	w.Bytes(m.Data)
-}
-
-func (m *DataPayload) decode(r *wire.Reader) error {
-	m.Job = ids.JobID(r.Uvarint())
-	m.DstCommand = ids.CommandID(r.Uvarint())
-	m.Object = ids.ObjectID(r.Uvarint())
-	m.Logical = ids.LogicalID(r.Uvarint())
-	m.Version = r.Uvarint()
-	m.Data = r.BytesCopy()
-	return r.Err
+func (m *DataPayload) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Job)
+	wire.Uv(c, &m.DstCommand)
+	wire.Uv(c, &m.Object)
+	wire.Uv(c, &m.Logical)
+	c.U64(&m.Version)
+	wire.BytesOf(c, &m.Data)
 }
 
 // DataChunk flag bits. Bit 0 marked flate-compressed chunks until that
@@ -1532,27 +1065,27 @@ type DataChunk struct {
 // Kind implements Msg.
 func (*DataChunk) Kind() MsgKind { return KindDataChunk }
 
-func (m *DataChunk) encode(w *wire.Writer) {
-	m.encodeHeader(w)
-	w.Buf = append(w.Buf, m.Raw...)
+// header walks everything that precedes Raw. Raw is the last field so that
+// a sender can put the header and the payload on the wire as two slices.
+func (m *DataChunk) header(c *wire.Coder) {
+	wire.Uv(c, &m.Job)
+	c.U64(&m.Xfer)
+	wire.Uv(c, &m.Seq)
+	c.Bool(&m.Last)
+	c.Byte(&m.Flags)
+	wire.Uv(c, &m.DstCommand)
+	wire.Uv(c, &m.Object)
+	wire.Uv(c, &m.Logical)
+	c.U64(&m.Version)
+	c.U64(&m.Fetch)
+	c.U64(&m.Total)
 }
 
-// encodeHeader writes everything that precedes Raw's bytes, its length
-// prefix included. Raw is the last field so that a sender can put the
-// header and the payload on the wire as two slices.
-func (m *DataChunk) encodeHeader(w *wire.Writer) {
-	w.Uvarint(uint64(m.Job))
-	w.Uvarint(m.Xfer)
-	w.Uvarint(uint64(m.Seq))
-	w.Bool(m.Last)
-	w.Byte(m.Flags)
-	w.Uvarint(uint64(m.DstCommand))
-	w.Uvarint(uint64(m.Object))
-	w.Uvarint(uint64(m.Logical))
-	w.Uvarint(m.Version)
-	w.Uvarint(m.Fetch)
-	w.Uvarint(m.Total)
-	w.Uvarint(uint64(len(m.Raw)))
+// fields is the header plus Raw, the one field a decoder may leave as a
+// window into the frame (ForEachMsgAliasChunks).
+func (m *DataChunk) fields(c *wire.Coder) {
+	m.header(c)
+	c.Window(&m.Raw)
 }
 
 // AppendChunkHeader appends the encoding of m up to, not including, Raw's
@@ -1560,39 +1093,11 @@ func (m *DataChunk) encodeHeader(w *wire.Writer) {
 // MarshalAppend(buf, m). Senders hand the two to transport.SendVec so the
 // payload is never copied into an encode buffer.
 func AppendChunkHeader(buf []byte, m *DataChunk) []byte {
-	w := wire.Writer{Buf: buf}
-	w.Byte(byte(KindDataChunk))
-	m.encodeHeader(&w)
-	return w.Buf
-}
-
-func (m *DataChunk) decode(r *wire.Reader) error {
-	m.decodeHeader(r)
-	m.Raw = r.BytesCopy()
-	return r.Err
-}
-
-// decodeAliased is decode with Raw left as a window into r's buffer
-// (ForEachMsgAliasChunks).
-func (m *DataChunk) decodeAliased(r *wire.Reader) error {
-	m.decodeHeader(r)
-	m.Raw = r.Bytes()
-	return r.Err
-}
-
-// decodeHeader reads every field but Raw, leaving r at Raw's length prefix.
-func (m *DataChunk) decodeHeader(r *wire.Reader) {
-	m.Job = ids.JobID(r.Uvarint())
-	m.Xfer = r.Uvarint()
-	m.Seq = uint32(r.Uvarint())
-	m.Last = r.Bool()
-	m.Flags = r.Byte()
-	m.DstCommand = ids.CommandID(r.Uvarint())
-	m.Object = ids.ObjectID(r.Uvarint())
-	m.Logical = ids.LogicalID(r.Uvarint())
-	m.Version = r.Uvarint()
-	m.Fetch = r.Uvarint()
-	m.Total = r.Uvarint()
+	c := wire.Coder{W: wire.Writer{Buf: buf}}
+	c.W.Byte(byte(KindDataChunk))
+	m.header(&c)
+	c.W.Uvarint(uint64(len(m.Raw)))
+	return c.W.Buf
 }
 
 // DataCredit replenishes a transfer's flow-control window: the receiver
@@ -1606,15 +1111,9 @@ type DataCredit struct {
 // Kind implements Msg.
 func (*DataCredit) Kind() MsgKind { return KindDataCredit }
 
-func (m *DataCredit) encode(w *wire.Writer) {
-	w.Uvarint(m.Xfer)
-	w.Uvarint(uint64(m.Chunks))
-}
-
-func (m *DataCredit) decode(r *wire.Reader) error {
-	m.Xfer = r.Uvarint()
-	m.Chunks = uint32(r.Uvarint())
-	return r.Err
+func (m *DataCredit) fields(c *wire.Coder) {
+	c.U64(&m.Xfer)
+	wire.Uv(c, &m.Chunks)
 }
 
 // XferAbort cancels a transfer (receiver → sender): the receiver hit a
@@ -1628,15 +1127,9 @@ type XferAbort struct {
 // Kind implements Msg.
 func (*XferAbort) Kind() MsgKind { return KindXferAbort }
 
-func (m *XferAbort) encode(w *wire.Writer) {
-	w.Uvarint(m.Xfer)
-	w.String(m.Reason)
-}
-
-func (m *XferAbort) decode(r *wire.Reader) error {
-	m.Xfer = r.Uvarint()
-	m.Reason = r.String()
-	return r.Err
+func (m *XferAbort) fields(c *wire.Coder) {
+	c.U64(&m.Xfer)
+	c.Str(&m.Reason)
 }
 
 // ErrorMsg reports a fatal error to the peer.
@@ -1647,12 +1140,7 @@ type ErrorMsg struct {
 // Kind implements Msg.
 func (*ErrorMsg) Kind() MsgKind { return KindErrorMsg }
 
-func (m *ErrorMsg) encode(w *wire.Writer) { w.String(m.Text) }
-
-func (m *ErrorMsg) decode(r *wire.Reader) error {
-	m.Text = r.String()
-	return r.Err
-}
+func (m *ErrorMsg) fields(c *wire.Coder) { c.Str(&m.Text) }
 
 // ---------------------------------------------------------------------------
 // Controller failover: replication, lease and reconnect reconcile
@@ -1674,14 +1162,18 @@ type ReplAttach struct{}
 // Kind implements Msg.
 func (*ReplAttach) Kind() MsgKind { return KindReplAttach }
 
-func (m *ReplAttach) encode(*wire.Writer)         {}
-func (m *ReplAttach) decode(r *wire.Reader) error { return r.Err }
+func (*ReplAttach) fields(*wire.Coder) {}
 
 // ManifestEntry names one logical object's durably saved version inside a
 // replicated checkpoint manifest.
 type ManifestEntry struct {
 	Logical ids.LogicalID
 	Version uint64
+}
+
+func (m *ManifestEntry) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Logical)
+	c.U64(&m.Version)
 }
 
 // ReplJob is one job's replicated shadow inside a ReplSnapshot: everything
@@ -1707,73 +1199,19 @@ type ReplJob struct {
 	NextObj   uint64
 }
 
-func (jb *ReplJob) encode(w *wire.Writer) {
-	w.Uvarint(uint64(jb.Job))
-	w.String(jb.Name)
-	w.Uvarint(uint64(jb.Weight))
-	w.String(jb.Tenant)
-	w.Uvarint(jb.Applied)
-	w.Uvarint(jb.Ckpt)
-	w.Uvarint(jb.CkptCount)
-	w.Uvarint(uint64(len(jb.Manifest)))
-	for _, e := range jb.Manifest {
-		w.Uvarint(uint64(e.Logical))
-		w.Uvarint(e.Version)
-	}
-	w.Uvarint(uint64(len(jb.Defs)))
-	for _, b := range jb.Defs {
-		w.Bytes(b)
-	}
-	w.Uvarint(uint64(len(jb.Oplog)))
-	for _, b := range jb.Oplog {
-		w.Bytes(b)
-	}
-	w.Uvarint(jb.NextCmd)
-	w.Uvarint(jb.NextObj)
-}
-
-func (jb *ReplJob) decode(r *wire.Reader) error {
-	jb.Job = ids.JobID(r.Uvarint())
-	jb.Name = r.String()
-	jb.Weight = int(r.Uvarint())
-	jb.Tenant = r.String()
-	jb.Applied = r.Uvarint()
-	jb.Ckpt = r.Uvarint()
-	jb.CkptCount = r.Uvarint()
-	n := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	if n > 0 {
-		jb.Manifest = make([]ManifestEntry, n)
-		for i := range jb.Manifest {
-			jb.Manifest[i].Logical = ids.LogicalID(r.Uvarint())
-			jb.Manifest[i].Version = r.Uvarint()
-		}
-	}
-	nd := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	if nd > 0 {
-		jb.Defs = make([][]byte, nd)
-		for i := range jb.Defs {
-			jb.Defs[i] = r.BytesCopy()
-		}
-	}
-	no := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	if no > 0 {
-		jb.Oplog = make([][]byte, no)
-		for i := range jb.Oplog {
-			jb.Oplog[i] = r.BytesCopy()
-		}
-	}
-	jb.NextCmd = r.Uvarint()
-	jb.NextObj = r.Uvarint()
-	return r.Err
+func (m *ReplJob) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Job)
+	c.Str(&m.Name)
+	wire.Uv(c, &m.Weight)
+	c.Str(&m.Tenant)
+	c.U64(&m.Applied)
+	c.U64(&m.Ckpt)
+	c.U64(&m.CkptCount)
+	wire.Each(c, &m.Manifest, (*ManifestEntry).fields)
+	wire.List(c, &m.Defs, wire.BytesOf[[]byte])
+	wire.List(c, &m.Oplog, wire.BytesOf[[]byte])
+	c.U64(&m.NextCmd)
+	c.U64(&m.NextObj)
 }
 
 // ReplSnapshot is the primary's full state transfer to a freshly attached
@@ -1790,46 +1228,11 @@ type ReplSnapshot struct {
 // Kind implements Msg.
 func (*ReplSnapshot) Kind() MsgKind { return KindReplSnapshot }
 
-func (m *ReplSnapshot) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.JobSeq))
-	w.Uvarint(uint64(m.NextWorker))
-	w.Uvarint(uint64(len(m.Workers)))
-	for _, id := range m.Workers {
-		w.Uvarint(uint64(id))
-	}
-	w.Uvarint(uint64(len(m.Jobs)))
-	for _, jb := range m.Jobs {
-		jb.encode(w)
-	}
-}
-
-func (m *ReplSnapshot) decode(r *wire.Reader) error {
-	m.JobSeq = uint32(r.Uvarint())
-	m.NextWorker = uint32(r.Uvarint())
-	n := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	if n > 0 {
-		m.Workers = make([]ids.WorkerID, n)
-		for i := range m.Workers {
-			m.Workers[i] = ids.WorkerID(r.Uvarint())
-		}
-	}
-	nj := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	if nj > 0 {
-		m.Jobs = make([]*ReplJob, nj)
-		for i := range m.Jobs {
-			m.Jobs[i] = &ReplJob{}
-			if err := m.Jobs[i].decode(r); err != nil {
-				return err
-			}
-		}
-	}
-	return r.Err
+func (m *ReplSnapshot) fields(c *wire.Coder) {
+	wire.Uv(c, &m.JobSeq)
+	wire.Uv(c, &m.NextWorker)
+	wire.List(c, &m.Workers, wire.Uv[ids.WorkerID])
+	wire.EachPtr(c, &m.Jobs, (*ReplJob).fields)
 }
 
 // ReplOp streams one applied driver op to the standby. Index is the job's
@@ -1847,21 +1250,12 @@ type ReplOp struct {
 // Kind implements Msg.
 func (*ReplOp) Kind() MsgKind { return KindReplOp }
 
-func (m *ReplOp) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Job))
-	w.Uvarint(m.Index)
-	w.Uvarint(m.NextCmd)
-	w.Uvarint(m.NextObj)
-	w.Bytes(m.Raw)
-}
-
-func (m *ReplOp) decode(r *wire.Reader) error {
-	m.Job = ids.JobID(r.Uvarint())
-	m.Index = r.Uvarint()
-	m.NextCmd = r.Uvarint()
-	m.NextObj = r.Uvarint()
-	m.Raw = r.BytesCopy()
-	return r.Err
+func (m *ReplOp) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Job)
+	c.U64(&m.Index)
+	c.U64(&m.NextCmd)
+	c.U64(&m.NextObj)
+	wire.BytesOf(c, &m.Raw)
 }
 
 // ReplAck acknowledges a ReplOp. The primary counts unacked ops and
@@ -1875,15 +1269,9 @@ type ReplAck struct {
 // Kind implements Msg.
 func (*ReplAck) Kind() MsgKind { return KindReplAck }
 
-func (m *ReplAck) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Job))
-	w.Uvarint(m.Index)
-}
-
-func (m *ReplAck) decode(r *wire.Reader) error {
-	m.Job = ids.JobID(r.Uvarint())
-	m.Index = r.Uvarint()
-	return r.Err
+func (m *ReplAck) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Job)
+	c.U64(&m.Index)
 }
 
 // ReplCkpt replicates a committed checkpoint: the standby adopts the
@@ -1900,35 +1288,12 @@ type ReplCkpt struct {
 // Kind implements Msg.
 func (*ReplCkpt) Kind() MsgKind { return KindReplCkpt }
 
-func (m *ReplCkpt) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Job))
-	w.Uvarint(m.Ckpt)
-	w.Uvarint(m.Count)
-	w.Uvarint(m.Drop)
-	w.Uvarint(uint64(len(m.Manifest)))
-	for _, e := range m.Manifest {
-		w.Uvarint(uint64(e.Logical))
-		w.Uvarint(e.Version)
-	}
-}
-
-func (m *ReplCkpt) decode(r *wire.Reader) error {
-	m.Job = ids.JobID(r.Uvarint())
-	m.Ckpt = r.Uvarint()
-	m.Count = r.Uvarint()
-	m.Drop = r.Uvarint()
-	n := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	if n > 0 {
-		m.Manifest = make([]ManifestEntry, n)
-		for i := range m.Manifest {
-			m.Manifest[i].Logical = ids.LogicalID(r.Uvarint())
-			m.Manifest[i].Version = r.Uvarint()
-		}
-	}
-	return r.Err
+func (m *ReplCkpt) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Job)
+	c.U64(&m.Ckpt)
+	c.U64(&m.Count)
+	c.U64(&m.Drop)
+	wire.Each(c, &m.Manifest, (*ManifestEntry).fields)
 }
 
 // ReplJobStart replicates a job admission that happened after the
@@ -1944,19 +1309,11 @@ type ReplJobStart struct {
 // Kind implements Msg.
 func (*ReplJobStart) Kind() MsgKind { return KindReplJobStart }
 
-func (m *ReplJobStart) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Job))
-	w.String(m.Name)
-	w.Uvarint(uint64(m.Weight))
-	w.String(m.Tenant)
-}
-
-func (m *ReplJobStart) decode(r *wire.Reader) error {
-	m.Job = ids.JobID(r.Uvarint())
-	m.Name = r.String()
-	m.Weight = int(r.Uvarint())
-	m.Tenant = r.String()
-	return r.Err
+func (m *ReplJobStart) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Job)
+	c.Str(&m.Name)
+	wire.Uv(c, &m.Weight)
+	c.Str(&m.Tenant)
 }
 
 // ReplJobEnd replicates a job teardown: the standby drops the shadow.
@@ -1967,12 +1324,7 @@ type ReplJobEnd struct {
 // Kind implements Msg.
 func (*ReplJobEnd) Kind() MsgKind { return KindReplJobEnd }
 
-func (m *ReplJobEnd) encode(w *wire.Writer) { w.Uvarint(uint64(m.Job)) }
-
-func (m *ReplJobEnd) decode(r *wire.Reader) error {
-	m.Job = ids.JobID(r.Uvarint())
-	return r.Err
-}
+func (m *ReplJobEnd) fields(c *wire.Coder) { wire.Uv(c, &m.Job) }
 
 // LeaseRenew is the primary's leadership lease heartbeat on the
 // replication stream (the transport-level lease service). The standby
@@ -1987,15 +1339,9 @@ type LeaseRenew struct {
 // Kind implements Msg.
 func (*LeaseRenew) Kind() MsgKind { return KindLeaseRenew }
 
-func (m *LeaseRenew) encode(w *wire.Writer) {
-	w.Uvarint(m.Epoch)
-	w.Uvarint(m.TTLMillis)
-}
-
-func (m *LeaseRenew) decode(r *wire.Reader) error {
-	m.Epoch = r.Uvarint()
-	m.TTLMillis = r.Uvarint()
-	return r.Err
+func (m *LeaseRenew) fields(c *wire.Coder) {
+	c.U64(&m.Epoch)
+	c.U64(&m.TTLMillis)
 }
 
 // WorkerReconnect re-registers a worker that survived a controller
@@ -2012,17 +1358,10 @@ type WorkerReconnect struct {
 // Kind implements Msg.
 func (*WorkerReconnect) Kind() MsgKind { return KindWorkerReconnect }
 
-func (m *WorkerReconnect) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Worker))
-	w.String(m.DataAddr)
-	w.Uvarint(uint64(m.Slots))
-}
-
-func (m *WorkerReconnect) decode(r *wire.Reader) error {
-	m.Worker = ids.WorkerID(r.Uvarint())
-	m.DataAddr = r.String()
-	m.Slots = int(r.Uvarint())
-	return r.Err
+func (m *WorkerReconnect) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Worker)
+	c.Str(&m.DataAddr)
+	wire.Uv(c, &m.Slots)
 }
 
 // DriverReattach re-binds a driver to its job after a controller switch.
@@ -2036,17 +1375,10 @@ type DriverReattach struct {
 // Kind implements Msg.
 func (*DriverReattach) Kind() MsgKind { return KindDriverReattach }
 
-func (m *DriverReattach) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Job))
-	w.String(m.Name)
-	w.Uvarint(uint64(m.Weight))
-}
-
-func (m *DriverReattach) decode(r *wire.Reader) error {
-	m.Job = ids.JobID(r.Uvarint())
-	m.Name = r.String()
-	m.Weight = int(r.Uvarint())
-	return r.Err
+func (m *DriverReattach) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Job)
+	c.Str(&m.Name)
+	wire.Uv(c, &m.Weight)
 }
 
 // ReattachAck answers a DriverReattach. Applied is the job's cumulative
@@ -2063,19 +1395,11 @@ type ReattachAck struct {
 // Kind implements Msg.
 func (*ReattachAck) Kind() MsgKind { return KindReattachAck }
 
-func (m *ReattachAck) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Job))
-	w.Uvarint(m.Applied)
-	w.Bool(m.Ok)
-	w.String(m.Err)
-}
-
-func (m *ReattachAck) decode(r *wire.Reader) error {
-	m.Job = ids.JobID(r.Uvarint())
-	m.Applied = r.Uvarint()
-	m.Ok = r.Bool()
-	m.Err = r.String()
-	return r.Err
+func (m *ReattachAck) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Job)
+	c.U64(&m.Applied)
+	c.Bool(&m.Ok)
+	c.Str(&m.Err)
 }
 
 // ---------------------------------------------------------------------------
@@ -2089,9 +1413,7 @@ type GatewayHello struct{}
 // Kind implements Msg.
 func (*GatewayHello) Kind() MsgKind { return KindGatewayHello }
 
-func (m *GatewayHello) encode(w *wire.Writer) {}
-
-func (m *GatewayHello) decode(r *wire.Reader) error { return r.Err }
+func (*GatewayHello) fields(*wire.Coder) {}
 
 // MuxData carries one session's traffic across a shared gateway
 // connection. Raw is a standard frame — a single message or a KindBatch
@@ -2114,17 +1436,10 @@ type MuxData struct {
 // Kind implements Msg.
 func (*MuxData) Kind() MsgKind { return KindMuxData }
 
-func (m *MuxData) encode(w *wire.Writer) {
-	w.Uvarint(m.Session)
-	w.Uvarint(m.Seq)
-	w.Bytes(m.Raw)
-}
-
-func (m *MuxData) decode(r *wire.Reader) error {
-	m.Session = r.Uvarint()
-	m.Seq = r.Uvarint()
-	m.Raw = r.BytesCopy()
-	return r.Err
+func (m *MuxData) fields(c *wire.Coder) {
+	c.U64(&m.Session)
+	c.U64(&m.Seq)
+	wire.BytesOf(c, &m.Raw)
 }
 
 // SessionClose closes one session on a shared gateway connection — the
@@ -2138,12 +1453,7 @@ type SessionClose struct {
 // Kind implements Msg.
 func (*SessionClose) Kind() MsgKind { return KindSessionClose }
 
-func (m *SessionClose) encode(w *wire.Writer) { w.Uvarint(m.Session) }
-
-func (m *SessionClose) decode(r *wire.Reader) error {
-	m.Session = r.Uvarint()
-	return r.Err
-}
+func (m *SessionClose) fields(c *wire.Coder) { c.U64(&m.Session) }
 
 // Admission rejection codes.
 const (
@@ -2171,17 +1481,10 @@ type AdmissionReject struct {
 // Kind implements Msg.
 func (*AdmissionReject) Kind() MsgKind { return KindAdmissionReject }
 
-func (m *AdmissionReject) encode(w *wire.Writer) {
-	w.Byte(m.Code)
-	w.Uvarint(m.RetryAfterMillis)
-	w.String(m.Err)
-}
-
-func (m *AdmissionReject) decode(r *wire.Reader) error {
-	m.Code = r.Byte()
-	m.RetryAfterMillis = r.Uvarint()
-	m.Err = r.String()
-	return r.Err
+func (m *AdmissionReject) fields(c *wire.Coder) {
+	c.Byte(&m.Code)
+	c.U64(&m.RetryAfterMillis)
+	c.Str(&m.Err)
 }
 
 // ---------------------------------------------------------------------------
@@ -2203,15 +1506,9 @@ type FleetAnnounce struct {
 // Kind implements Msg.
 func (*FleetAnnounce) Kind() MsgKind { return KindFleetAnnounce }
 
-func (m *FleetAnnounce) encode(w *wire.Writer) {
-	w.String(m.DataAddr)
-	w.Uvarint(uint64(m.Slots))
-}
-
-func (m *FleetAnnounce) decode(r *wire.Reader) error {
-	m.DataAddr = r.String()
-	m.Slots = int(r.Uvarint())
-	return r.Err
+func (m *FleetAnnounce) fields(c *wire.Coder) {
+	c.Str(&m.DataAddr)
+	wire.Uv(c, &m.Slots)
 }
 
 // FleetAdmit assigns an announcing worker its ID and peer map. The worker
@@ -2226,29 +1523,10 @@ type FleetAdmit struct {
 // Kind implements Msg.
 func (*FleetAdmit) Kind() MsgKind { return KindFleetAdmit }
 
-func (m *FleetAdmit) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Worker))
-	w.Uvarint(uint64(len(m.Peers)))
-	for id, addr := range m.Peers {
-		w.Uvarint(uint64(id))
-		w.String(addr)
-	}
-	w.Bool(m.Eager)
-}
-
-func (m *FleetAdmit) decode(r *wire.Reader) error {
-	m.Worker = ids.WorkerID(r.Uvarint())
-	n := r.Count()
-	if r.Err != nil {
-		return r.Err
-	}
-	m.Peers = make(map[ids.WorkerID]string, n)
-	for i := 0; i < n; i++ {
-		id := ids.WorkerID(r.Uvarint())
-		m.Peers[id] = r.String()
-	}
-	m.Eager = r.Bool()
-	return r.Err
+func (m *FleetAdmit) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Worker)
+	peers(c, &m.Peers)
+	c.Bool(&m.Eager)
 }
 
 // FleetWarm is the controller's warm marker: it follows the batch of
@@ -2263,12 +1541,7 @@ type FleetWarm struct {
 // Kind implements Msg.
 func (*FleetWarm) Kind() MsgKind { return KindFleetWarm }
 
-func (m *FleetWarm) encode(w *wire.Writer) { w.Uvarint(m.Seq) }
-
-func (m *FleetWarm) decode(r *wire.Reader) error {
-	m.Seq = r.Uvarint()
-	return r.Err
-}
+func (m *FleetWarm) fields(c *wire.Coder) { c.U64(&m.Seq) }
 
 // FleetWarmAck is the worker's reply to FleetWarm: all installs up to Seq
 // are resident and compiled.
@@ -2280,15 +1553,9 @@ type FleetWarmAck struct {
 // Kind implements Msg.
 func (*FleetWarmAck) Kind() MsgKind { return KindFleetWarmAck }
 
-func (m *FleetWarmAck) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Worker))
-	w.Uvarint(m.Seq)
-}
-
-func (m *FleetWarmAck) decode(r *wire.Reader) error {
-	m.Worker = ids.WorkerID(r.Uvarint())
-	m.Seq = r.Uvarint()
-	return r.Err
+func (m *FleetWarmAck) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Worker)
+	c.U64(&m.Seq)
 }
 
 // FleetReady tells a warmed worker it has entered the active set and will
@@ -2300,12 +1567,7 @@ type FleetReady struct {
 // Kind implements Msg.
 func (*FleetReady) Kind() MsgKind { return KindFleetReady }
 
-func (m *FleetReady) encode(w *wire.Writer) { w.Uvarint(uint64(m.Worker)) }
-
-func (m *FleetReady) decode(r *wire.Reader) error {
-	m.Worker = ids.WorkerID(r.Uvarint())
-	return r.Err
-}
+func (m *FleetReady) fields(c *wire.Coder) { wire.Uv(c, &m.Worker) }
 
 // FleetDrain tells a worker it is leaving the fleet: it keeps serving
 // in-flight work but the controller has stopped placing new partitions on
@@ -2317,12 +1579,7 @@ type FleetDrain struct {
 // Kind implements Msg.
 func (*FleetDrain) Kind() MsgKind { return KindFleetDrain }
 
-func (m *FleetDrain) encode(w *wire.Writer) { w.Uvarint(uint64(m.Worker)) }
-
-func (m *FleetDrain) decode(r *wire.Reader) error {
-	m.Worker = ids.WorkerID(r.Uvarint())
-	return r.Err
-}
+func (m *FleetDrain) fields(c *wire.Coder) { wire.Uv(c, &m.Worker) }
 
 // FleetDecommission releases a drained worker: no outstanding commands or
 // live data remain on it, and it may shut down.
@@ -2333,9 +1590,4 @@ type FleetDecommission struct {
 // Kind implements Msg.
 func (*FleetDecommission) Kind() MsgKind { return KindFleetDecommission }
 
-func (m *FleetDecommission) encode(w *wire.Writer) { w.Uvarint(uint64(m.Worker)) }
-
-func (m *FleetDecommission) decode(r *wire.Reader) error {
-	m.Worker = ids.WorkerID(r.Uvarint())
-	return r.Err
-}
+func (m *FleetDecommission) fields(c *wire.Coder) { wire.Uv(c, &m.Worker) }

@@ -131,15 +131,23 @@ func TestEveryMessageRoundTrips(t *testing.T) {
 	}
 }
 
-// TestAllKindsCovered ensures everyMessage covers every registered kind.
+// TestAllKindsCovered ensures every kind below KindMax has a row in the
+// kinds table — a name, and a constructor for a message of that kind — and
+// that everyMessage covers it.
 func TestAllKindsCovered(t *testing.T) {
 	seen := make(map[MsgKind]bool)
 	for _, m := range everyMessage() {
 		seen[m.Kind()] = true
 	}
 	for k := KindRegisterWorker; k < KindMax; k++ {
-		if newMsg(k) == nil {
+		if kinds[k].name == "" {
+			t.Errorf("message kind %d has no name in the kinds table", k)
+		}
+		if m := newMsg(k); m == nil {
+			t.Errorf("message kind %s has no constructor in the kinds table", k)
 			continue
+		} else if m.Kind() != k {
+			t.Errorf("kinds[%s] constructs a %s", k, m.Kind())
 		}
 		if !seen[k] {
 			t.Errorf("message kind %s not covered by round-trip test", k)

@@ -8,7 +8,9 @@
 // no reflection. Writers append to a caller-owned buffer; readers consume a
 // slice and record the first error, letting call sites chain reads without
 // checking errors at every step (the same style as encoding/binary's
-// AppendUvarint and params.Decoder).
+// AppendUvarint and params.Decoder). A Coder (coder.go) pairs the two behind
+// a direction flag, so a wire type states its format once, as a walk over
+// its fields, instead of as an encoder and a decoder kept in step by hand.
 package wire
 
 import (
@@ -69,14 +71,6 @@ func (w *Writer) Bytes(v []byte) {
 func (w *Writer) String(v string) {
 	w.Uvarint(uint64(len(v)))
 	w.Buf = append(w.Buf, v...)
-}
-
-// Uvarints appends a length-prefixed slice of unsigned varints.
-func (w *Writer) Uvarints(v []uint64) {
-	w.Uvarint(uint64(len(v)))
-	for _, u := range v {
-		w.Uvarint(u)
-	}
 }
 
 // Float64s appends a length-prefixed slice of float64s.
@@ -230,26 +224,6 @@ func (r *Reader) BytesCopy() []byte {
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
 	return string(r.Bytes())
-}
-
-// Uvarints reads a length-prefixed slice of unsigned varints.
-func (r *Reader) Uvarints() []uint64 {
-	n := r.Uvarint()
-	if r.Err != nil {
-		return nil
-	}
-	if n > uint64(r.Remaining()) { // each element is at least one byte
-		r.fail("uvarints body")
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = r.Uvarint()
-	}
-	return out
 }
 
 // Float64s reads a length-prefixed slice of float64s.

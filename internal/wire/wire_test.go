@@ -20,7 +20,6 @@ func TestRoundTrip(t *testing.T) {
 	w.Bool(false)
 	w.Bytes([]byte("hello"))
 	w.String("world")
-	w.Uvarints([]uint64{1, 2, 3})
 	w.Float64s([]float64{0.5, -0.5})
 
 	r := NewReader(w.Buf)
@@ -53,10 +52,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if got := r.String(); got != "world" {
 		t.Fatalf("string = %q", got)
-	}
-	u := r.Uvarints()
-	if len(u) != 3 || u[0] != 1 || u[2] != 3 {
-		t.Fatalf("uvarints = %v", u)
 	}
 	f := r.Float64s()
 	if len(f) != 2 || f[0] != 0.5 || f[1] != -0.5 {
@@ -157,12 +152,6 @@ func TestHostileCounts(t *testing.T) {
 
 	w = huge()
 	r = NewReader(w.Buf)
-	if got := r.Uvarints(); got != nil || r.Err == nil {
-		t.Fatalf("Uvarints accepted a 2^50 prefix: %v, err %v", got, r.Err)
-	}
-
-	w = huge()
-	r = NewReader(w.Buf)
 	if got := r.Float64s(); got != nil || r.Err == nil {
 		t.Fatalf("Float64s accepted a 2^50 prefix: %v, err %v", got, r.Err)
 	}
@@ -208,7 +197,6 @@ func TestTruncatedEveryPrimitive(t *testing.T) {
 	w.Bool(true)
 	w.Bytes([]byte("abc"))
 	w.String("de")
-	w.Uvarints([]uint64{1, 2})
 	w.Float64s([]float64{3.5})
 	for cut := 0; cut < w.Len(); cut++ {
 		r := NewReader(w.Buf[:cut])
@@ -221,7 +209,6 @@ func TestTruncatedEveryPrimitive(t *testing.T) {
 		r.Bool()
 		r.Bytes()
 		_ = r.String()
-		r.Uvarints()
 		r.Float64s()
 		if r.Err == nil {
 			t.Fatalf("no error with %d of %d bytes", cut, w.Len())

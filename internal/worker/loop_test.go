@@ -100,6 +100,22 @@ func raise(max *atomic.Int64, v int64) {
 	}
 }
 
+// settledGoroutines returns the goroutine count once two reads a
+// millisecond apart agree: a goroutine that has signalled it is done (a
+// start-up helper, a reader that sent its result) is still counted until it
+// has actually exited.
+func settledGoroutines() int64 {
+	n := runtime.NumGoroutine()
+	for {
+		time.Sleep(time.Millisecond)
+		again := runtime.NumGoroutine()
+		if again == n {
+			return int64(n)
+		}
+		n = again
+	}
+}
+
 func taskBatch(job ids.JobID, f ids.FunctionID, base ids.CommandID, n int) *proto.SpawnCommands {
 	cmds := make([]*command.Command, n)
 	for i := range cmds {
@@ -287,7 +303,7 @@ func TestExecutorsArePersistent(t *testing.T) {
 		}
 		allDone <- nil
 	}()
-	base := int64(runtime.NumGoroutine())
+	base := settledGoroutines()
 	for b := 0; b < batches; b++ {
 		sendCtl(t, ctl, taskBatch(1, fnProbe, ids.CommandID(1+b*per), per))
 	}
@@ -305,7 +321,7 @@ func TestExecutorsArePersistent(t *testing.T) {
 	if got := most.Load(); got > base {
 		t.Fatalf("a task ran among %d goroutines, %d existed before the first: tasks are creating goroutines", got, base)
 	}
-	if got := int64(runtime.NumGoroutine()); got != base-1 { // the reader is gone
+	if got := settledGoroutines(); got != base-1 { // the reader is gone
 		t.Fatalf("%d goroutines after the tasks, want %d", got, base-1)
 	}
 	if got := mostInFlight.Load(); got > slots {
