@@ -933,14 +933,15 @@ func startWorkersUnderFakeController(b *testing.B, tr transport.Transport, ctlAd
 	return workers, conns
 }
 
-// BenchmarkPeerWriterTCP measures the peer writer's flush rule over real
-// sockets (DESIGN.md "Wire budget"). Two workers on loopback TCP, the
+// BenchmarkPeerWriterTCP measures the peer writer's run and flush rules over
+// real sockets (DESIGN.md "Wire budget"). Two workers on loopback TCP, the
 // benchmark playing their controller; one op is the LR block's worth of
 // small copies — 435 CopySends of an empty object, queued by one
 // SpawnCommands — timed until the receiving worker has completed every
-// CopyRecv. frames/op is what the workers count as copies sent, writes/op
-// the flushes their peer writers issued (one write(2) each): a writer that
-// flushed per frame would report 435 for both.
+// CopyRecv. frames/op is what the workers count as copies sent (each was a
+// frame of its own once), runs/op the frames their peer writers handed to
+// the connection, writes/op the flushes they issued (one write(2) each): a
+// writer that framed and flushed per copy would report 435 for all three.
 func BenchmarkPeerWriterTCP(b *testing.B) {
 	const copies = 435
 	workers, conns := startWorkersUnderFakeController(b, transport.TCP{}, "127.0.0.1:0",
@@ -997,22 +998,25 @@ func BenchmarkPeerWriterTCP(b *testing.B) {
 			}
 		}
 	}
-	counts := func() (frames, writes uint64) {
+	counts := func() (frames, runs, writes uint64) {
 		for _, w := range workers {
 			frames += w.Stats.CopiesSent.Load()
+			runs += w.Stats.PeerFrames.Load()
 			writes += w.Stats.PeerFlushes.Load()
 		}
 		return
 	}
 	op() // dial the peer, warm the pools
-	frames0, writes0 := counts()
+	frames0, runs0, writes0 := counts()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		op()
 	}
 	b.StopTimer()
-	frames, writes := counts()
+	frames, runs, writes := counts()
 	b.ReportMetric(float64(frames-frames0)/float64(b.N), "frames/op")
+	b.ReportMetric(float64(runs-runs0)/float64(b.N), "runs/op")
 	b.ReportMetric(float64(writes-writes0)/float64(b.N), "writes/op")
 }
 

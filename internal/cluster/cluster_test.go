@@ -17,18 +17,21 @@ const (
 	fnSumAll
 )
 
+// double writes twice its first read.
+func double(c *fn.Ctx) error {
+	in := params.NewDecoder(params.Blob(c.Read(0))).Floats()
+	out := make([]float64, len(in))
+	for i, v := range in {
+		out[i] = 2 * v
+	}
+	c.SetWrite(0, params.NewEncoder(8*len(out)+8).Floats(out).Blob())
+	return nil
+}
+
 func testRegistry(t testing.TB) *fn.Registry {
 	t.Helper()
 	reg := fn.NewRegistry()
-	reg.MustRegister(fnDouble, "test/double", func(c *fn.Ctx) error {
-		in := params.NewDecoder(params.Blob(c.Read(0))).Floats()
-		out := make([]float64, len(in))
-		for i, v := range in {
-			out[i] = 2 * v
-		}
-		c.SetWrite(0, params.NewEncoder(8*len(out)+8).Floats(out).Blob())
-		return nil
-	})
+	reg.MustRegister(fnDouble, "test/double", double)
 	reg.MustRegister(fnSumAll, "test/sum-all", func(c *fn.Ctx) error {
 		sum := 0.0
 		for i := 0; i < c.NumReads(); i++ {

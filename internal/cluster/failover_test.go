@@ -11,7 +11,6 @@ import (
 	"nimbus/internal/driver"
 	"nimbus/internal/fn"
 	"nimbus/internal/ids"
-	"nimbus/internal/params"
 )
 
 // These tests exercise controller failover end to end: hot-standby
@@ -239,13 +238,7 @@ func slowRegistry(t testing.TB) *fn.Registry {
 	reg := testRegistry(t)
 	reg.MustRegister(fnSlowDouble, "test/slow-double", func(c *fn.Ctx) error {
 		time.Sleep(30 * time.Millisecond)
-		in := params.NewDecoder(params.Blob(c.Read(0))).Floats()
-		out := make([]float64, len(in))
-		for i, v := range in {
-			out[i] = 2 * v
-		}
-		c.SetWrite(0, params.NewEncoder(8*len(out)+8).Floats(out).Blob())
-		return nil
+		return double(c)
 	})
 	return reg
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,6 +13,8 @@ import (
 	"nimbus/internal/controller"
 	"nimbus/internal/driver"
 	"nimbus/internal/fleet"
+	"nimbus/internal/fn"
+	"nimbus/internal/ids"
 	"nimbus/internal/proto"
 )
 
@@ -426,6 +429,9 @@ func TestAutoscaleClusterGrowsUnderLoad(t *testing.T) {
 	}
 }
 
+// fnGatedDouble is fnDouble held on a gate the test opens.
+const fnGatedDouble ids.FunctionID = fn.FirstAppFunc + 41
+
 // TestFleetDrainAbortedByFailover kills the controller while a drain is
 // still waiting for the victim's in-flight work. Fleet phases are
 // deliberately not replicated: the promoted standby readmits the victim
@@ -435,10 +441,27 @@ func TestAutoscaleClusterGrowsUnderLoad(t *testing.T) {
 func TestFleetDrainAbortedByFailover(t *testing.T) {
 	leakcheck.Check(t)
 	const parts = 8
+	// The stage's tasks block until the controller is dead, so the drain
+	// cannot quiesce — and decommission the victim — before the kill, however
+	// fast the box.
+	gate := make(chan struct{})
+	var openOnce sync.Once
+	open := func() { openOnce.Do(func() { close(gate) }) }
+	entered := make(chan ids.WorkerID, parts)
+	reg := testRegistry(t)
+	reg.MustRegister(fnGatedDouble, "test/gated-double", func(c *fn.Ctx) error {
+		select {
+		case entered <- c.Worker:
+		default: // nobody is listening any more: a re-execution after the failover
+		}
+		<-gate
+		return double(c)
+	})
 	c := startTestCluster(t, Options{
-		Workers: 3, Slots: 2, Registry: slowRegistry(t),
+		Workers: 3, Slots: 2, Registry: reg,
 		LeaseTTL: 150 * time.Millisecond,
 	})
+	t.Cleanup(open) // before the cluster's Stop: a failed test must not leave executors blocked
 	if _, err := c.StartStandby(); err != nil {
 		t.Fatalf("standby: %v", err)
 	}
@@ -453,25 +476,28 @@ func TestFleetDrainAbortedByFailover(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Slow work keeps the victim busy, so the drain cannot quiesce before
-	// the controller dies. Submit is pipelined — wait until the stage is
-	// demonstrably executing before draining under it.
-	if err := d.Submit(fnSlowDouble, parts, nil, x.Read(), x.Write()); err != nil {
+	// Submit is pipelined — wait until one of the stage's tasks is inside
+	// the gate on the victim before draining under it.
+	if err := d.Submit(fnGatedDouble, parts, nil, x.Read(), x.Write()); err != nil {
 		t.Fatal(err)
 	}
-	busyDeadline := time.Now().Add(10 * time.Second)
-	for totalActivations(c) == 0 {
-		if time.Now().After(busyDeadline) {
-			t.Fatal("stage never started executing")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	var drainErr error
+	var victim ids.WorkerID
 	ctrl := c.Controller
 	ctrl.Do(func() {
 		ws := ctrl.ActiveWorkers()
-		drainErr = ctrl.DrainWorker(ws[len(ws)-1])
+		victim = ws[len(ws)-1]
 	})
+	busy := time.After(10 * time.Second)
+	for onVictim := false; !onVictim; {
+		select {
+		case w := <-entered:
+			onVictim = w == victim
+		case <-busy:
+			t.Fatalf("no task of the stage started on the victim %s", victim)
+		}
+	}
+	var drainErr error
+	ctrl.Do(func() { drainErr = ctrl.DrainWorker(victim) })
 	if drainErr != nil {
 		t.Fatalf("drain: %v", drainErr)
 	}
@@ -480,6 +506,7 @@ func TestFleetDrainAbortedByFailover(t *testing.T) {
 	}
 
 	c.KillController()
+	open()
 	if _, err := c.AwaitPromotion(10 * time.Second); err != nil {
 		t.Fatalf("promotion: %v", err)
 	}

@@ -341,8 +341,8 @@ func TestAssignmentSizeLiveCount(t *testing.T) {
 			{Index: next, Kind: command.Task},
 			{Index: next + 1, Kind: command.CopySend},
 		}},
-		{Remove: []int32{0, 0}},              // 0 already tombstoned
-		{Remove: []int32{next + 100}},        // out of range: ignored
+		{Remove: []int32{0, 0}},       // 0 already tombstoned
+		{Remove: []int32{next + 100}}, // out of range: ignored
 		{Remove: []int32{5}, Add: []command.TemplateEntry{{Index: 5, Kind: command.Task}}},
 	}
 	for i, e := range steps {

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -76,6 +77,24 @@ func AppendBatch(buf []byte, msgs []Msg) []byte {
 		m.fields(c)
 	}
 	return putCoder(c)
+}
+
+// FrameRun turns msgs — n messages marshaled back to back by MarshalAppend —
+// into the frame AppendBatch would have made of them, in place: the batch
+// header is inserted in front, and a lone message stays bare. It is for a
+// sender that collects a run message by message and learns its length only
+// when the run leaves (the worker's peer writer).
+func FrameRun(msgs []byte, n int) []byte {
+	if n == 1 {
+		return msgs
+	}
+	var hdr [1 + binary.MaxVarintLen64]byte
+	hdr[0] = byte(KindBatch)
+	h := 1 + binary.PutUvarint(hdr[1:], uint64(n))
+	msgs = append(msgs, hdr[:h]...)
+	copy(msgs[h:], msgs)
+	copy(msgs, hdr[:h])
+	return msgs
 }
 
 // ForEachMsg decodes a received frame — either a single message or a batch

@@ -1,12 +1,14 @@
 package proto
 
 import (
+	"bytes"
 	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"nimbus/internal/bufpool"
+	"nimbus/internal/ids"
 	"nimbus/internal/wire"
 )
 
@@ -57,6 +59,23 @@ func TestBatchSingleMessageIsBare(t *testing.T) {
 	}
 	if n != 1 {
 		t.Fatalf("decoded %d messages, want 1", n)
+	}
+}
+
+// FrameRun is AppendBatch for a sender that marshals first and counts
+// afterwards: same bytes, at one message (bare), at the count's one-byte
+// limit and past it.
+func TestFrameRunMatchesAppendBatch(t *testing.T) {
+	for _, n := range []int{1, 2, 127, 128, 300} {
+		msgs := make([]Msg, n)
+		var run []byte
+		for i := range msgs {
+			msgs[i] = &DataPayload{Job: 1, DstCommand: ids.CommandID(1000 + i), Object: 7, Version: uint64(i), Data: []byte{byte(i)}}
+			run = MarshalAppend(run, msgs[i])
+		}
+		if got, want := FrameRun(run, n), AppendBatch(nil, msgs); !bytes.Equal(got, want) {
+			t.Fatalf("FrameRun of %d messages = %x, AppendBatch = %x", n, got, want)
+		}
 	}
 }
 

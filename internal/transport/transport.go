@@ -6,9 +6,9 @@
 //
 //   - Mem: an in-process transport with configurable one-way latency. This
 //     is the cluster substitute used by the scaling experiments — the
-//     control-plane code paths (encoding, queueing, dispatch) are identical
-//     to a real deployment; only the wire is a channel plus a latency
-//     model.
+//     control-plane code paths (encoding, queueing, dispatch, the peer
+//     writer's framing) are identical to a real deployment; only the wire
+//     is a queue plus a latency model.
 //   - TCP: a length-prefixed framing layer over net.TCPConn for real
 //     multi-process deployments (cmd/nimbus-controller, cmd/nimbus-worker).
 //
@@ -92,11 +92,20 @@ func SendVec(c Conn, head, body []byte) error {
 
 // BufferedSender is implemented by Conns that can stage a frame and write it
 // out later, so a sender with a run of small frames pays one write for the
-// run instead of one per frame. TCP implements it. Staged frames keep their
-// place in the Conn's one ordered byte stream: the Conn's other send methods
-// write out whatever is staged before their own frame, and the stage writes
-// itself out when it fills. Nothing else writes it out: a caller that stages
-// must Flush before it waits on anything, or the peer never sees the frames.
+// run instead of one per frame. TCP implements it on its 64 KiB write
+// buffer. Staged frames keep their place in the Conn's one ordered byte
+// stream: the Conn's other send methods write out whatever is staged before
+// their own frame, and the stage writes itself out when it fills. Nothing
+// else writes it out: a caller that stages must Flush before it waits on
+// anything, or the peer never sees the frames.
+//
+// Mem implements it too, with a stage that holds nothing: SendBuffered
+// delivers at once and Flush has nothing to do. That is within the contract
+// — a stage may write itself out whenever it likes — and it means a sender
+// that chooses its framing by whether the Conn has a stage (the worker's
+// peer writer puts a run of copies in one frame only on one that does)
+// behaves over Mem as it does over TCP. Wrappers that only forward Conn
+// (chaos, Counting, the benchmark's tracer) have no stage.
 type BufferedSender interface {
 	// SendBuffered stages one frame. It must not retain b after returning.
 	SendBuffered(b []byte) error
@@ -105,9 +114,9 @@ type BufferedSender interface {
 	Flush() error
 }
 
-// SendBuffered stages b on c when c supports it (the caller keeps b) and is
-// SendOwned otherwise: a Conn without a stage sends each frame at once, as
-// its own frame. owned is SendOwned's.
+// SendBuffered stages b on c when c has a stage (the caller keeps b) and is
+// SendOwned otherwise: a Conn without one sends each frame at once, as its
+// own frame. owned is SendOwned's.
 func SendBuffered(c Conn, b []byte) (owned bool, err error) {
 	if bs, ok := c.(BufferedSender); ok {
 		return false, bs.SendBuffered(b)
@@ -329,6 +338,16 @@ type memConn struct {
 func (c *memConn) Send(b []byte) error      { return c.out.push(b) }
 func (c *memConn) SendOwned(b []byte) error { return c.out.pushOwned(b) }
 func (c *memConn) Recv() ([]byte, error)    { return c.in.pop() }
+
+// SendBuffered implements BufferedSender with a stage that holds nothing: the
+// frame is copied into a pooled buffer (b stays the caller's) and is in the
+// peer's queue when the call returns.
+func (c *memConn) SendBuffered(b []byte) error {
+	return c.out.pushOwned(append(bufpool.GetLen(len(b))[:0], b...))
+}
+
+// Flush implements BufferedSender; nothing is ever staged.
+func (c *memConn) Flush() error { return nil }
 func (c *memConn) Close() error {
 	c.in.close()
 	c.out.close()

@@ -146,6 +146,39 @@ func TestMemSendDoesNotRetainBuffer(t *testing.T) {
 	}
 }
 
+// Mem's stage holds nothing: a SendBuffered frame is received with no Flush,
+// the caller's slice is not retained, and Flush sends nothing.
+func TestMemSendBufferedDeliversAtOnce(t *testing.T) {
+	a, b := Pipe(0)
+	defer a.Close()
+	defer b.Close()
+	buf := []byte{1, 2, 3}
+	if owned, err := SendBuffered(a, buf); err != nil || owned {
+		t.Fatalf("SendBuffered over Mem: owned=%v err=%v, want a staged copy", owned, err)
+	}
+	buf[0] = 99
+	got, err := b.Recv() // would block forever if the frame waited for a Flush
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, []byte{1, 2, 3}) {
+		t.Fatalf("received %v: the transport aliases the sender's buffer", got)
+	}
+	if err := Flush(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Send([]byte{4}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := b.Recv(); err != nil || !bytes.Equal(got, []byte{4}) {
+		t.Fatalf("after Flush the next frame is %v (err %v): Flush sent something", got, err)
+	}
+	a.Close()
+	if _, err := SendBuffered(a, buf); err == nil {
+		t.Fatal("SendBuffered on a closed connection succeeded")
+	}
+}
+
 func TestMemDuplicateListen(t *testing.T) {
 	m := NewMem(0)
 	if _, err := m.Listen("dup"); err != nil {

@@ -48,15 +48,14 @@ func sendXfer(t *testing.T, rx *rxConn, xfer uint64, n int) []byte {
 	}
 	for off, seq := 0, uint32(0); off < len(data); seq++ {
 		end := off + chunk
-		if err := rx.handleChunk(&proto.DataChunk{
+		rx.handleChunk(&proto.DataChunk{
 			Job: 1, Xfer: xfer, Seq: seq, Last: end == len(data),
 			DstCommand: 42, Object: 9, Logical: 9, Version: 2,
 			Total: uint64(len(data)), Raw: data[off:end],
-		}); err != nil {
-			t.Fatalf("xfer %d chunk %d: %v", xfer, seq, err)
-		}
+		})
 		off = end
 	}
+	rx.post()
 	return data
 }
 
@@ -68,22 +67,21 @@ func expectDelivery(t *testing.T, w *Worker, want []byte, wantSpill bool) {
 	if !ok {
 		t.Fatal("no payload delivered")
 	}
-	if ev.kind != evData {
-		t.Fatalf("event kind = %d, want evData", ev.kind)
+	if ev.kind != evData || len(ev.pays) != 1 {
+		t.Fatalf("event kind = %d with %d payloads, want evData with one", ev.kind, len(ev.pays))
 	}
-	if (ev.spill != nil) != wantSpill {
-		t.Fatalf("spill handle = %v, want spilled=%v", ev.spill, wantSpill)
+	ip := ev.pays[0]
+	if (ip.spill != nil) != wantSpill {
+		t.Fatalf("spill handle = %v, want spilled=%v", ip.spill, wantSpill)
 	}
-	var got []byte
-	if ev.spill != nil {
+	got := ip.msg.Data
+	if ip.spill != nil {
 		var err error
-		got, err = ev.spill.Read()
+		got, err = ip.spill.Read()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ev.spill.Remove()
-	} else {
-		got = ev.msg.(*proto.DataPayload).Data
+		ip.spill.Remove()
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("delivered body differs from sent bytes (%d vs %d)", len(got), len(want))
@@ -129,12 +127,11 @@ func TestChaosSpillWriteFaultAbortsWithoutPoison(t *testing.T) {
 	// sender stops on the XferAbort, so the stream ends there.
 	const chunk = 1 << 10
 	for seq := uint32(0); seq < 3; seq++ {
-		if err := rx.handleChunk(&proto.DataChunk{
+		rx.handleChunk(&proto.DataChunk{
 			Job: 1, Xfer: 5, Seq: seq, Total: 8 * chunk, Raw: make([]byte, chunk),
-		}); err != nil {
-			t.Fatalf("chunk %d: %v", seq, err)
-		}
+		})
 	}
+	rx.post()
 	expectNoEvent(t, w, "faulted transfer")
 	if got := w.Stats.RxAborts.Load(); got != 1 {
 		t.Fatalf("RxAborts = %d, want 1", got)

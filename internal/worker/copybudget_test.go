@@ -219,15 +219,29 @@ func pumpPair(t *testing.T, tr transport.Transport, listen string, cfg Config) (
 	return snd, rcv, lis.Addr()
 }
 
-// delivered waits for the receiver's next reassembled payload.
+// unread holds, per loop worker, the payloads of the last evData event that
+// delivered has not handed out yet: a received frame is one event however
+// many payloads it carried.
+var unread = map[*Worker][]inPayload{}
+
+// delivered waits for the receiver's next payload — the next one of the
+// current run event, or the first of the next event — and returns its body.
 func delivered(t *testing.T, rcv *Worker) []byte {
 	t.Helper()
-	ev := awaitEvent(t, rcv)
-	p, ok := ev.msg.(*proto.DataPayload)
-	if ev.kind != evData || !ok || ev.spill != nil {
-		t.Fatalf("receiver got event %+v, want an in-memory payload", ev)
+	if len(unread[rcv]) == 0 {
+		ev := awaitEvent(t, rcv)
+		if ev.kind != evData || len(ev.pays) == 0 {
+			t.Fatalf("receiver got event %+v, want payloads", ev)
+		}
+		unread[rcv] = ev.pays
+		t.Cleanup(func() { delete(unread, rcv) })
 	}
-	return p.Data
+	ip := unread[rcv][0]
+	unread[rcv] = unread[rcv][1:]
+	if ip.spill != nil {
+		t.Fatalf("receiver got a spilled payload for command %s, want it in memory", ip.msg.DstCommand)
+	}
+	return ip.msg.Data
 }
 
 // (e) The chaos wrapper implements only Conn, so it exercises the fallback;
@@ -282,12 +296,10 @@ func TestReassemblyBufferAllocatedOnce(t *testing.T) {
 	data := patterned(4*chunk, 4)
 	var base *byte
 	for seq := 0; seq < 4; seq++ {
-		c := &proto.DataChunk{Job: 1, Xfer: 3, Seq: uint32(seq), Last: seq == 3,
-			DstCommand: 42, Total: uint64(len(data)), Raw: data[seq*chunk : (seq+1)*chunk]}
-		if err := rx.handleChunk(c); err != nil {
-			t.Fatal(err)
-		}
+		rx.handleChunk(&proto.DataChunk{Job: 1, Xfer: 3, Seq: uint32(seq), Last: seq == 3,
+			DstCommand: 42, Total: uint64(len(data)), Raw: data[seq*chunk : (seq+1)*chunk]})
 		if seq == 3 {
+			rx.post()
 			break // delivered; the transfer's state is gone
 		}
 		x := rx.xfers[3]
@@ -315,9 +327,7 @@ func TestHostileTotalPreallocatesAtMostBudget(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 	rx := &rxConn{w: w, conn: a, xfers: make(map[uint64]*rxXfer)}
-	if err := rx.handleChunk(&proto.DataChunk{Xfer: 8, Total: 1 << 40, Raw: make([]byte, chunk)}); err != nil {
-		t.Fatal(err)
-	}
+	rx.handleChunk(&proto.DataChunk{Xfer: 8, Total: 1 << 40, Raw: make([]byte, chunk)})
 	x := rx.xfers[8]
 	if x == nil {
 		t.Fatal("first chunk of a large transfer was refused")
@@ -354,7 +364,7 @@ func TestAliasedChunkSurvivesFrameReuse(t *testing.T) {
 			if &c.Raw[0] != &frame[len(frame)-len(c.Raw)] {
 				t.Error("Raw was decoded as a copy; this test no longer covers the aliasing path")
 			}
-			return rx.handleChunk(c)
+			return rx.handleMsg(c)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -364,6 +374,7 @@ func TestAliasedChunkSurvivesFrameReuse(t *testing.T) {
 		}
 		off = end
 	}
+	rx.post()
 	if got := delivered(t, w); !bytes.Equal(got, data) {
 		t.Fatal("delivered object was corrupted by reuse of its frames")
 	}

@@ -34,25 +34,40 @@ import (
 //     buffer is shared with the store, which is safe because before sets
 //     order any writer of the object after the copy's completion.
 //
-// Small frames leave by one rule: write while the queue has more, flush
-// before anything that can block. The writer stages each single-frame item
-// on the connection (transport.SendBuffered) and flushes when it finds the
-// queue empty, before it starts a chunked transfer (which waits on credit),
-// and before it exits; a redial writes off whatever the dead connection
-// still held. A frame sent into an idle queue therefore leaves at once, and
-// a run of frames queued faster than the writer drains them — the LR
-// block's 435 copy frames per iteration — leaves in one write per drained
-// run. There is no timer and no size knob: the only cap is the transport's
-// own stage. Connections without a stage (Mem, chaos, any wrapper) send
-// each frame as it is popped, exactly as before.
+// Small copies travel in runs. On a connection with a stage
+// (transport.BufferedSender: TCP, and Mem, whose stage holds nothing) a small
+// CopySend is marshaled straight onto the run at the queue's tail — one
+// pooled buffer of back-to-back messages — and the writer is woken only if
+// it sleeps. The run closes when it reaches runCap bytes, when a chunked
+// transfer queues behind it, or when the writer pops it; the writer frames
+// it (proto.FrameRun: a batch, or the bare message when it is alone) and
+// hands it to the connection as one frame. A copy into an idle queue
+// therefore leaves at once, alone, and copies queued faster than the writer
+// drains them — the LR block's 435 per iteration — leave a run at a time.
+// There is no timer and no size knob: a run is whatever was admitted while
+// the writer was busy. A connection without a stage (chaos, counting and
+// tracing wrappers) gets one frame per copy: their fault schedules and frame
+// counts are pinned per copy.
+//
+// Frames leave by one rule: write while the queue has more, flush before
+// anything that can block. The writer stages each frame on the connection
+// (transport.SendBuffered) and flushes when it finds the queue empty, before
+// it starts a chunked transfer (which waits on credit), and before it exits;
+// a redial writes off whatever the dead connection still held.
 
-// peerItem is one queue entry: a pre-marshaled single frame (small
-// payloads, at most one chunk) or a chunked transfer descriptor.
+// peerItem is one queue entry: a run of small payloads (each at most one
+// chunk), or a chunked transfer descriptor.
 type peerItem struct {
-	frame []byte
+	run   []byte // count DataPayloads marshaled back to back, in a pooled buffer
+	count uint64
 	xfer  *txXfer
 	size  int64
 }
+
+// runCap closes a run: a copy that would take it past this many bytes opens
+// the next one. It keeps a run inside a TCP connection's 64 KiB stage and its
+// buffer in the pool's small class.
+const runCap = 16 << 10
 
 // txXfer describes one outbound chunked transfer. hdr carries the routing
 // fields every chunk repeats; data is shared with the datastore object.
@@ -102,6 +117,12 @@ type peerConn struct {
 	closed  bool
 	dead    bool // writer goroutine exited; sends are rejected
 	notify  bool // a parked sender wants an evPeerSpace when space frees
+	asleep  bool // the writer is in next's Wait and nobody has signalled it yet
+	// stages says the current connection has a stage
+	// (transport.BufferedSender), which is what lets copies share a frame.
+	// The writer sets it under mu when it dials and is the only goroutine
+	// that reads it without.
+	stages bool
 
 	// Credit window for the transfer the writer is currently streaming.
 	// The writer sets it (beginXfer) and consumes it (awaitCredit); the
@@ -111,12 +132,10 @@ type peerConn struct {
 	window  int64
 	aborted bool
 
-	// Writer-goroutine confined: the current connection, whether it stages
-	// small frames (transport.BufferedSender), how many it holds staged —
-	// what a failure now would lose — and the chunk-header scratch sendXfer
-	// re-encodes into (a header is under 100 bytes).
+	// Writer-goroutine confined: the current connection, how many payloads
+	// it holds staged — what a failure now would lose — and the chunk-header
+	// scratch sendXfer re-encodes into (a header is under 100 bytes).
 	conn      transport.Conn
-	stages    bool
 	staged    uint64
 	chunkHead []byte
 
@@ -131,24 +150,69 @@ func newPeerConn(w *Worker, dst ids.WorkerID, addr string) *peerConn {
 	return pc
 }
 
-// enqueue admits one item against the byte budget. An over-budget queue
-// rejects with admitFull — unless it is empty, so a single item larger
-// than the whole budget still moves. A rejected caller owns the item.
-func (pc *peerConn) enqueue(it peerItem) admit {
-	pc.mu.Lock()
+// admitLocked checks n more bytes against the byte budget. An over-budget
+// queue rejects with admitFull — unless it is empty, so a single item larger
+// than the whole budget still moves.
+func (pc *peerConn) admitLocked(n int64) admit {
 	if pc.closed || pc.dead {
-		pc.mu.Unlock()
 		return admitDead
 	}
-	if pc.pending > 0 && pc.pending+it.size > pc.w.peerQueueBytes {
+	if pc.pending > 0 && pc.pending+n > pc.w.peerQueueBytes {
 		pc.notify = true
-		pc.mu.Unlock()
 		return admitFull
 	}
-	pc.pending += it.size
-	pc.queue = append(pc.queue, it)
-	pc.cond.Broadcast()
-	pc.mu.Unlock()
+	return admitOK
+}
+
+// wakeLocked wakes the writer if it sleeps on an empty queue. A writer that
+// is busy finds what was queued when it comes back, without a signal.
+func (pc *peerConn) wakeLocked() {
+	if pc.asleep {
+		pc.asleep = false
+		pc.cond.Broadcast()
+	}
+}
+
+// enqueueXfer admits one chunked transfer, which also closes the run ahead
+// of it. A rejected caller keeps the transfer.
+func (pc *peerConn) enqueueXfer(t *txXfer) admit {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	size := int64(len(t.data))
+	a := pc.admitLocked(size)
+	if a == admitOK {
+		pc.pending += size
+		pc.queue = append(pc.queue, peerItem{xfer: t, size: size})
+		pc.wakeLocked()
+	}
+	return a
+}
+
+// enqueuePayload admits one small payload, marshaling it onto the open run at
+// the queue's tail or, when there is none — no stage, an empty queue, a
+// transfer at the tail, a run at its cap — into a run of its own. Nothing is
+// marshaled that is not admitted: the budget check uses the payload's size
+// bound, the budget is charged what the encoding took.
+func (pc *peerConn) enqueuePayload(p *proto.DataPayload) admit {
+	need := len(p.Data) + payloadHeadroom
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if a := pc.admitLocked(int64(need)); a != admitOK {
+		return a
+	}
+	n := len(pc.queue)
+	if !pc.stages || n == pc.head || pc.queue[n-1].xfer != nil || len(pc.queue[n-1].run)+need > runCap {
+		pc.queue = append(pc.queue, peerItem{run: bufpool.GetLen(need)[:0]})
+		n++
+	}
+	it := &pc.queue[n-1]
+	before := len(it.run)
+	it.run = proto.MarshalAppend(it.run, p)
+	it.count++
+	grew := int64(len(it.run) - before)
+	it.size += grew
+	pc.pending += grew
+	pc.wakeLocked()
 	return admitOK
 }
 
@@ -159,8 +223,10 @@ func (pc *peerConn) next(wait bool) (peerItem, bool) {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	for wait && pc.head == len(pc.queue) && !pc.closed {
+		pc.asleep = true
 		pc.cond.Wait()
 	}
+	pc.asleep = false
 	if pc.head == len(pc.queue) {
 		return peerItem{}, false
 	}
@@ -222,8 +288,8 @@ func (pc *peerConn) markDead() {
 
 func (pc *peerConn) drainLocked() {
 	for i := pc.head; i < len(pc.queue); i++ {
-		if f := pc.queue[i].frame; f != nil {
-			proto.PutBuf(f)
+		if r := pc.queue[i].run; r != nil {
+			proto.PutBuf(r)
 		}
 		pc.queue[i] = peerItem{}
 	}
@@ -293,7 +359,7 @@ func (pc *peerConn) abortXfer(x uint64, reason string) {
 // sendPeer routes one CopySend's object to a peer worker, dialing its
 // data-plane address on first use. It reports whether the command
 // completed synchronously: a payload of at most one chunk completes at
-// admission (its frame is snapshotted into the queue), a chunked transfer
+// admission (it is snapshotted into the queue), a chunked transfer
 // completes when the writer finishes streaming it (evDone), and a send
 // into a full queue parks the command until space frees (evPeerSpace).
 func (w *Worker) sendPeer(dst ids.WorkerID, snd *pcmd, obj *datastore.Object) bool {
@@ -313,13 +379,10 @@ func (w *Worker) sendPeer(dst ids.WorkerID, snd *pcmd, obj *datastore.Object) bo
 	}
 	js := snd.unit.js
 	if len(obj.Data) <= w.chunkSize {
-		// Small-object fast path: one DataPayload frame, no transfer or
-		// credit bookkeeping, in a pooled buffer asked for at the frame's
-		// size (payload plus header room) so the marshal never regrows it.
-		// The queue owns the frame; the writer transfers it to the
-		// transport when possible (Mem) so it is not copied a second time,
-		// and recycles it otherwise.
-		p := &proto.DataPayload{
+		// Small-object fast path: one DataPayload, no transfer or credit
+		// bookkeeping, marshaled from the loop's scratch message into the
+		// queue's buffer — the object's only copy on this side.
+		w.dpMsg = proto.DataPayload{
 			Job:        js.id,
 			DstCommand: c.DstCommand,
 			Object:     c.Reads[0],
@@ -327,18 +390,17 @@ func (w *Worker) sendPeer(dst ids.WorkerID, snd *pcmd, obj *datastore.Object) bo
 			Version:    obj.Version,
 			Data:       obj.Data,
 		}
-		frame := proto.MarshalAppend(bufpool.GetLen(len(obj.Data) + payloadHeadroom)[:0], p)
-		switch pc.enqueue(peerItem{frame: frame, size: int64(len(frame))}) {
+		a := pc.enqueuePayload(&w.dpMsg)
+		w.dpMsg.Data = nil // the scratch must not pin the object
+		switch a {
 		case admitOK:
 			w.Stats.CopiesSent.Add(1)
 			return true
 		case admitFull:
-			proto.PutBuf(frame)
 			pc.parked = append(pc.parked, snd)
 			w.Stats.ParkedSends.Add(1)
 			return false
 		default:
-			proto.PutBuf(frame)
 			w.Stats.PeerSendDrops.Add(1)
 			return true
 		}
@@ -357,7 +419,7 @@ func (w *Worker) sendPeer(dst ids.WorkerID, snd *pcmd, obj *datastore.Object) bo
 		data: obj.Data,
 		done: snd,
 	}
-	switch pc.enqueue(peerItem{xfer: t, size: int64(len(obj.Data))}) {
+	switch pc.enqueueXfer(t) {
 	case admitOK:
 		w.Stats.CopiesSent.Add(1)
 		return false
@@ -416,7 +478,7 @@ func (w *Worker) peerWriter(pc *peerConn) {
 			continue
 		}
 		if it.xfer == nil {
-			alive := w.sendFrame(pc, it.frame)
+			alive := w.sendRun(pc, it.run, it.count)
 			pc.release(it.size)
 			if !alive {
 				return
@@ -446,20 +508,24 @@ func (w *Worker) dialPeer(pc *peerConn) bool {
 		return false
 	}
 	pc.conn = conn
-	_, pc.stages = conn.(transport.BufferedSender)
+	_, stages := conn.(transport.BufferedSender)
+	pc.mu.Lock()
+	pc.stages = stages
+	pc.mu.Unlock()
 	w.wg.Add(1)
 	go w.creditPump(conn, pc)
 	return true
 }
 
-// redialPeer replaces a failed connection. Frames the old one held staged
+// redialPeer replaces a failed connection. Payloads the old one held staged
 // are gone with it — their buffers were recycled at hand-over — so they are
 // counted lost here, the one place a connection is given up. The count is
-// an upper bound: a stage that filled wrote some of them out already.
+// an upper bound: a stage that filled wrote some of them out already, and
+// Mem's holds nothing.
 func (w *Worker) redialPeer(pc *peerConn) bool {
 	if pc.staged > 0 {
 		w.Stats.PeerSendDrops.Add(pc.staged)
-		w.cfg.Logf("worker %s: %d staged frames to peer %s lost with the connection", w.id, pc.staged, pc.dst)
+		w.cfg.Logf("worker %s: %d staged payloads to peer %s lost with the connection", w.id, pc.staged, pc.dst)
 		pc.staged = 0
 	}
 	pc.conn.Close()
@@ -470,7 +536,7 @@ func (w *Worker) redialPeer(pc *peerConn) bool {
 	return true
 }
 
-// flushPeer writes out the frames staged since the last flush, redialing if
+// flushPeer writes out the payloads staged since the last flush, redialing if
 // the connection fails under them. Returns false when the worker is
 // stopping.
 func (w *Worker) flushPeer(pc *peerConn) bool {
@@ -485,26 +551,28 @@ func (w *Worker) flushPeer(pc *peerConn) bool {
 	return true
 }
 
-// sendFrame hands one pre-marshaled frame to the connection without
-// flushing it (the writer loop decides when), redialing on failure. A
-// frame a failing transport consumed (owned) cannot be resent — that one
-// payload is dropped and counted, but the connection still recovers for
-// subsequent traffic. Returns false when the worker is stopping.
-func (w *Worker) sendFrame(pc *peerConn, b []byte) bool {
+// sendRun hands one run of n payloads to the connection as one frame, without
+// flushing it (the writer loop decides when), redialing on failure. A frame a
+// failing transport consumed (owned) cannot be resent — its payloads are
+// dropped and counted, but the connection still recovers for subsequent
+// traffic. Returns false when the worker is stopping.
+func (w *Worker) sendRun(pc *peerConn, run []byte, n uint64) bool {
+	b := proto.FrameRun(run, int(n))
 	for {
 		owned, err := transport.SendBuffered(pc.conn, b)
 		if err == nil {
 			if !owned {
 				proto.PutBuf(b)
 			}
+			w.Stats.PeerFrames.Add(1)
 			if pc.stages {
-				pc.staged++
+				pc.staged += n
 			}
 			return true
 		}
 		if owned {
-			w.Stats.PeerSendDrops.Add(1)
-			w.cfg.Logf("worker %s: frame to peer %s lost: %v", w.id, pc.dst, err)
+			w.Stats.PeerSendDrops.Add(n)
+			w.cfg.Logf("worker %s: frame of %d payloads to peer %s lost: %v", w.id, n, pc.dst, err)
 		}
 		if !w.redialPeer(pc) {
 			if !owned {

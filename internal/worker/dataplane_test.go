@@ -79,6 +79,7 @@ func copySendCmd(w *Worker, js *jstate, id ids.CommandID, obj ids.ObjectID, dst 
 func TestPeerConnConcurrentRace(t *testing.T) {
 	w := newLoopWorker(t, Config{ControlAddr: "c", DataAddr: "d", PeerQueueBytes: 1 << 16})
 	pc := newPeerConn(w, 2, "peer")
+	pc.stages = true // producers extend runs while the consumer pops them
 	drained := make(chan struct{})
 	go func() { // drain evPeerSpace posts so postSpace never blocks
 		defer close(drained)
@@ -94,13 +95,9 @@ func TestPeerConnConcurrentRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			p := &proto.DataPayload{Job: 1, Data: make([]byte, 64)}
 			for i := 0; i < 2000; i++ {
-				frame := append(proto.GetBuf(), make([]byte, 64)...)
-				switch pc.enqueue(peerItem{frame: frame, size: 64}) {
-				case admitOK:
-				default:
-					proto.PutBuf(frame)
-				}
+				pc.enqueuePayload(p)
 			}
 		}()
 	}
@@ -112,7 +109,7 @@ func TestPeerConnConcurrentRace(t *testing.T) {
 			if !ok {
 				return
 			}
-			proto.PutBuf(it.frame)
+			proto.PutBuf(it.run)
 			pc.release(it.size)
 		}
 	}()
@@ -129,7 +126,7 @@ func TestPeerConnConcurrentRace(t *testing.T) {
 	pc.close()
 	wg.Wait()
 	pc.markDead()
-	if got := pc.enqueue(peerItem{size: 1}); got != admitDead {
+	if got := pc.enqueuePayload(&proto.DataPayload{}); got != admitDead {
 		t.Fatalf("enqueue after close/dead = %v, want admitDead", got)
 	}
 	w.finish(nil)
@@ -344,33 +341,18 @@ func TestReceiverSpillsOverBudget(t *testing.T) {
 	}
 	for off, seq := 0, uint32(0); off < len(data); seq++ {
 		end := off + chunk
-		if err := rx.handleChunk(&proto.DataChunk{
+		rx.handleChunk(&proto.DataChunk{
 			Job: 1, Xfer: 3, Seq: seq, Last: end == len(data),
 			DstCommand: 42, Object: 9, Logical: 9, Version: 2,
 			Total: uint64(len(data)), Raw: data[off:end],
-		}); err != nil {
-			t.Fatal(err)
-		}
+		})
 		off = end
 	}
+	rx.post()
 	if got := w.Stats.Spills.Load(); got != 1 {
 		t.Fatalf("Spills = %d, want 1", got)
 	}
-	ev, ok := w.nextEvent(false)
-	if !ok {
-		t.Fatal("no payload delivered")
-	}
-	if ev.kind != evData || ev.spill == nil {
-		t.Fatalf("expected spilled payload event, got kind=%d spill=%v", ev.kind, ev.spill)
-	}
-	got, err := ev.spill.Read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("spilled body differs from sent bytes")
-	}
-	ev.spill.Remove()
+	expectDelivery(t, w, data, true)
 	if got := w.rxBytes.Load(); got != 0 {
 		t.Fatalf("rxBytes = %d after delivery, want 0", got)
 	}
@@ -418,21 +400,15 @@ func TestReceiverHostileChunks(t *testing.T) {
 	}
 
 	// Unknown transfer mid-stream.
-	if err := rx.handleChunk(&proto.DataChunk{Xfer: 9, Seq: 3, Total: 4 * chunk, Raw: make([]byte, chunk)}); err != nil {
-		t.Fatal(err)
-	}
+	rx.handleChunk(&proto.DataChunk{Xfer: 9, Seq: 3, Total: 4 * chunk, Raw: make([]byte, chunk)})
 	expectAbort(9)
 	if len(rx.xfers) != 0 {
 		t.Fatal("unknown-transfer chunk created state")
 	}
 
 	// Live transfer, then a gap.
-	if err := rx.handleChunk(&proto.DataChunk{Xfer: 4, Seq: 0, Total: 4 * chunk, Raw: make([]byte, chunk)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := rx.handleChunk(&proto.DataChunk{Xfer: 4, Seq: 2, Total: 4 * chunk, Raw: make([]byte, chunk)}); err != nil {
-		t.Fatal(err)
-	}
+	rx.handleChunk(&proto.DataChunk{Xfer: 4, Seq: 0, Total: 4 * chunk, Raw: make([]byte, chunk)})
+	rx.handleChunk(&proto.DataChunk{Xfer: 4, Seq: 2, Total: 4 * chunk, Raw: make([]byte, chunk)})
 	expectAbort(4)
 	if len(rx.xfers) != 0 {
 		t.Fatal("gap did not drop transfer state")
@@ -443,21 +419,18 @@ func TestReceiverHostileChunks(t *testing.T) {
 	if got := w.Stats.RxAborts.Load(); got != 2 {
 		t.Fatalf("RxAborts = %d, want 2", got)
 	}
+	rx.post()
 	expectNoEvent(t, w, "hostile chunks")
 }
 
 // TestSmallSendAllocCeiling pins the small-object fast path's allocation
-// bill: one DataPayload header per send (the frame itself is pooled), no
-// transfer or credit bookkeeping.
+// bill at nothing: the payload is marshaled from the loop's scratch message
+// into a pooled buffer, with no transfer or credit bookkeeping.
 func TestSmallSendAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector inflates sync.Pool allocation counts")
 	}
-	w := newLoopWorker(t, Config{ControlAddr: "c", DataAddr: "d"})
-	pc := newPeerConn(w, 2, "peer")
-	w.peers[2] = "peer"
-	w.peerConns[2] = pc // no writer goroutine; the test drains by hand
-	js := w.job(1)
+	w, pc, js := writerlessPeer(t, Config{})
 	js.store.Install(5, 5, 1, bytes.Repeat([]byte{3}, 512))
 	snd := copySendCmd(w, js, 1, 5, 2)
 
@@ -467,20 +440,17 @@ func TestSmallSendAllocCeiling(t *testing.T) {
 			t.Fatal("small send did not complete synchronously")
 		}
 		it, _ := pc.next(true)
-		proto.PutBuf(it.frame)
+		proto.PutBuf(it.run)
 		pc.release(it.size)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		w.execSend(js, snd)
 		it, _ := pc.next(true)
-		proto.PutBuf(it.frame)
+		proto.PutBuf(it.run)
 		pc.release(it.size)
 	})
-	// One alloc for the DataPayload header; everything else is pooled.
-	// (The pre-streaming path paid the same header, so small objects got
-	// no more expensive.)
-	if allocs > 1 {
-		t.Fatalf("small-object send path allocs/op = %v, want <= 1", allocs)
+	if allocs > 0 {
+		t.Fatalf("small-object send path allocs/op = %v, want 0", allocs)
 	}
 }
 

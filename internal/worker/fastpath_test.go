@@ -313,7 +313,7 @@ func TestCrossUnitWaitOnInstanceCommand(t *testing.T) {
 	if b.Job(0).isDone(900) {
 		t.Fatal("dependent ran before the receive completed")
 	}
-	b.W.handlePayload(&proto.DataPayload{DstCommand: 500, Object: 41, Logical: 41, Version: 3, Data: []byte{9}}, nil)
+	b.W.handlePayload(inPayload{msg: &proto.DataPayload{DstCommand: 500, Object: 41, Logical: 41, Version: 3, Data: []byte{9}}})
 	if !b.Job(0).isDone(900) {
 		t.Fatal("dependent did not wake on instance completion")
 	}
@@ -346,7 +346,7 @@ func TestHostilePayloadOrdering(t *testing.T) {
 		b := NewBenchLoop(1)
 		defer b.Close()
 		b.Apply(recvTemplate(1, 11))
-		b.W.handlePayload(&proto.DataPayload{DstCommand: 100, Object: 11, Version: 7, Data: []byte{1}}, nil)
+		b.W.handlePayload(inPayload{msg: &proto.DataPayload{DstCommand: 100, Object: 11, Version: 7, Data: []byte{1}}})
 		b.Apply(&proto.InstantiateTemplate{Template: 1, Instance: 1, Base: 100})
 		o := b.Job(0).store.Get(11)
 		if o == nil || o.Version != 7 {
@@ -365,7 +365,7 @@ func TestHostilePayloadOrdering(t *testing.T) {
 		if b.Job(0).store.Get(12) != nil {
 			t.Fatal("receive ran without payload")
 		}
-		b.W.handlePayload(&proto.DataPayload{DstCommand: 200, Object: 12, Version: 9, Data: []byte{2}}, nil)
+		b.W.handlePayload(inPayload{msg: &proto.DataPayload{DstCommand: 200, Object: 12, Version: 9, Data: []byte{2}}})
 		o := b.Job(0).store.Get(12)
 		if o == nil || o.Version != 9 {
 			t.Fatalf("late payload not installed: %+v", o)
@@ -377,13 +377,13 @@ func TestHostilePayloadOrdering(t *testing.T) {
 		defer b.Close()
 		b.Apply(recvTemplate(1, 13))
 		b.Apply(&proto.InstantiateTemplate{Template: 1, Instance: 1, Base: 300})
-		b.W.handlePayload(&proto.DataPayload{DstCommand: 300, Object: 13, Version: 5, Data: []byte{3}}, nil)
+		b.W.handlePayload(inPayload{msg: &proto.DataPayload{DstCommand: 300, Object: 13, Version: 5, Data: []byte{3}}})
 		if o := b.Job(0).store.Get(13); o == nil || o.Version != 5 {
 			t.Fatalf("first payload not installed: %+v", o)
 		}
 		// Duplicate for the completed receive: buffers, must not
 		// re-install.
-		b.W.handlePayload(&proto.DataPayload{DstCommand: 300, Object: 13, Version: 99, Data: []byte{9}}, nil)
+		b.W.handlePayload(inPayload{msg: &proto.DataPayload{DstCommand: 300, Object: 13, Version: 99, Data: []byte{9}}})
 		if o := b.Job(0).store.Get(13); o.Version != 5 {
 			t.Fatalf("duplicate payload resurrected completed receive: version %d", o.Version)
 		}
@@ -400,7 +400,7 @@ func TestHostilePayloadOrdering(t *testing.T) {
 			t.Fatalf("pruning re-ran the receive: version %d", o.Version)
 		}
 		// Complete the second instance for a tidy shutdown.
-		b.W.handlePayload(&proto.DataPayload{DstCommand: 400, Object: 13, Version: 6, Data: []byte{4}}, nil)
+		b.W.handlePayload(inPayload{msg: &proto.DataPayload{DstCommand: 400, Object: 13, Version: 6, Data: []byte{4}}})
 	})
 
 	t.Run("stale-payload-below-watermark", func(t *testing.T) {
@@ -408,7 +408,7 @@ func TestHostilePayloadOrdering(t *testing.T) {
 		defer b.Close()
 		b.Apply(recvTemplate(1, 14))
 		// A payload addressed far below any future command arrives first.
-		b.W.handlePayload(&proto.DataPayload{DstCommand: 50, Object: 14, Version: 1, Data: []byte{5}}, nil)
+		b.W.handlePayload(inPayload{msg: &proto.DataPayload{DstCommand: 50, Object: 14, Version: 1, Data: []byte{5}}})
 		// The instantiation's watermark is above it: the buffer must be
 		// dropped, and the new receive must still wait for its own
 		// payload rather than consume the stale one.
@@ -419,7 +419,7 @@ func TestHostilePayloadOrdering(t *testing.T) {
 		if b.Job(0).store.Get(14) != nil {
 			t.Fatal("receive consumed a stale payload")
 		}
-		b.W.handlePayload(&proto.DataPayload{DstCommand: 600, Object: 14, Version: 2, Data: []byte{6}}, nil)
+		b.W.handlePayload(inPayload{msg: &proto.DataPayload{DstCommand: 600, Object: 14, Version: 2, Data: []byte{6}}})
 		if o := b.Job(0).store.Get(14); o == nil || o.Version != 2 {
 			t.Fatalf("fresh payload not installed: %+v", o)
 		}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -146,42 +145,23 @@ func TestPeerWriterOrdersSmallFramesAroundTransfer(t *testing.T) {
 	}
 }
 
-// dyingConn forwards to a TCP conn and, once armed, closes the socket just
-// before the next Flush: the connection dies with frames staged.
-type dyingConn struct {
-	transport.Conn
-	stage transport.BufferedSender
-	armed *atomic.Bool
-}
-
-func (c *dyingConn) SendBuffered(b []byte) error { return c.stage.SendBuffered(b) }
-
-func (c *dyingConn) Flush() error {
-	if c.armed.CompareAndSwap(true, false) {
-		c.Conn.Close()
-	}
-	return c.stage.Flush()
-}
-
-// A connection that dies under staged frames costs exactly those frames,
-// counted; the writer redials and later traffic flows in order.
+// A connection that dies under staged frames costs exactly the payloads they
+// carried — a run is as many drops as it has payloads — counted; the writer
+// redials and later traffic flows.
 func TestPeerWriterCountsStagedFramesLostWithConnection(t *testing.T) {
-	const lost = 5
-	var armed atomic.Bool
-	armed.Store(true)
-	tr := &heldDial{
-		Transport: transport.TCP{},
-		release:   make(chan struct{}),
-		wrap: func(c transport.Conn) transport.Conn {
-			return &dyingConn{Conn: c, stage: c.(transport.BufferedSender), armed: &armed}
-		},
-	}
-	snd, rcv, addr := pumpPair(t, tr, "127.0.0.1:0", Config{})
+	const k = 7
+	rec := newStagedRec()
+	snd, rcv, addr := pumpPair(t, rec.dialer(transport.TCP{}), "127.0.0.1:0", Config{})
 	snd.peers[2] = addr
-	for i := 0; i < lost; i++ {
+	sendSmall(t, snd, 0)
+	<-rec.entered
+	for i := 1; i <= k; i++ {
 		sendSmall(t, snd, i)
 	}
-	close(tr.release)
+	// The socket dies under the writer: frame 0 and the run behind it are
+	// staged, and the flush that would have written them fails.
+	rec.Conn.Close()
+	close(rec.gate)
 	deadline := time.Now().Add(10 * time.Second)
 	for snd.Stats.PeerRedials.Load() == 0 {
 		if time.Now().After(deadline) {
@@ -189,14 +169,15 @@ func TestPeerWriterCountsStagedFramesLostWithConnection(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	const lost = k + 1
 	if got := snd.Stats.PeerSendDrops.Load(); got != lost {
-		t.Fatalf("PeerSendDrops = %d, want the %d frames staged when the connection died", got, lost)
+		t.Fatalf("PeerSendDrops = %d, want the %d payloads staged when the connection died", got, lost)
 	}
 	for i := lost; i < lost+3; i++ {
 		sendSmall(t, snd, i)
 	}
-	// The lost frames never reached the wire, so the first arrival is the
-	// first frame sent on the new connection.
+	// The lost payloads never reached the wire, so the first arrival is the
+	// first one sent on the new connection.
 	for i := lost; i < lost+3; i++ {
 		expectSmall(t, rcv, i)
 	}

@@ -209,6 +209,89 @@ func TestIdleEventWakesLoopAtOnce(t *testing.T) {
 	}
 }
 
+// A control frame of ten messages reaches an idle loop as one run: the pump
+// posts the frame's events under one lock, so the loop cannot wake between
+// the first and the last.
+func TestControlFrameIsOneRun(t *testing.T) {
+	const n = 10
+	w, ctl := startedWorker(t, Config{})
+	msgs := make([]proto.Msg, n)
+	for i := range msgs {
+		msgs[i] = &proto.FleetWarm{Seq: uint64(i)}
+	}
+	wakeups, events := w.Stats.LoopWakeups.Load(), w.Stats.LoopEvents.Load()
+	if err := ctl.Send(proto.AppendBatch(nil, msgs)); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < n; i++ {
+		if ack, ok := recvCtl(t, ctl).(*proto.FleetWarmAck); !ok || ack.Seq != i {
+			t.Fatalf("message %d of the frame not handled in order", i)
+		}
+	}
+	if dw, de := w.Stats.LoopWakeups.Load()-wakeups, w.Stats.LoopEvents.Load()-events; dw != 1 || de != n {
+		t.Fatalf("a %d-message control frame cost %d wakeups for %d events, want 1 for %d", n, dw, de, n)
+	}
+}
+
+// putAll keeps its events' order, counts the bound in events — what does not
+// fit waits for the loop's next take — and reports stopped, posting nothing
+// more, once the worker has.
+func TestMailboxPutAllOrderBoundAndStop(t *testing.T) {
+	w := newLoopWorker(t, Config{ControlAddr: "c", DataAddr: "d"})
+	const over = 5
+	evs := make([]event, mailboxCap+over)
+	for i := range evs {
+		evs[i] = event{kind: evCtrl, msg: &proto.FleetWarm{Seq: uint64(i)}}
+	}
+	posted := make(chan bool, 1)
+	go func() { posted <- w.mbox.putAll(evs) }()
+	next := uint64(0)
+	for _, want := range []int{mailboxCap, over} {
+		run := w.mbox.take(nil, true)
+		if len(run) != want {
+			t.Fatalf("took a run of %d, want %d", len(run), want)
+		}
+		for _, ev := range run {
+			if seq := ev.msg.(*proto.FleetWarm).Seq; seq != next {
+				t.Fatalf("event %d taken where %d was due", seq, next)
+			}
+			next++
+		}
+	}
+	if !<-posted {
+		t.Fatal("putAll reported stopped on a running worker")
+	}
+
+	if !w.mbox.putAll(evs[:mailboxCap]) {
+		t.Fatal("putAll failed below the bound")
+	}
+	go func() { posted <- w.mbox.putAll(evs[mailboxCap:]) }()
+	awaitBlocked(t, w.mbox, 1)
+	w.finish(nil)
+	if <-posted {
+		t.Fatal("putAll blocked at the bound reported its events posted after the worker stopped")
+	}
+	if w.mbox.putAll(evs[:1]) {
+		t.Fatal("putAll succeeded on a stopped worker")
+	}
+}
+
+// awaitBlocked waits until n producers are blocked on the full mailbox.
+func awaitBlocked(t *testing.T, m *mailbox, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		m.mu.Lock()
+		blocked := m.blocked
+		m.mu.Unlock()
+		if blocked == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d producers blocked on a full mailbox", blocked, n)
+		}
+	}
+}
+
 // A full mailbox blocks its producers — the data pumps' back-pressure —
 // until the loop takes a run, and a stopping worker turns every blocked and
 // every later put into "stopped".
@@ -227,19 +310,8 @@ func TestMailboxFullBlocksThenStopUnblocks(t *testing.T) {
 		for i := 0; i < extra; i++ {
 			go func() { results <- w.mbox.put(event{kind: evTick}) }()
 		}
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			w.mbox.mu.Lock()
-			blocked := w.mbox.blocked
-			w.mbox.mu.Unlock()
-			if blocked == extra {
-				return results
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%d of %d producers blocked on a full mailbox", blocked, extra)
-			}
-			time.Sleep(time.Millisecond)
-		}
+		awaitBlocked(t, w.mbox, extra)
+		return results
 	}
 
 	fill()

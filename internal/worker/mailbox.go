@@ -7,8 +7,9 @@ import "sync"
 // queue the loop feeds the persistent executors from. Both follow the rule
 // the peer writer's flush follows (DESIGN.md "Wakeup budget"): take all there
 // is, wake only a sleeper. An event posted to an idle loop wakes it at once;
-// a burst posted while the loop is busy costs one lock each and no wakeup,
-// and the loop handles it as one run. There is no timer and no batch size:
+// a burst posted while the loop is busy costs one lock per post — a pump
+// posts a whole frame's events at once — and no wakeup, and the loop handles
+// it as one run. There is no timer and no batch size:
 // a run is whatever arrived while the loop was busy.
 
 // mailboxCap bounds the events waiting for the loop. Producers block at the
@@ -42,23 +43,36 @@ func newMailbox() *mailbox {
 // (handleDone, retryParked) instead. That is what makes a bounded mailbox
 // deadlock-free: the only goroutine that frees space never waits for space.
 func (m *mailbox) put(ev event) bool {
+	one := [1]event{ev}
+	return m.putAll(one[:])
+}
+
+// putAll posts evs in order under one lock — what a pump holding a whole
+// frame's messages uses — waking the loop once. The bound counts events:
+// while the mailbox is full it blocks, and it posts as many as fit each time
+// there is room. It returns false once the worker has stopped; events not yet
+// posted are then dropped. evs is not retained.
+func (m *mailbox) putAll(evs []event) bool {
 	m.mu.Lock()
-	for len(m.buf) >= mailboxCap && !m.closed {
-		m.blocked++
-		m.space.Wait()
-		m.blocked--
+	defer m.mu.Unlock()
+	for len(evs) > 0 {
+		for len(m.buf) >= mailboxCap && !m.closed {
+			m.blocked++
+			m.space.Wait()
+			m.blocked--
+		}
+		if m.closed {
+			return false
+		}
+		n := min(len(evs), mailboxCap-len(m.buf))
+		m.buf = append(m.buf, evs[:n]...)
+		evs = evs[n:]
+		if m.asleep {
+			m.asleep = false
+			m.wake.Signal()
+		}
 	}
-	if m.closed {
-		m.mu.Unlock()
-		return false
-	}
-	m.buf = append(m.buf, ev)
-	if m.asleep {
-		m.asleep = false
-		m.wake.Signal()
-	}
-	m.mu.Unlock()
-	return true
+	return !m.closed
 }
 
 // take swaps the posted events out for spare (emptied, reused as the next

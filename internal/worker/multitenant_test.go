@@ -55,14 +55,14 @@ func TestHaltIsJobScoped(t *testing.T) {
 	// nothing.
 	b.Apply(&proto.Resume{Job: 1})
 	w2payload := &proto.DataPayload{Job: 2, DstCommand: 100, Object: 11, Logical: 11, Version: 3, Data: []byte{2}}
-	b.W.handlePayload(w2payload, nil)
+	b.W.handlePayload(inPayload{msg: w2payload})
 	if !j2.isDone(100) {
 		t.Fatal("job 2 instance did not complete after its payload")
 	}
 	if o := j2.store.Get(11); o == nil || o.Version != 3 {
 		t.Fatalf("job 2 store missing payload: %+v", o)
 	}
-	b.W.handlePayload(&proto.DataPayload{Job: 1, DstCommand: 100, Object: 11, Logical: 11, Version: 9, Data: []byte{1}}, nil)
+	b.W.handlePayload(inPayload{msg: &proto.DataPayload{Job: 1, DstCommand: 100, Object: 11, Logical: 11, Version: 9, Data: []byte{1}}})
 	if j1.isDone(100) {
 		t.Fatal("flushed job 1 command resurrected by late payload")
 	}
@@ -105,7 +105,7 @@ func TestJobEndDropsNamespace(t *testing.T) {
 	// A late data-plane payload for the torn-down job is dropped: it must
 	// not resurrect an empty namespace that nothing would ever tear down
 	// again (the data plane is not FIFO-ordered behind the JobEnd).
-	b.W.handlePayload(&proto.DataPayload{Job: 1, DstCommand: 51, Object: 9, Version: 1, Data: []byte{1}}, nil)
+	b.W.handlePayload(inPayload{msg: &proto.DataPayload{Job: 1, DstCommand: 51, Object: 9, Version: 1, Data: []byte{1}}})
 	if b.W.StoreOf(1) != nil {
 		t.Fatal("late payload resurrected ended job 1")
 	}

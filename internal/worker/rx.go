@@ -11,9 +11,10 @@ import (
 
 // This file is the receive side of the streaming data plane. Each
 // accepted data-plane connection gets a pump goroutine that decodes
-// frames itself: single-frame DataPayloads forward straight to the event
-// loop (the small-object fast path stays untouched), while DataChunk runs
-// reassemble here, off the event loop, under two bounds:
+// frames itself and posts the event loop one event per frame: the frame's
+// DataPayloads — a run of them when the sender batched — and the transfers
+// its chunks completed, in frame order. DataChunk runs reassemble here, off
+// the event loop, under two bounds:
 //
 //   - Flow control: credit is granted back to the sender as chunks land,
 //     so the sender's window — not receiver goodwill — limits what is in
@@ -45,13 +46,17 @@ type rxConn struct {
 	w     *Worker
 	conn  transport.Conn
 	xfers map[uint64]*rxXfer
+	// run collects the payloads of the frame being decoded; post hands the
+	// loop a copy and keeps the backing array.
+	run []inPayload
 }
 
 // dataPump drains one inbound data-plane connection: chunks reassemble
-// here, everything else forwards to the event loop. It is the one decoder
-// that lets a message alias its frame: a chunk's Raw points into raw, and
-// handleChunk copies it into the reassembly buffer (or the spill file)
-// before raw is recycled — the payload's only copy on the receive side.
+// here, and each frame's payloads go to the event loop as one event. It is
+// the one decoder that lets a message alias its frame: a chunk's Raw points
+// into raw, and handleChunk copies it into the reassembly buffer (or the
+// spill file) before raw is recycled — the payload's only copy on the
+// receive side.
 func (w *Worker) dataPump(conn transport.Conn) {
 	defer w.wg.Done()
 	rx := &rxConn{w: w, conn: conn, xfers: make(map[uint64]*rxXfer)}
@@ -61,30 +66,51 @@ func (w *Worker) dataPump(conn transport.Conn) {
 		if err != nil {
 			return
 		}
-		err = proto.ForEachMsgAliasChunks(raw, func(msg proto.Msg) error {
-			if c, ok := msg.(*proto.DataChunk); ok {
-				return rx.handleChunk(c)
-			}
-			return w.postData(msg)
-		})
+		err = proto.ForEachMsgAliasChunks(raw, rx.handleMsg)
 		proto.PutBuf(raw)
-		if errors.Is(err, errPumpStopped) {
-			return
-		}
 		if err != nil {
 			w.cfg.Logf("worker %s: bad data message: %v", w.id, err)
+		}
+		if !rx.post() {
+			return
 		}
 	}
 }
 
-func (w *Worker) postData(msg proto.Msg) error {
-	if !w.mbox.put(event{kind: evData, msg: msg}) {
-		return errPumpStopped
+// handleMsg takes one message of a data-plane frame. Only payloads and chunks
+// belong there; anything else is ignored.
+func (rx *rxConn) handleMsg(msg proto.Msg) error {
+	switch m := msg.(type) {
+	case *proto.DataChunk:
+		rx.handleChunk(m)
+	case *proto.DataPayload:
+		rx.run = append(rx.run, inPayload{msg: m})
 	}
 	return nil
 }
 
-func (rx *rxConn) handleChunk(c *proto.DataChunk) error {
+// post hands the event loop what the frame just decoded delivered, as one
+// event, and reports whether the worker is still running.
+func (rx *rxConn) post() bool {
+	if len(rx.run) == 0 {
+		return true
+	}
+	pays := make([]inPayload, len(rx.run))
+	copy(pays, rx.run)
+	clear(rx.run)
+	rx.run = rx.run[:0]
+	if rx.w.mbox.put(event{kind: evData, pays: pays}) {
+		return true
+	}
+	for _, ip := range pays {
+		if ip.spill != nil {
+			ip.spill.Remove()
+		}
+	}
+	return false
+}
+
+func (rx *rxConn) handleChunk(c *proto.DataChunk) {
 	w := rx.w
 	x, ok := rx.xfers[c.Xfer]
 	if !ok {
@@ -93,7 +119,7 @@ func (rx *rxConn) handleChunk(c *proto.DataChunk) error {
 			// hostile input or the stale tail of state this connection
 			// never had. Tell the sender to stop wasting the link.
 			rx.abort(c.Xfer, "unknown transfer")
-			return nil
+			return
 		}
 		x = &rxXfer{
 			ra:  stream.Reassembler{Xfer: c.Xfer, Total: c.Total, ChunkSize: w.chunkSize},
@@ -105,18 +131,18 @@ func (rx *rxConn) handleChunk(c *proto.DataChunk) error {
 	raw, err := x.ra.Accept(c)
 	if err != nil {
 		if errors.Is(err, stream.ErrDup) {
-			return nil // a redialed sender replayed a landed prefix
+			return // a redialed sender replayed a landed prefix
 		}
 		rx.drop(c.Xfer, x)
 		rx.abort(c.Xfer, err.Error())
-		return nil
+		return
 	}
 	w.Stats.ChunksRecv.Add(1)
 	if err := x.land(w, raw); err != nil {
 		w.cfg.Logf("worker %s: transfer %d: %v", w.id, c.Xfer, err)
 		rx.drop(c.Xfer, x)
 		rx.abort(c.Xfer, "spill failure")
-		return nil
+		return
 	}
 	if !c.Last {
 		// Replenish the sender's window as chunks land, batched so the
@@ -126,10 +152,10 @@ func (rx *rxConn) handleChunk(c *proto.DataChunk) error {
 			rx.credit(c.Xfer, x.owed)
 			x.owed = 0
 		}
-		return nil
+		return
 	}
 	delete(rx.xfers, c.Xfer)
-	return rx.deliver(x)
+	rx.deliver(x)
 }
 
 // land copies a chunk's bytes into the transfer, spilling it to disk when
@@ -187,10 +213,10 @@ func (x *rxXfer) land(w *Worker, raw []byte) error {
 	return nil
 }
 
-// deliver hands a completed transfer to the event loop as a payload —
+// deliver adds a completed transfer to the frame's run as a payload —
 // in-memory, or a finalized spill handle the CopyRecv will install
 // disk-backed.
-func (rx *rxConn) deliver(x *rxXfer) error {
+func (rx *rxConn) deliver(x *rxXfer) {
 	w := rx.w
 	var sp *datastore.Spilled
 	if x.sw != nil {
@@ -199,7 +225,7 @@ func (rx *rxConn) deliver(x *rxXfer) error {
 		x.sw = nil
 		if err != nil {
 			w.cfg.Logf("worker %s: spill finalize: %v", w.id, err)
-			return nil
+			return
 		}
 	} else {
 		// The event loop owns the buffer now; it stops counting as
@@ -208,21 +234,14 @@ func (rx *rxConn) deliver(x *rxXfer) error {
 		x.held = 0
 	}
 	w.Stats.XfersRecv.Add(1)
-	p := &proto.DataPayload{
+	rx.run = append(rx.run, inPayload{spill: sp, msg: &proto.DataPayload{
 		Job:        x.hdr.Job,
 		DstCommand: x.hdr.DstCommand,
 		Object:     x.hdr.Object,
 		Logical:    x.hdr.Logical,
 		Version:    x.hdr.Version,
 		Data:       x.buf,
-	}
-	if !w.mbox.put(event{kind: evData, msg: p, spill: sp}) {
-		if sp != nil {
-			sp.Remove()
-		}
-		return errPumpStopped
-	}
-	return nil
+	}})
 }
 
 // credit grants the sender more window on the reverse path. Send failures
@@ -260,7 +279,8 @@ func (x *rxXfer) discard(w *Worker) {
 }
 
 // teardown releases every incomplete transfer when the connection dies:
-// budget uncharged, partial spill files removed.
+// budget uncharged, partial spill files removed. (run is empty: the pump
+// posts after every frame.)
 func (rx *rxConn) teardown() {
 	for _, x := range rx.xfers {
 		x.discard(rx.w)

@@ -478,19 +478,22 @@ func (w *Worker) execSend(js *jstate, snd *pcmd) bool {
 		buf := make([]byte, len(obj.Data))
 		copy(buf, obj.Data)
 		w.Stats.CopiesSent.Add(1)
-		w.handlePayload(&proto.DataPayload{
+		w.handlePayload(inPayload{msg: &proto.DataPayload{
 			Job:        js.id,
 			DstCommand: c.DstCommand,
 			Object:     c.Reads[0],
 			Logical:    c.Logical,
 			Version:    obj.Version,
 			Data:       buf,
-		}, nil)
+		}})
 		return true
 	}
 	return w.sendPeer(c.DstWorker, snd, obj)
 }
 
+// execRecv installs the payload that was buffered for a CopyRecv: one that
+// outran its command, or arrived while the command had another dependency
+// unmet.
 func (w *Worker) execRecv(js *jstate, c *command.Command) {
 	ip, ok := js.payloads[c.ID]
 	if !ok {
@@ -498,6 +501,12 @@ func (w *Worker) execRecv(js *jstate, c *command.Command) {
 		return
 	}
 	delete(js.payloads, c.ID)
+	w.installPayload(js, c, ip)
+}
+
+// installPayload completes a CopyRecv's data movement: the received body
+// becomes the command's output object.
+func (w *Worker) installPayload(js *jstate, c *command.Command, ip inPayload) {
 	logical := c.Logical
 	if logical == ids.NoLogical {
 		logical = ip.msg.Logical
@@ -554,30 +563,34 @@ func (w *Worker) execLoad(js *jstate, c *command.Command) {
 	js.store.Install(c.Writes[0], c.Logical, version, data)
 }
 
-// handlePayload routes an arriving data payload into its job's namespace:
-// wake the waiting receive command, or buffer the payload until its
-// command activates (payloads may outrun commands because the data plane
-// is independent of the control plane).
-func (w *Worker) handlePayload(p *proto.DataPayload, sp *datastore.Spilled) {
+// handlePayload routes an arriving data payload into its job's namespace.
+// When the payload is the last thing its receive command waited for — the
+// steady case — it is installed from here and the command completes. It is
+// buffered in js.payloads when it outran its command (the data plane is
+// independent of the control plane) or the command has another dependency
+// unmet; execRecv picks it up then.
+func (w *Worker) handlePayload(ip inPayload) {
+	p := ip.msg
 	if _, dead := w.deadJobs[p.Job]; dead {
-		if sp != nil {
-			sp.Remove() // late spilled data must not leak its file
+		if ip.spill != nil {
+			ip.spill.Remove() // late spilled data must not leak its file
 		}
 		return // late data for a torn-down job; never resurrect it
 	}
 	js := w.job(p.Job)
-	ip := inPayload{msg: p, spill: sp}
-	if pc, ok := js.payWait[p.DstCommand]; ok {
-		delete(js.payWait, p.DstCommand)
+	pc, ok := js.payWait[p.DstCommand]
+	if !ok {
 		js.payloads[p.DstCommand] = ip
-		pc.missing--
-		if pc.missing == 0 {
-			w.makeRunnable(pc)
-			w.dispatch()
-		}
 		return
 	}
-	js.payloads[p.DstCommand] = ip
+	delete(js.payWait, p.DstCommand)
+	pc.missing--
+	if pc.missing > 0 {
+		js.payloads[p.DstCommand] = ip
+		return
+	}
+	w.installPayload(js, &pc.cmd, ip)
+	w.handleDone(pc)
 }
 
 // handleDone retires a completed command: record completion in its job's

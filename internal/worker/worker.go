@@ -41,7 +41,6 @@
 package worker
 
 import (
-	"errors"
 	"fmt"
 	"log"
 	"net"
@@ -148,18 +147,22 @@ type Stats struct {
 	ReplayedReports atomic.Uint64
 	DroppedReports  atomic.Uint64
 	// Data-plane counters. PeerSendDrops counts payloads dropped on the
-	// floor (no peer address, or a dead/consumed frame on a failed
-	// connection); ParkedSends counts CopySends that waited for queue
-	// space; PeerRedials counts data-plane reconnects. PeerFlushes counts
-	// the flushes peer writers issued for staged small frames (one write
-	// each on TCP, none on a transport without a stage), so
-	// CopiesSent/PeerFlushes is the frames per write. ChunksSent /
+	// floor (no peer address, a dead queue, or payloads staged on or
+	// consumed by a connection that failed); ParkedSends counts CopySends
+	// that waited for queue space; PeerRedials counts data-plane reconnects.
+	// PeerFrames counts the frames peer writers handed to a connection for
+	// small copies — one per run; chunk frames are ChunksSent — so
+	// CopiesSent/PeerFrames is the run length. PeerFlushes counts the
+	// flushes peer writers issued for staged frames (one write each on TCP,
+	// nothing on Mem, none on a connection without a stage), so
+	// PeerFrames/PeerFlushes is the frames per write. ChunksSent /
 	// ChunksRecv / XfersSent / XfersRecv account the chunked path, Spills
 	// / SpilledBytes the receive-side disk overflow, and RxAborts the
 	// transfers refused for protocol violations.
 	PeerSendDrops atomic.Uint64
 	ParkedSends   atomic.Uint64
 	PeerRedials   atomic.Uint64
+	PeerFrames    atomic.Uint64
 	PeerFlushes   atomic.Uint64
 	ChunksSent    atomic.Uint64
 	ChunksRecv    atomic.Uint64
@@ -178,7 +181,7 @@ type Stats struct {
 	UnitsReused atomic.Uint64
 	// LoopWakeups counts event-loop turns (one mailbox take each) and
 	// LoopEvents the events they handled, so LoopEvents/LoopWakeups is the
-	// run length — as CopiesSent/PeerFlushes is for peer writes.
+	// run length — as CopiesSent/PeerFrames is for peer frames.
 	LoopWakeups atomic.Uint64
 	LoopEvents  atomic.Uint64
 }
@@ -261,9 +264,11 @@ type Worker struct {
 	dataConns  []transport.Conn
 	dataClosed bool
 
-	// bdMsg is the reused BlockDone scratch message (event-loop
-	// confined; sendCtrl marshals synchronously).
+	// bdMsg and dpMsg are the reused BlockDone and DataPayload scratch
+	// messages (event-loop confined; sendCtrl and sendPeer marshal
+	// synchronously).
 	bdMsg proto.BlockDone
+	dpMsg proto.DataPayload
 
 	// Outage state (event-loop confined). While the control connection is
 	// down the worker keeps draining its installed work autonomously:
@@ -408,8 +413,9 @@ type event struct {
 	cmd  *pcmd
 	err  error
 	conn transport.Conn
-	// spill rides an evData payload whose body is disk-backed.
-	spill *datastore.Spilled
+	// pays is what one received data-plane frame delivered (evData): its
+	// payloads and the transfers its chunks completed, in frame order.
+	pays []inPayload
 	// peer identifies the queue an evPeerSpace wakes parked sends on.
 	peer *peerConn
 }
@@ -835,39 +841,33 @@ func (w *Worker) bufferCtrl(m proto.Msg) {
 	w.Stats.BufferedReports.Add(1)
 }
 
-// errPumpStopped aborts a frame iteration when the worker shuts down
-// mid-batch.
-var errPumpStopped = errors.New("pump stopped")
-
+// ctrlPump forwards the control connection's messages into the event loop,
+// a frame at a time: a batch frame's messages are posted together, in order,
+// under one mailbox lock, and the frame buffer is recycled after decode. The
+// connection's loss is an event too.
 func (w *Worker) ctrlPump(conn transport.Conn) {
 	defer w.wg.Done()
-	w.pump(conn, evCtrl, "control")
-}
-
-// pump forwards a connection's messages into the event loop, unpacking
-// batch frames and recycling each frame buffer after decode. Only the
-// control connection's loss is an event; data connections come and go.
-func (w *Worker) pump(conn transport.Conn, kind eventKind, label string) {
+	var evs []event
+	collect := func(msg proto.Msg) error {
+		evs = append(evs, event{kind: evCtrl, msg: msg})
+		return nil
+	}
 	for {
 		raw, err := conn.Recv()
 		if err != nil {
-			if kind == evCtrl {
-				w.mbox.put(event{kind: evClosed, err: err})
-			}
+			w.mbox.put(event{kind: evClosed, err: err})
 			return
 		}
-		err = proto.ForEachMsg(raw, func(msg proto.Msg) error {
-			if !w.mbox.put(event{kind: kind, msg: msg}) {
-				return errPumpStopped
-			}
-			return nil
-		})
+		err = proto.ForEachMsg(raw, collect)
 		proto.PutBuf(raw)
-		if errors.Is(err, errPumpStopped) {
-			return
-		}
 		if err != nil {
-			w.cfg.Logf("worker %s: bad %s message: %v", w.id, label, err)
+			w.cfg.Logf("worker %s: bad control message: %v", w.id, err)
+		}
+		posted := w.mbox.putAll(evs)
+		clear(evs) // the scratch pins no message between frames
+		evs = evs[:0]
+		if !posted {
+			return
 		}
 	}
 }
@@ -952,8 +952,8 @@ func (w *Worker) handle(ev *event) (stop bool) {
 	case evCtrl:
 		return w.handleCtrl(ev.msg)
 	case evData:
-		if p, ok := ev.msg.(*proto.DataPayload); ok {
-			w.handlePayload(p, ev.spill)
+		for _, ip := range ev.pays {
+			w.handlePayload(ip)
 		}
 	case evPeerSpace:
 		w.retryParked(ev.peer)
