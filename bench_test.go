@@ -255,13 +255,13 @@ func BenchmarkWorkerMaterialize(b *testing.B) {
 }
 
 // BenchmarkRebuildDiff measures edit generation (rebuild + provenance
-// diff) for a single-partition migration on an 8000-task template.
+// diff) on an 8000-task template. One op is a fixed chain of 1000
+// single-partition migrations, each rebuilt against the one before, so
+// ns/op does not depend on b.N. entries/live is the index space over the
+// live entries at the end of the chain: edits must not let it grow (DESIGN.md
+// "Edits: a bounded index space"), and the benchmark fails above 1.25.
 func BenchmarkRebuildDiff(b *testing.B) {
-	place := core.NewStaticPlacement(100)
-	place.Define(1, 8000)
-	place.Define(2, 1)
-	place.Define(3, 8000)
-	place.Define(4, 100)
+	const chain = 1000
 	stages := []*proto.SubmitStage{
 		{Stage: 1, Fn: fn.FuncSim, Tasks: 8000,
 			Refs: []proto.VarRef{
@@ -275,30 +275,42 @@ func BenchmarkRebuildDiff(b *testing.B) {
 				{Var: 4, Write: true, Pattern: proto.OnePerTask},
 			}},
 	}
-	var alloc ids.ObjectIDs
-	dir := flow.NewDirectory(&alloc)
 	tmpl := &core.Template{ID: 1, Name: "b", Stages: stages}
-	bld := core.NewBuilder(dir, place)
-	for _, s := range stages {
-		if err := bld.AddStage(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-	prev := bld.Finalize(1)
-	b.ResetTimer()
+	b.ReportAllocs()
+	var ratio float64
 	for i := 0; i < b.N; i++ {
-		// Move the partition to a worker other than its current owner.
-		place.Reassign(1, i%8000, ids.WorkerID(1+(i+1)%100))
-		place.Reassign(3, i%8000, ids.WorkerID(1+(i+1)%100))
-		next, err := tmpl.Rebuild(1, dir, place, prev)
+		b.StopTimer()
+		place := core.NewStaticPlacement(100)
+		place.Define(1, 8000)
+		place.Define(2, 1)
+		place.Define(3, 8000)
+		place.Define(4, 100)
+		var alloc ids.ObjectIDs
+		dir := flow.NewDirectory(&alloc)
+		prev, err := core.BuildAssignment(1, dir, place, stages, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		d := core.Diff(prev, next)
-		if d.Changed == 0 {
-			b.Fatal("no edits generated")
+		b.StartTimer()
+		for m := 0; m < chain; m++ {
+			// Move the partition to a worker other than its current owner.
+			part := m * 7 % 8000
+			place.Reassign(1, part, ids.WorkerID(1+(part+1)%100))
+			place.Reassign(3, part, ids.WorkerID(1+(part+1)%100))
+			next, err := tmpl.Rebuild(1, dir, place, prev)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if core.Diff(prev, next).Changed == 0 {
+				b.Fatal("no edits generated")
+			}
+			prev = next
 		}
-		prev = next
+		ratio = float64(prev.MaxIndex()) / float64(prev.Size())
+	}
+	b.ReportMetric(ratio, "entries/live")
+	if ratio > 1.25 {
+		b.Fatalf("index space is %.2fx the live entries after %d migrations", ratio, chain)
 	}
 }
 

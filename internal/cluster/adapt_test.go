@@ -1,9 +1,14 @@
 package cluster
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
+	"nimbus/internal/command"
+	"nimbus/internal/driver"
 	"nimbus/internal/fn"
 	"nimbus/internal/ids"
 )
@@ -308,5 +313,212 @@ func TestFaultRecovery(t *testing.T) {
 	c.Controller.Do(func() { recoveries = c.Controller.Stats.Recoveries.Load() })
 	if recoveries != 1 {
 		t.Errorf("recoveries = %d, want 1", recoveries)
+	}
+}
+
+// TestMigrationChurnKeepsFastPath: 300 migrations interleaved with
+// instantiations on four real workers. Results must be bit-identical to an
+// unmigrated run, and the edited template must stay as cheap as a fresh
+// one: the command IDs an instance reserves stay within twice the live
+// entries, and every worker's slice still compiles to the dense table.
+func TestMigrationChurnKeepsFastPath(t *testing.T) {
+	const parts, groups, migrations = 64, 16, 300
+	type run struct {
+		c       *Cluster
+		d       *driver.Driver
+		x, part driver.Var
+		sum     driver.Var
+	}
+	start := func() *run {
+		c := startTestCluster(t, Options{Workers: 4})
+		d, err := c.Driver("test")
+		if err != nil {
+			t.Fatalf("driver: %v", err)
+		}
+		t.Cleanup(func() { d.Close() })
+		r := &run{c: c, d: d, x: d.MustVar("x", parts), part: d.MustVar("part", groups), sum: d.MustVar("sum", 1)}
+		for p := 0; p < parts; p++ {
+			if err := d.PutFloats(r.x, p, []float64{float64(p + 1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.BeginTemplate("blk"); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Submit(fnDouble, parts, nil, r.x.Read(), r.x.Write()); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Submit(fnSumAll, groups, nil, r.x.ReadGrouped(), r.part.Write()); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Submit(fnSumAll, 1, nil, r.part.ReadGrouped(), r.sum.WriteShared()); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.EndTemplate("blk"); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Barrier(); err != nil { // the build runs off the loop
+			t.Fatal(err)
+		}
+		return r
+	}
+	results := func(r *run) [][]byte {
+		var out [][]byte
+		for p := 0; p < parts; p++ {
+			b, err := r.d.Get(r.x, p)
+			if err != nil {
+				t.Fatalf("get x[%d]: %v", p, err)
+			}
+			out = append(out, b)
+		}
+		b, err := r.d.Get(r.sum, 0)
+		if err != nil {
+			t.Fatalf("get sum: %v", err)
+		}
+		return append(out, b)
+	}
+
+	churned := start()
+	ctrl := churned.c.Controller
+	var workers []ids.WorkerID
+	ctrl.Do(func() { workers = ctrl.ActiveWorkers() })
+	rng := rand.New(rand.NewSource(28))
+	instances := 0
+	for m := 0; m < migrations; m++ {
+		// 5% of x's partitions, or one of part's, to a random worker; one
+		// migration in three is followed by another before the block runs
+		// again, so edits also stack.
+		v, moved := churned.x, rng.Perm(parts)[:(parts+19)/20]
+		if m%4 == 3 {
+			v, moved = churned.part, []int{rng.Intn(groups)}
+		}
+		dst := workers[rng.Intn(len(workers))]
+		var err error
+		ctrl.Do(func() {
+			if err = ctrl.Migrate([]ids.VariableID{v.ID}, moved, dst); err != nil {
+				return
+			}
+			a := ctrl.TemplateByName("blk").Active
+			if a.MaxIndex() > 2*a.Size() {
+				err = fmt.Errorf("an instance reserves %d command IDs for %d live entries", a.MaxIndex(), a.Size())
+				return
+			}
+			for _, w := range a.Workers() {
+				list := make([]*command.TemplateEntry, len(a.PerWorker[w]))
+				for i, idx := range a.PerWorker[w] {
+					list[i] = &a.Entries[idx]
+				}
+				if !command.Compile(list).Dense() {
+					err = fmt.Errorf("%v's template (%d entries, indexes %d..%d) no longer compiles dense",
+						w, len(list), list[0].Index, list[len(list)-1].Index)
+					return
+				}
+			}
+		})
+		if err != nil {
+			t.Fatalf("migration %d: %v", m, err)
+		}
+		if rng.Intn(3) == 0 {
+			continue
+		}
+		if err := churned.d.Instantiate("blk"); err != nil {
+			t.Fatalf("instantiate after migration %d: %v", m, err)
+		}
+		instances++
+	}
+	got := results(churned)
+
+	steady := start()
+	for i := 0; i < instances; i++ {
+		if err := steady.d.Instantiate("blk"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := results(steady)
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("result %d differs from the unmigrated run after %d instances: %x vs %x", i, instances, got[i], want[i])
+		}
+	}
+}
+
+// TestRejoiningWorkerDropsStagedEdits: a worker that has an edit staged, is
+// then emptied and rejoins before the block runs again gets a full install;
+// the edit staged for its old template must not be applied on top.
+func TestRejoiningWorkerDropsStagedEdits(t *testing.T) {
+	c := startTestCluster(t, Options{Workers: 4})
+	d, err := c.Driver("test")
+	if err != nil {
+		t.Fatalf("driver: %v", err)
+	}
+	defer d.Close()
+
+	const parts = 4 // partition p lives on worker p+1
+	x := d.MustVar("x", parts)
+	sum := d.MustVar("sum", 1)
+	for p := 0; p < parts; p++ {
+		if err := d.PutFloats(x, p, []float64{1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.BeginTemplate("blk"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Submit(fnDouble, parts, nil, x.Read(), x.Write()); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Submit(fnSumAll, 1, nil, x.ReadGrouped(), sum.WriteShared()); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.EndTemplate("blk"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+
+	var merr error
+	c.Controller.Do(func() {
+		w := c.Controller.ActiveWorkers()
+		vars := []ids.VariableID{x.ID}
+		for _, step := range []struct {
+			parts []int
+			dst   ids.WorkerID
+		}{
+			{[]int{2}, w[1]},    // worker 2 gains partition 2: an edit is staged for it
+			{[]int{1, 2}, w[0]}, // worker 2 loses everything
+			{[]int{1}, w[1]},    // worker 2 rejoins: full install
+		} {
+			if merr = c.Controller.Migrate(vars, step.parts, step.dst); merr != nil {
+				return
+			}
+		}
+	})
+	if merr != nil {
+		t.Fatalf("migrate: %v", merr)
+	}
+	tasksRun := func() (n uint64) {
+		for _, w := range c.Workers {
+			n += w.Stats.TasksRun.Load()
+		}
+		return n
+	}
+	want, ran := float64(2*parts), tasksRun()
+	for i := 0; i < 2; i++ {
+		if err := d.Instantiate("blk"); err != nil {
+			t.Fatal(err)
+		}
+		want *= 2
+		got, err := d.GetFloats(sum, 0)
+		if err != nil || len(got) != 1 || got[0] != want {
+			t.Fatalf("iteration %d after rejoin: sum = %v (err %v), want [%v]", i, got, err, want)
+		}
+		// A stale entry shows as an extra task: the rejoined worker doubles
+		// a partition it no longer owns.
+		if now := tasksRun(); now-ran != parts+1 {
+			t.Fatalf("iteration %d after rejoin ran %d tasks, the block has %d", i, now-ran, parts+1)
+		} else {
+			ran = now
+		}
 	}
 }

@@ -1,7 +1,8 @@
 package command
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"nimbus/internal/ids"
 	"nimbus/internal/params"
@@ -98,13 +99,20 @@ func (ct *CompiledTemplate) PosOf(index int32) int32 {
 	return ct.pos[i]
 }
 
+// Dense reports whether index lookups go through the dense table rather
+// than the sparse map.
+func (ct *CompiledTemplate) Dense() bool { return ct.sparse == nil }
+
 // Compile builds the dense form from a template's entries (any order,
 // typically the values of the installed entry map). The input entries are
 // not retained, but their Reads/Writes/Fixed slices are shared with the
 // compiled entries.
 func Compile(entries []*TemplateEntry) *CompiledTemplate {
+	// Sort the pointers, then fill the compiled entries in order: sorting
+	// the compiled entries themselves would swap ~200-byte structs.
+	entries = slices.Clone(entries)
+	slices.SortFunc(entries, func(a, b *TemplateEntry) int { return cmp.Compare(a.Index, b.Index) })
 	ct := &CompiledTemplate{Entries: make([]CompiledEntry, len(entries))}
-	minIdx, maxIdx := int32(0), int32(-1)
 	for i, e := range entries {
 		ct.Entries[i] = CompiledEntry{
 			Index:     e.Index,
@@ -118,14 +126,11 @@ func Compile(entries []*TemplateEntry) *CompiledTemplate {
 			DstWorker: e.DstWorker,
 			DstIdx:    e.DstIdx,
 		}
-		if i == 0 || e.Index < minIdx {
-			minIdx = e.Index
-		}
-		if i == 0 || e.Index > maxIdx {
-			maxIdx = e.Index
-		}
 	}
-	sort.Slice(ct.Entries, func(i, j int) bool { return ct.Entries[i].Index < ct.Entries[j].Index })
+	minIdx, maxIdx := int32(0), int32(-1)
+	if len(entries) > 0 {
+		minIdx, maxIdx = entries[0].Index, entries[len(entries)-1].Index
+	}
 	ct.Lo = minIdx
 	ct.Span = maxIdx + 1
 	if span := int64(maxIdx) - int64(minIdx) + 1; len(entries) > 0 && span <= 4*int64(len(entries))+1024 {

@@ -271,6 +271,13 @@ func (c *Controller) stageEdits(j *jobState, name string, t *core.Template, old,
 		staged = make(map[ids.WorkerID][]editStaged)
 		j.pendingEdits[next.ID] = staged
 	}
+	// A worker that rejoins gets a full install of the assignment as it is
+	// then. Edits staged before it was emptied describe a template it no
+	// longer has (the emptying edit itself was dropped above) and would add
+	// stale entries on top of the install.
+	for _, w := range diff.NewWorkers {
+		delete(staged, w)
+	}
 	for w, e := range diff.Edits {
 		if len(e.Remove) == 0 && len(e.Add) == 0 {
 			continue

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -122,38 +123,66 @@ type taskPlan struct {
 
 // buildState is the serial (pass B) state of one assignment build.
 type buildState struct {
-	inst  Instances
-	place Placement
+	inst Instances
 
+	// entries, workerOf and prov are indexed by final entry index; order
+	// lists the placed indexes in program order, which is index order only
+	// for a build without a predecessor.
 	entries  []command.TemplateEntry
 	workerOf []ids.WorkerID
 	prov     []Provenance
+	order    []int32
 
-	holders  map[ids.LogicalID]*holderState
+	// prevByProv maps the predecessor's live provenances to their indexes,
+	// holes lists its tombstoned indexes in ascending order, and next is
+	// the first index past its array. A build without a predecessor has an
+	// empty map, no holes and next 0, so indexes count up in program order.
+	prevByProv map[Provenance]int32
+	holes      []int32
+	next       int32
+
+	objs     slab[ids.ObjectID]
+	wids     slab[ids.WorkerID] // backs the first element of every worker set
+	holders  map[ids.LogicalID]holderState
 	preconds []Precond
-	precondS map[precondKey]bool
 	slots    int
 }
 
-type precondKey struct {
-	l ids.LogicalID
-	w ids.WorkerID
+// holderState tracks a logical object's within-template placement: how many
+// versions the template has produced so far, which workers hold the
+// template-current version, and which workers read it before any write (the
+// entry reads, one precondition each). Both worker sets are sorted and
+// small — at most one element per worker — so they are slices, not maps.
+type holderState struct {
+	bumps   uint64
+	holders []ids.WorkerID
+	readers []ids.WorkerID
 }
 
-// holderState tracks a logical object's within-template placement: whether
-// the template has written it, how many versions it produced, and which
-// workers hold the template-current version.
-type holderState struct {
-	written bool
-	bumps   uint64
-	holders map[ids.WorkerID]bool
+// written reports whether the template has produced a version of the object.
+func (hs holderState) written() bool { return hs.bumps > 0 }
+
+// slab carves small slices out of shared backing arrays, so a build makes
+// one allocation per few thousand elements instead of one per entry.
+type slab[T any] struct{ buf []T }
+
+// take returns a zeroed slice of length and capacity n.
+func (s *slab[T]) take(n int) []T {
+	if n > cap(s.buf)-len(s.buf) {
+		s.buf = make([]T, 0, max(n, 1024, cap(s.buf)))
+	}
+	lo := len(s.buf)
+	s.buf = s.buf[:lo+n]
+	return s.buf[lo : lo+n : lo+n]
 }
 
 // idxLedger mirrors flow.Ledger with entry indexes instead of command IDs.
 // Pass C keeps one per worker; per-worker ledgers are disjoint, which is
 // what makes the dependency pass shardable.
 type idxLedger struct {
-	orders map[ids.ObjectID]*idxOrder
+	orders map[ids.ObjectID]idxOrder
+	// ints backs the before sets and the first two readers of every order.
+	ints slab[int32]
 }
 
 type idxOrder struct {
@@ -161,11 +190,11 @@ type idxOrder struct {
 	readers    []int32
 }
 
-func (l *idxLedger) orderOf(o ids.ObjectID) *idxOrder {
+func (l *idxLedger) orderOf(o ids.ObjectID) idxOrder {
 	ord, ok := l.orders[o]
 	if !ok {
-		ord = &idxOrder{lastWriter: -1}
-		l.orders[o] = ord
+		ord.lastWriter = -1
+		ord.readers = l.ints.take(2)[:0]
 	}
 	return ord
 }
@@ -176,6 +205,7 @@ func (l *idxLedger) read(o ids.ObjectID, idx int32, deps []int32) []int32 {
 		deps = appendUniqueIdx(deps, ord.lastWriter)
 	}
 	ord.readers = append(ord.readers, idx)
+	l.orders[o] = ord
 	return deps
 }
 
@@ -191,6 +221,7 @@ func (l *idxLedger) write(o ids.ObjectID, idx int32, deps []int32) []int32 {
 	}
 	ord.lastWriter = idx
 	ord.readers = ord.readers[:0]
+	l.orders[o] = ord
 	return deps
 }
 
@@ -226,6 +257,21 @@ func appendUniqueIdx(deps []int32, idx int32) []int32 {
 // fully serially (no goroutines). Output is deterministic and identical
 // across par values.
 func BuildAssignment(id ids.TemplateID, inst Instances, place Placement, stages []*proto.SubmitStage, par int) (*Assignment, error) {
+	return buildAssignment(id, inst, place, stages, nil, par)
+}
+
+// buildAssignment is BuildAssignment with an optional predecessor. With
+// prev non-nil, pass B numbers the entries against it instead of counting
+// up: an entry whose provenance matches a live entry of prev takes that
+// entry's index, any other entry takes prev's lowest tombstoned index, and
+// only when prev has no tombstone left does the array grow. Every entry is
+// written once, at its final index, and passes B and C work in final
+// indexes throughout, so nothing is renumbered afterwards. Trailing
+// tombstones are trimmed. The result: indexes of unchanged entries never
+// move, a reused index is always a hole in prev (a plain Add for Diff), and
+// the array never exceeds the live entries by more than the entries one
+// rebuild replaced.
+func buildAssignment(id ids.TemplateID, inst Instances, place Placement, stages []*proto.SubmitStage, prev *Assignment, par int) (*Assignment, error) {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
@@ -275,13 +321,42 @@ func BuildAssignment(id ids.TemplateID, inst Instances, place Placement, stages 
 		return nil, firstErr
 	}
 
-	// Pass B: serial entry layout.
+	// Pass B: serial entry layout. Sizes come from the predecessor when
+	// there is one; otherwise from the task list, guessing that every other
+	// read crosses a link (a copy is two entries).
+	reads, accesses := 0, 0
+	for i := range plans {
+		reads += len(plans[i].reads)
+		accesses += len(plans[i].reads) + len(plans[i].writes)
+	}
+	n, room, live, copies := 0, total+reads, total+reads, reads
+	if prev != nil {
+		n, room = len(prev.Entries), len(prev.Entries)/8
+		live = prev.live + prev.live/8
+		copies = max(prev.live-total, 0) // a copy entry names one object
+		copies += copies / 8
+	}
 	b := &buildState{
 		inst:     inst,
-		place:    place,
-		entries:  make([]command.TemplateEntry, 0, total+total/4),
-		holders:  make(map[ids.LogicalID]*holderState),
-		precondS: make(map[precondKey]bool),
+		entries:  make([]command.TemplateEntry, n, n+room),
+		workerOf: make([]ids.WorkerID, n, n+room),
+		prov:     make([]Provenance, n, n+room),
+		order:    make([]int32, 0, live),
+		next:     int32(n),
+		holders:  make(map[ids.LogicalID]holderState, accesses/2),
+	}
+	b.objs.buf = make([]ids.ObjectID, 0, accesses+copies)
+	b.wids.buf = make([]ids.WorkerID, 0, accesses)
+	if prev != nil {
+		b.preconds = make([]Precond, 0, len(prev.Preconds))
+		b.prevByProv = make(map[Provenance]int32, prev.live)
+		for i := range prev.Entries {
+			if prev.Entries[i].Kind != 0 {
+				b.prevByProv[prev.Prov[i]] = int32(i)
+			} else {
+				b.holes = append(b.holes, int32(i))
+			}
+		}
 	}
 	for si, spec := range stages {
 		slot := command.NoParamSlot
@@ -298,86 +373,107 @@ func BuildAssignment(id ids.TemplateID, inst Instances, place Placement, stages 
 			for _, l := range p.reads {
 				b.ensureReadable(l, w, stageIdx)
 			}
-			taskIdx := int32(len(b.entries))
-			readObjs := make([]ids.ObjectID, len(p.reads))
+			readObjs := b.objs.take(len(p.reads))
 			for i, l := range p.reads {
 				readObjs[i] = b.inst.Instance(l, w)
 			}
-			writeObjs := make([]ids.ObjectID, len(p.writes))
+			writeObjs := b.objs.take(len(p.writes))
 			for i, l := range p.writes {
 				writeObjs[i] = b.inst.Instance(l, w)
-				hs := b.holderOf(l)
-				hs.written = true
+				hs := b.holders[l]
 				hs.bumps++
-				for h := range hs.holders {
-					delete(hs.holders, h)
+				if hs.holders == nil {
+					hs.holders = b.wids.take(1)
 				}
-				hs.holders[w] = true
+				hs.holders = append(hs.holders[:0], w)
+				b.holders[l] = hs
 			}
-			b.append(command.TemplateEntry{
-				Index:     taskIdx,
+			prov := Provenance{Kind: provTask, Stage: stageIdx, Task: int32(t)}
+			b.put(command.TemplateEntry{
+				Index:     b.indexFor(prov),
 				Kind:      command.Task,
 				Function:  spec.Fn,
 				Reads:     readObjs,
 				Writes:    writeObjs,
 				ParamSlot: slot,
 				Fixed:     spec.Params,
-			}, w, Provenance{Kind: provTask, Stage: stageIdx, Task: int32(t)})
+			}, w, prov)
 		}
 	}
 	// Restoring copies: a precondition (l, w) whose logical object the
 	// template wrote must end with w holding the final version, so tight
 	// loops auto-validate (paper §4.2).
 	for _, pc := range b.preconds {
-		hs, ok := b.holders[pc.Logical]
-		if !ok || !hs.written || hs.holders[pc.Worker] {
-			continue
+		if hs := b.holders[pc.Logical]; hs.written() {
+			b.copyTo(pc.Logical, hs, pc.Worker, restoreStage)
 		}
-		b.insertCopy(pc.Logical, minHolder(hs.holders), pc.Worker, restoreStage)
-		hs.holders[pc.Worker] = true
 	}
+	// Trim trailing tombstones: the array ends at its last live entry.
+	n = len(b.entries)
+	for n > 0 && b.entries[n-1].Kind == 0 {
+		n--
+	}
+	b.entries, b.workerOf, b.prov = b.entries[:n], b.workerOf[:n], b.prov[:n]
 
-	perWorker := make(map[ids.WorkerID][]int32)
-	for i, w := range b.workerOf {
-		perWorker[w] = append(perWorker[w], int32(i))
+	// Per-worker entry lists in program order, carved from one array.
+	counts := make(map[ids.WorkerID]int)
+	for _, idx := range b.order {
+		counts[b.workerOf[idx]]++
 	}
-	workers := make([]ids.WorkerID, 0, len(perWorker))
-	for w := range perWorker {
+	workers := make([]ids.WorkerID, 0, len(counts))
+	for w := range counts {
 		workers = append(workers, w)
 	}
-	sort.Slice(workers, func(i, j int) bool { return workers[i] < workers[j] })
+	slices.Sort(workers)
+	perWorker := make(map[ids.WorkerID][]int32, len(workers))
+	lists := make([]int32, len(b.order))
+	for _, w := range workers {
+		perWorker[w] = lists[:0:counts[w]]
+		lists = lists[counts[w]:]
+	}
+	for _, idx := range b.order {
+		w := b.workerOf[idx]
+		perWorker[w] = append(perWorker[w], idx)
+	}
 
 	// Pass C: before sets and ledger effects, sharded over workers. Every
 	// entry's dependencies come from its home worker's index ledger only,
-	// so per-worker goroutines touch disjoint entries and ledgers.
+	// so per-worker goroutines touch disjoint entries and ledgers. Each
+	// list is walked in program order, then sorted: PerWorker is ascending.
 	ledgerEff := make([][]LedgerEffect, len(workers))
 	shard(len(workers), par, func(lo, hi int) {
+		var deps []int32
 		for wi := lo; wi < hi; wi++ {
-			led := &idxLedger{orders: make(map[ids.ObjectID]*idxOrder)}
-			for _, idx := range perWorker[workers[wi]] {
+			list := perWorker[workers[wi]]
+			led := idxLedger{orders: make(map[ids.ObjectID]idxOrder, len(list))}
+			led.ints.buf = make([]int32, 0, 4*len(list))
+			for _, idx := range list {
 				e := &b.entries[idx]
-				var deps []int32
+				deps = deps[:0]
 				for _, o := range e.Reads {
 					deps = led.read(o, idx, deps)
 				}
 				for _, o := range e.Writes {
 					deps = led.write(o, idx, deps)
 				}
-				e.BeforeIdx = deps
+				if len(deps) > 0 {
+					e.BeforeIdx = led.ints.take(len(deps))
+					copy(e.BeforeIdx, deps)
+				}
 			}
+			slices.Sort(list)
 			objs := make([]ids.ObjectID, 0, len(led.orders))
 			for o := range led.orders {
 				objs = append(objs, o)
 			}
-			sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
-			les := make([]LedgerEffect, 0, len(objs))
-			for _, o := range objs {
+			slices.Sort(objs)
+			les := make([]LedgerEffect, len(objs))
+			for i, o := range objs {
 				ord := led.orders[o]
-				les = append(les, LedgerEffect{
-					Object:        o,
-					LastWriterIdx: ord.lastWriter,
-					Readers:       append([]int32(nil), ord.readers...),
-				})
+				les[i] = LedgerEffect{Object: o, LastWriterIdx: ord.lastWriter}
+				if len(ord.readers) > 0 {
+					les[i].Readers = ord.readers
+				}
 			}
 			ledgerEff[wi] = les
 		}
@@ -389,19 +485,15 @@ func BuildAssignment(id ids.TemplateID, inst Instances, place Placement, stages 
 	}
 	logicals := make([]ids.LogicalID, 0, len(b.holders))
 	for l, hs := range b.holders {
-		if hs.written {
+		if hs.written() {
 			logicals = append(logicals, l)
 		}
 	}
-	sort.Slice(logicals, func(i, j int) bool { return logicals[i] < logicals[j] })
-	for _, l := range logicals {
+	slices.Sort(logicals)
+	eff.Objects = make([]ObjectEffect, len(logicals))
+	for i, l := range logicals {
 		hs := b.holders[l]
-		holders := make([]ids.WorkerID, 0, len(hs.holders))
-		for w := range hs.holders {
-			holders = append(holders, w)
-		}
-		sort.Slice(holders, func(i, j int) bool { return holders[i] < holders[j] })
-		eff.Objects = append(eff.Objects, ObjectEffect{Logical: l, Bumps: hs.bumps, FinalHolders: holders})
+		eff.Objects[i] = ObjectEffect{Logical: l, Bumps: hs.bumps, FinalHolders: hs.holders}
 	}
 
 	return &Assignment{
@@ -414,7 +506,7 @@ func BuildAssignment(id ids.TemplateID, inst Instances, place Placement, stages 
 		Effects:   eff,
 		Slots:     b.slots,
 		Installed: make(map[ids.WorkerID]bool),
-		live:      len(b.entries),
+		live:      len(b.order),
 	}, nil
 }
 
@@ -447,83 +539,100 @@ func shard(n, par int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-func (b *buildState) holderOf(l ids.LogicalID) *holderState {
-	hs, ok := b.holders[l]
-	if !ok {
-		hs = &holderState{holders: make(map[ids.WorkerID]bool)}
-		b.holders[l] = hs
-	}
-	return hs
-}
-
 // ensureReadable prepares logical object l for a read at worker w. If the
 // template has already written l, the template-current version must reach
 // w, so a copy pair is inserted when missing. Otherwise the read is an
 // entry read: it becomes a worker-template precondition — patches, not
 // cached copies, handle entry-time data movement (paper §2.4).
 func (b *buildState) ensureReadable(l ids.LogicalID, w ids.WorkerID, stage int32) {
-	hs, ok := b.holders[l]
-	if !ok || !hs.written {
-		key := precondKey{l, w}
-		if !b.precondS[key] {
-			b.precondS[key] = true
-			b.preconds = append(b.preconds, Precond{
-				Logical: l,
-				Worker:  w,
-				Object:  b.inst.Instance(l, w),
-			})
-		}
+	hs := b.holders[l]
+	if hs.written() {
+		b.copyTo(l, hs, w, stage)
 		return
 	}
-	if hs.holders[w] {
+	at, found := slices.BinarySearch(hs.readers, w)
+	if found {
 		return
 	}
-	b.insertCopy(l, minHolder(hs.holders), w, stage)
-	hs.holders[w] = true
-}
-
-func minHolder(holders map[ids.WorkerID]bool) ids.WorkerID {
-	var best ids.WorkerID
-	for w := range holders {
-		if best == ids.NoWorker || w < best {
-			best = w
-		}
+	if hs.readers == nil {
+		hs.readers = b.wids.take(1)[:0]
 	}
-	return best
+	hs.readers = slices.Insert(hs.readers, at, w)
+	b.holders[l] = hs
+	b.preconds = append(b.preconds, Precond{Logical: l, Worker: w, Object: b.inst.Instance(l, w)})
 }
 
-// insertCopy appends a send/receive pair moving the template-current
+// copyTo makes dst a holder of the template-current version of l (whose
+// state is hs), copying from the lowest-numbered holder if it is not one.
+func (b *buildState) copyTo(l ids.LogicalID, hs holderState, dst ids.WorkerID, stage int32) {
+	at, found := slices.BinarySearch(hs.holders, dst)
+	if found {
+		return
+	}
+	b.insertCopy(l, hs.holders[0], dst, stage)
+	hs.holders = slices.Insert(hs.holders, at, dst)
+	b.holders[l] = hs
+}
+
+// insertCopy places a send/receive pair moving the template-current
 // version of l from src to dst. Before sets are filled by pass C.
-func (b *buildState) insertCopy(l ids.LogicalID, src, dst ids.WorkerID, stage int32) (sendIdx, recvIdx int32) {
-	srcObj := b.inst.Instance(l, src)
-	dstObj := b.inst.Instance(l, dst)
-	sendIdx = int32(len(b.entries))
-	recvIdx = sendIdx + 1
+func (b *buildState) insertCopy(l ids.LogicalID, src, dst ids.WorkerID, stage int32) {
+	sendProv := Provenance{Kind: provSend, Stage: stage, Logical: l, From: src, To: dst}
+	recvProv := Provenance{Kind: provRecv, Stage: stage, Logical: l, To: dst}
+	sendIdx, recvIdx := b.indexFor(sendProv), b.indexFor(recvProv)
+	objs := b.objs.take(2)
+	objs[0], objs[1] = b.inst.Instance(l, src), b.inst.Instance(l, dst)
 
-	b.append(command.TemplateEntry{
+	b.put(command.TemplateEntry{
 		Index:     sendIdx,
 		Kind:      command.CopySend,
-		Reads:     []ids.ObjectID{srcObj},
+		Reads:     objs[:1:1],
 		ParamSlot: command.NoParamSlot,
 		Logical:   l,
 		DstWorker: dst,
 		DstIdx:    recvIdx,
-	}, src, Provenance{Kind: provSend, Stage: stage, Logical: l, From: src, To: dst})
+	}, src, sendProv)
 
-	b.append(command.TemplateEntry{
+	b.put(command.TemplateEntry{
 		Index:     recvIdx,
 		Kind:      command.CopyRecv,
-		Writes:    []ids.ObjectID{dstObj},
+		Writes:    objs[1:],
 		ParamSlot: command.NoParamSlot,
 		Logical:   l,
-	}, dst, Provenance{Kind: provRecv, Stage: stage, Logical: l, To: dst})
-	return sendIdx, recvIdx
+	}, dst, recvProv)
 }
 
-func (b *buildState) append(e command.TemplateEntry, w ids.WorkerID, p Provenance) {
-	b.entries = append(b.entries, e)
-	b.workerOf = append(b.workerOf, w)
-	b.prov = append(b.prov, p)
+// indexFor picks the final index of the entry with provenance p: the
+// predecessor's index of the same provenance, else its lowest unused hole,
+// else the next index past it. A provenance the build has already placed
+// (a block that copies one object to one worker twice within a stage) is
+// numbered like a new entry.
+func (b *buildState) indexFor(p Provenance) int32 {
+	if idx, ok := b.prevByProv[p]; ok && b.entries[idx].Kind == 0 {
+		return idx
+	}
+	if len(b.holes) > 0 {
+		idx := b.holes[0]
+		b.holes = b.holes[1:]
+		return idx
+	}
+	b.next++
+	return b.next - 1
+}
+
+// put writes an entry at its index. Indexes past the array are handed out
+// and placed in ascending order, so such an entry always lands at the end.
+func (b *buildState) put(e command.TemplateEntry, w ids.WorkerID, p Provenance) {
+	if int(e.Index) == len(b.entries) {
+		b.entries = append(b.entries, e)
+		b.workerOf = append(b.workerOf, w)
+		b.prov = append(b.prov, p)
+	} else {
+		b.entries[e.Index] = e
+		b.workerOf[e.Index] = w
+		b.prov[e.Index] = p
+	}
+	b.order = append(b.order, e.Index)
 }
 
 // Builder accumulates a stage sequence and builds it into an Assignment.

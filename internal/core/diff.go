@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"nimbus/internal/command"
 	"nimbus/internal/ids"
@@ -26,8 +26,8 @@ type DiffResult struct {
 }
 
 // Diff computes the minimal per-worker edits transforming prev into next.
-// next must have been produced by Template.Rebuild with prev as the remap
-// reference, so unchanged entries share indexes.
+// next must have been produced by Template.Rebuild with prev as its
+// predecessor, so unchanged entries share indexes.
 func Diff(prev, next *Assignment) *DiffResult {
 	res := &DiffResult{Edits: make(map[ids.WorkerID]*command.Edit)}
 	max := len(next.Entries)
@@ -83,13 +83,13 @@ func Diff(prev, next *Assignment) *DiffResult {
 			delete(res.Edits, w)
 		}
 	}
-	sort.Slice(res.NewWorkers, func(i, j int) bool { return res.NewWorkers[i] < res.NewWorkers[j] })
+	slices.Sort(res.NewWorkers)
 	for w := range prevWorkers {
 		if len(next.PerWorker[w]) == 0 {
 			res.EmptiedWorkers = append(res.EmptiedWorkers, w)
 		}
 	}
-	sort.Slice(res.EmptiedWorkers, func(i, j int) bool { return res.EmptiedWorkers[i] < res.EmptiedWorkers[j] })
+	slices.Sort(res.EmptiedWorkers)
 	return res
 }
 
@@ -99,24 +99,11 @@ func entriesEqual(a, b *command.TemplateEntry) bool {
 		a.ParamSlot != b.ParamSlot || a.DstWorker != b.DstWorker || a.DstIdx != b.DstIdx {
 		return false
 	}
-	if !objectsEqual(a.Reads, b.Reads) || !objectsEqual(a.Writes, b.Writes) {
+	if !slices.Equal(a.Reads, b.Reads) || !slices.Equal(a.Writes, b.Writes) {
 		return false
 	}
-	if len(a.BeforeIdx) != len(b.BeforeIdx) {
+	if !sameIndexSet(a.BeforeIdx, b.BeforeIdx) {
 		return false
-	}
-	// Before sets are order-insensitive; generation order is deterministic
-	// but remapping can reorder indexes.
-	if len(a.BeforeIdx) > 0 {
-		as := append([]int32(nil), a.BeforeIdx...)
-		bs := append([]int32(nil), b.BeforeIdx...)
-		sort.Slice(as, func(i, j int) bool { return as[i] < as[j] })
-		sort.Slice(bs, func(i, j int) bool { return bs[i] < bs[j] })
-		for i := range as {
-			if as[i] != bs[i] {
-				return false
-			}
-		}
 	}
 	if len(a.Fixed) != len(b.Fixed) {
 		return false
@@ -129,12 +116,23 @@ func entriesEqual(a, b *command.TemplateEntry) bool {
 	return true
 }
 
-func objectsEqual(a, b []ids.ObjectID) bool {
+// sameIndexSet reports whether two before sets hold the same indexes.
+// Before sets are duplicate-free and their order carries no meaning. They
+// are small (a reduction's fan-in) and two builds usually emit them in the
+// same order, so membership is tested in place; only a long set is worth
+// sorting copies of.
+func sameIndexSet(a, b []int32) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
+	if len(a) > 32 {
+		as, bs := slices.Clone(a), slices.Clone(b)
+		slices.Sort(as)
+		slices.Sort(bs)
+		return slices.Equal(as, bs)
+	}
+	for i, x := range a {
+		if b[i] != x && !slices.Contains(b, x) {
 			return false
 		}
 	}

@@ -35,7 +35,9 @@ type Template struct {
 type Assignment struct {
 	ID ids.TemplateID
 	// Entries is the global command array, indexed by entry Index. Edits
-	// leave tombstones (Kind 0) at removed indexes.
+	// leave tombstones (Kind 0) at removed indexes; the next rebuild hands
+	// them to its new entries and the array ends at its last live entry, so
+	// its length stays within one rebuild's churn of the live count.
 	Entries  []command.TemplateEntry
 	WorkerOf []ids.WorkerID
 	Prov     []Provenance
@@ -49,25 +51,13 @@ type Assignment struct {
 	// Installed tracks which workers hold this worker template.
 	Installed map[ids.WorkerID]bool
 	// live counts non-tombstone entries, maintained incrementally by the
-	// build, remap and edit paths so Size is O(1) instead of an
-	// O(entries) tombstone scan.
+	// build and edit paths so Size is O(1) instead of an O(entries)
+	// tombstone scan.
 	live int
 }
 
 // Size returns the number of live entries.
 func (a *Assignment) Size() int { return a.live }
-
-// recountLive recomputes the live-entry count from scratch (used by bulk
-// rewrites of the entry array).
-func (a *Assignment) recountLive() {
-	n := 0
-	for i := range a.Entries {
-		if a.Entries[i].Kind != 0 {
-			n++
-		}
-	}
-	a.live = n
-}
 
 // Workers returns the sorted set of workers with at least one entry.
 func (a *Assignment) Workers() []ids.WorkerID {
@@ -168,8 +158,9 @@ type NextTemplateOp uint8
 // Rebuild constructs a fresh assignment for the template's stages under
 // the given placement, drawing object instances from inst (the live
 // directory on-loop, or a snapshot build view off-loop). The new
-// assignment's entry indexes are remapped by provenance against prev (if
-// non-nil) so unchanged entries keep their indexes; see Diff.
+// assignment's entries are numbered by provenance against prev (if
+// non-nil) so unchanged entries keep their indexes and new ones fill prev's
+// tombstones; see buildAssignment and Diff.
 func (t *Template) Rebuild(id ids.TemplateID, inst Instances, place Placement, prev *Assignment) (*Assignment, error) {
 	return t.RebuildPar(id, inst, place, prev, 0)
 }
@@ -178,80 +169,9 @@ func (t *Template) Rebuild(id ids.TemplateID, inst Instances, place Placement, p
 // GOMAXPROCS, 1 = serial); the controller's build executor uses it to
 // split cores between concurrent template builds.
 func (t *Template) RebuildPar(id ids.TemplateID, inst Instances, place Placement, prev *Assignment, par int) (*Assignment, error) {
-	a, err := BuildAssignment(id, inst, place, t.Stages, par)
+	a, err := buildAssignment(id, inst, place, t.Stages, prev, par)
 	if err != nil {
 		return nil, fmt.Errorf("core: rebuilding %q: %w", t.Name, err)
 	}
-	if prev != nil {
-		remapByProvenance(a, prev)
-	}
 	return a, nil
-}
-
-// remapByProvenance renumbers a's entries so that entries with the same
-// provenance as one of prev's keep prev's index. Genuinely new entries get
-// fresh indexes past prev's maximum. BeforeIdx and DstIdx references are
-// rewritten accordingly.
-func remapByProvenance(a, prev *Assignment) {
-	prevByProv := make(map[Provenance]int32, len(prev.Prov))
-	for i := range prev.Prov {
-		if prev.Entries[i].Kind != 0 {
-			prevByProv[prev.Prov[i]] = int32(i)
-		}
-	}
-	next := int32(len(prev.Entries))
-	mapping := make([]int32, len(a.Entries)) // old builder index -> new index
-	for i := range a.Entries {
-		if pi, ok := prevByProv[a.Prov[i]]; ok {
-			mapping[i] = pi
-		} else {
-			mapping[i] = next
-			next++
-		}
-	}
-
-	size := int(next)
-	entries := make([]command.TemplateEntry, size)
-	workerOf := make([]ids.WorkerID, size)
-	prov := make([]Provenance, size)
-	for i := range a.Entries {
-		ni := mapping[i]
-		e := a.Entries[i]
-		e.Index = ni
-		for j, b := range e.BeforeIdx {
-			e.BeforeIdx[j] = mapping[b]
-		}
-		if e.Kind == command.CopySend {
-			e.DstIdx = mapping[e.DstIdx]
-		}
-		entries[ni] = e
-		workerOf[ni] = a.WorkerOf[i]
-		prov[ni] = a.Prov[i]
-	}
-	a.Entries = entries
-	a.WorkerOf = workerOf
-	a.Prov = prov
-
-	perWorker := make(map[ids.WorkerID][]int32)
-	for i := range a.Entries {
-		if a.Entries[i].Kind != 0 {
-			perWorker[workerOf[i]] = append(perWorker[workerOf[i]], int32(i))
-		}
-	}
-	a.PerWorker = perWorker
-
-	// Ledger effect indexes must be remapped too; they were produced by
-	// the builder in pre-remap numbering.
-	for w, les := range a.Effects.Ledger {
-		for i := range les {
-			if les[i].LastWriterIdx >= 0 {
-				les[i].LastWriterIdx = mapping[les[i].LastWriterIdx]
-			}
-			for j, r := range les[i].Readers {
-				les[i].Readers[j] = mapping[r]
-			}
-		}
-		a.Effects.Ledger[w] = les
-	}
-	a.recountLive()
 }
