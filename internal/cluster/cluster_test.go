@@ -213,6 +213,64 @@ func TestCentralMode(t *testing.T) {
 	}
 }
 
+// TestRegisterWhileJobLive adds a fixed-fleet worker while a driver job is
+// admitted. The controller coalesces the registration ack and the job's
+// slot quota into one batch frame; the worker must take the whole frame,
+// enter the active set with the job's quota, and serve a partition placed
+// on it.
+func TestRegisterWhileJobLive(t *testing.T) {
+	c := startTestCluster(t, Options{Workers: 2, Slots: 2})
+	d, err := c.Driver("register-live")
+	if err != nil {
+		t.Fatalf("driver: %v", err)
+	}
+	defer d.Close()
+
+	w, err := c.AddWorker()
+	if err != nil {
+		t.Fatalf("add worker with a live job: %v", err)
+	}
+	var workers int
+	c.Controller.Do(func() { workers = c.Controller.WorkerCount() })
+	if workers != 3 {
+		t.Fatalf("active workers = %d, want 3", workers)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for w.QuotaOf(d.Job()) < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("new worker never received the live job's quota")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Placement is round-robin over the sorted active set, so partition 2
+	// of a variable defined now lands on the new worker.
+	x := d.MustVar("x", 3)
+	if err := d.PutFloats(x, 2, []float64{4, 2}); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	type result struct {
+		vals []float64
+		err  error
+	}
+	got := make(chan result, 1)
+	go func() {
+		vals, err := d.GetFloats(x, 2)
+		got <- result{vals, err}
+	}()
+	select {
+	case r := <-got:
+		if r.err != nil || len(r.vals) != 2 || r.vals[0] != 4 || r.vals[1] != 2 {
+			t.Fatalf("get = %v (err %v), want [4 2]", r.vals, r.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("get of a partition on the new worker never resolved")
+	}
+	if w.StoreOf(d.Job()).Len() == 0 {
+		t.Fatal("partition 2 was not placed on the new worker")
+	}
+}
+
 func TestLatencyTransportStillCorrect(t *testing.T) {
 	c := startTestCluster(t, Options{Workers: 3, Latency: 200 * time.Microsecond})
 	d, err := c.Driver("test")

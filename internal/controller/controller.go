@@ -829,7 +829,8 @@ func (c *Controller) handleMsg(ev cevent) {
 	// flight — drop it.
 	switch m := ev.msg.(type) {
 	case *proto.RegisterWorker:
-		c.registerWorker(m, ev.conn)
+		c.nextWorker++
+		c.registerWorker(c.nextWorker, m.DataAddr, m.Slots, ev.conn)
 		return
 	case *proto.FleetAnnounce:
 		c.fleetAnnounce(m, ev.conn)
@@ -933,30 +934,47 @@ func (c *Controller) handleMsg(ev cevent) {
 	}
 }
 
-func (c *Controller) registerWorker(m *proto.RegisterWorker, conn transport.Conn) {
-	c.nextWorker++
-	id := c.nextWorker
+// admitWorker is the controller half of every worker handshake: it records
+// the worker under id, stages its ack (a FleetAdmit if it must warm first)
+// at the head of this turn's frame to it, and starts its pump.
+func (c *Controller) admitWorker(id ids.WorkerID, dataAddr string, slots int, conn transport.Conn, warming bool) *workerState {
 	ws := &workerState{
-		id: id, conn: conn, dataAddr: m.DataAddr,
-		slots: m.Slots, alive: true, lastBeat: time.Now(),
+		id: id, conn: conn, dataAddr: dataAddr,
+		slots: slots, alive: true, lastBeat: time.Now(),
 	}
 	c.workers[id] = ws
-	c.active = append(c.active, id)
-	sort.Slice(c.active, func(i, j int) bool { return c.active[i] < c.active[j] })
-	for _, j := range c.jobs {
-		j.ledgers[id] = flow.NewLedger(id)
+	peers, eager := c.peerMap(), c.cfg.Mode == ModeCentral
+	if warming {
+		ws.phase = phaseWarming
+		c.sendWorker(ws, &proto.FleetAdmit{Worker: id, Peers: peers, Eager: eager})
+	} else {
+		c.sendWorker(ws, &proto.RegisterWorkerAck{Worker: id, Peers: peers, Eager: eager})
 	}
-
-	c.sendWorker(ws, &proto.RegisterWorkerAck{
-		Worker: id, Peers: c.peerMap(), Eager: c.cfg.Mode == ModeCentral,
-	})
-	c.refreshPeers(id)
-	// The new worker needs every admitted job's slot quota. Existing
-	// workers' shares are unchanged by a join (shares are per-worker
-	// slots × weight / totalWeight), so only the newcomer is told.
-	c.sendQuotas(ws)
 	c.wg.Add(1)
 	go c.pump(conn, id, ids.NoJob, false)
+	return ws
+}
+
+// activateWorker is the one place a worker enters the active set and the
+// job ledgers. Its peers learn its address and it learns every job's quota;
+// only the newcomer is told, since shares are per-worker (slots × weight /
+// totalWeight) and a join changes no one else's.
+func (c *Controller) activateWorker(ws *workerState) {
+	ws.phase = phaseActive
+	c.active = append(c.active, ws.id)
+	sort.Slice(c.active, func(i, j int) bool { return c.active[i] < c.active[j] })
+	for _, j := range c.jobs {
+		j.ledgers[ws.id] = flow.NewLedger(ws.id)
+	}
+	c.refreshPeers(ws.id)
+	c.sendQuotas(ws)
+}
+
+// registerWorker admits a worker straight into the active set, under a
+// fresh ID (RegisterWorker) or its prior one (WorkerReconnect).
+func (c *Controller) registerWorker(id ids.WorkerID, dataAddr string, slots int, conn transport.Conn) {
+	c.activateWorker(c.admitWorker(id, dataAddr, slots, conn, false))
+	delete(c.expectRejoin, id)
 	c.maybeStartTakeover()
 }
 

@@ -159,20 +159,9 @@ func (c *Controller) FleetSample() FleetSample {
 // strictly in order.
 func (c *Controller) fleetAnnounce(m *proto.FleetAnnounce, conn transport.Conn) {
 	c.nextWorker++
-	id := c.nextWorker
-	ws := &workerState{
-		id: id, conn: conn, dataAddr: m.DataAddr,
-		slots: m.Slots, alive: true, lastBeat: time.Now(),
-		phase: phaseWarming,
-	}
-	c.workers[id] = ws
-	c.sendWorker(ws, &proto.FleetAdmit{
-		Worker: id, Peers: c.peerMap(), Eager: c.cfg.Mode == ModeCentral,
-	})
+	ws := c.admitWorker(c.nextWorker, m.DataAddr, m.Slots, conn, true)
 	ws.warm = &warmState{start: time.Now()}
 	c.planWarm(ws)
-	c.wg.Add(1)
-	go c.pump(conn, id, ids.NoJob, false)
 }
 
 // planWarm plans every live job's retarget onto the prospective set
@@ -192,7 +181,7 @@ func (c *Controller) planWarm(ws *workerState) {
 			if plans[k].err != nil {
 				c.cfg.Logf("controller: warming %s: retargeting %s %q: %v",
 					ws.id, j.id, plans[k].name, plans[k].err)
-				c.abortJoin(ws)
+				c.dropWorker(ws)
 				return
 			}
 		}
@@ -225,10 +214,10 @@ func (c *Controller) planWarm(ws *workerState) {
 	c.sendWorker(ws, &proto.FleetWarm{Seq: warm.seq})
 }
 
-// abortJoin discards a warming worker. It never entered the active set or
-// any job's ledgers, so there is nothing to recover — the state simply
-// goes away.
-func (c *Controller) abortJoin(ws *workerState) {
+// dropWorker discards a worker outside the active set — warming (an aborted
+// join) or decommissioned. It owns no placement, ledgers or outstanding
+// work, so there is nothing to recover — the state simply goes away.
+func (c *Controller) dropWorker(ws *workerState) {
 	ws.alive = false
 	ws.warm = nil
 	ws.conn.Close()
@@ -300,11 +289,8 @@ func (c *Controller) fleetWarmAck(m *proto.FleetWarmAck) {
 func (c *Controller) finishJoin(ws *workerState, planned map[ids.JobID]*warmJob) {
 	warm := ws.warm
 	ws.warm = nil
-	ws.phase = phaseActive
-	c.active = append(c.active, ws.id)
-	sort.Slice(c.active, func(i, j int) bool { return c.active[i] < c.active[j] })
+	c.activateWorker(ws)
 	for _, j := range c.jobList() {
-		j.ledgers[ws.id] = flow.NewLedger(ws.id)
 		c.reassignAll(j)
 		if wj := planned[j.id]; wj != nil {
 			c.commitRetargets(j, wj.plans, nil, wj.sig)
@@ -322,8 +308,6 @@ func (c *Controller) finishJoin(ws *workerState, planned map[ids.JobID]*warmJob)
 		}
 		j.autoValid = false
 	}
-	c.refreshPeers(ws.id)
-	c.sendQuotas(ws)
 	c.sendWorker(ws, &proto.FleetReady{Worker: ws.id})
 	c.Stats.FleetJoins.Add(1)
 	c.warmLat.record(time.Since(warm.start))
@@ -491,12 +475,10 @@ func (c *Controller) fleetWorkerGone(ws *workerState) bool {
 	switch ws.phase {
 	case phaseWarming:
 		c.cfg.Logf("controller: worker %s lost mid-warm; join aborted", ws.id)
-		c.abortJoin(ws)
+		c.dropWorker(ws)
 		return true
 	case phaseDecommissioned:
-		ws.alive = false
-		ws.conn.Close()
-		delete(c.workers, ws.id)
+		c.dropWorker(ws)
 		return true
 	case phaseDraining:
 		delete(c.draining, ws.id)

@@ -2,7 +2,6 @@ package controller
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"nimbus/internal/core"
@@ -220,25 +219,7 @@ func (c *Controller) reconnectWorker(m *proto.WorkerReconnect, conn transport.Co
 	if m.Worker > c.nextWorker {
 		c.nextWorker = m.Worker
 	}
-	ws := &workerState{
-		id: m.Worker, conn: conn, dataAddr: m.DataAddr,
-		slots: m.Slots, alive: true, lastBeat: time.Now(),
-	}
-	c.workers[m.Worker] = ws
-	c.active = append(c.active, m.Worker)
-	sort.Slice(c.active, func(i, j int) bool { return c.active[i] < c.active[j] })
-	for _, j := range c.jobs {
-		j.ledgers[m.Worker] = flow.NewLedger(m.Worker)
-	}
-	c.sendWorker(ws, &proto.RegisterWorkerAck{
-		Worker: m.Worker, Peers: c.peerMap(), Eager: c.cfg.Mode == ModeCentral,
-	})
-	c.refreshPeers(m.Worker)
-	c.sendQuotas(ws)
-	c.wg.Add(1)
-	go c.pump(conn, m.Worker, ids.NoJob, false)
-	delete(c.expectRejoin, m.Worker)
-	c.maybeStartTakeover()
+	c.registerWorker(m.Worker, m.DataAddr, m.Slots, conn)
 }
 
 // reattachDriver rebinds a driver to its restored job on the promoted

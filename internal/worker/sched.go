@@ -41,7 +41,6 @@ func (w *Worker) enqueue(u *unit) {
 		pc.arrIdx = u.mark + uint64(i)
 		pc.state = psInit
 		pc.missing = 0
-		pc.needPayload = false
 	}
 	js.cmdArrived += uint64(n)
 	if u.ct != nil {
@@ -166,7 +165,6 @@ func (js *jstate) checkPayload(pc *pcmd) {
 		return
 	}
 	if _, ok := js.payloads[pc.cmd.ID]; !ok {
-		pc.needPayload = true
 		js.payWait[pc.cmd.ID] = pc
 		pc.missing++
 	}
@@ -669,7 +667,7 @@ func (w *Worker) handleDone(pc *pcmd) {
 	// subsumes them (paper §2.2: n+1 messages per steady-state block).
 	if instance == 0 {
 		js.completions = append(js.completions, id)
-		if w.eager || len(js.completions) >= w.cfg.CompletionBatch || js.unfin == 0 {
+		if w.eager || len(js.completions) >= completionBatch || js.unfin == 0 {
 			w.flushCompletions(js)
 		}
 	} else if js.unfin == 0 && len(js.completions) > 0 {
@@ -713,6 +711,10 @@ func (w *Worker) completeUnit(u *unit) {
 	}
 	w.releaseUnit(u)
 }
+
+// completionBatch caps how many non-instance completions accumulate before
+// a batched-mode report is flushed.
+const completionBatch = 64
 
 func (w *Worker) flushCompletions(js *jstate) {
 	if len(js.completions) == 0 {

@@ -77,9 +77,6 @@ type Config struct {
 	// HeartbeatEvery is the heartbeat period (zero disables heartbeats;
 	// the controller then relies on connection liveness).
 	HeartbeatEvery time.Duration
-	// CompletionBatch caps how many completions accumulate before a
-	// report is flushed in batched mode. Zero defaults to 64.
-	CompletionBatch int
 	// ChunkSize is the data-plane transfer chunk size in bytes; payloads
 	// larger than one chunk stream as credit-controlled DataChunk runs.
 	// Zero defaults to stream.DefaultChunkSize (256 KiB).
@@ -368,8 +365,6 @@ type pcmd struct {
 	local   int32
 	missing int32
 	state   uint8
-	// needPayload marks a CopyRecv still waiting for its data.
-	needPayload bool
 }
 
 // pcmd states. A pcmd participates in dependency accounting only while
@@ -407,8 +402,8 @@ type inPayload struct {
 type event struct {
 	kind eventKind
 	msg  proto.Msg
-	// msgs carries the trailing messages of a reconnect handshake frame
-	// (the controller batches the ack with quotas, halts, etc.).
+	// msgs carries a reconnect's handshake reply (evReconn): the ack, then
+	// whatever the controller batched behind it (quotas, halts, etc.).
 	msgs []proto.Msg
 	cmd  *pcmd
 	err  error
@@ -481,9 +476,6 @@ func New(cfg Config) *Worker {
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = fn.NewRegistry()
-	}
-	if cfg.CompletionBatch <= 0 {
-		cfg.CompletionBatch = 64
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = log.Printf
@@ -614,8 +606,9 @@ func (w *Worker) StoreOf(job ids.JobID) *datastore.Store {
 	return nil
 }
 
-// Start connects to the controller, registers, and launches the event
-// loop. It returns once registration completes.
+// Start connects to the controller, registers (or, with FleetJoin,
+// announces itself), and launches the event loop. It returns once the
+// controller has admitted the worker.
 func (w *Worker) Start() error {
 	dir := w.cfg.SpillDir
 	if dir == "" {
@@ -642,112 +635,42 @@ func (w *Worker) Start() error {
 		return fmt.Errorf("worker: data listen: %w", err)
 	}
 	w.dataAddr = announcedAddr(w.cfg.DataAddr, dl.Addr())
+	fail := func(err error) error {
+		if w.ctrl != nil {
+			w.ctrl.Close()
+		}
+		dl.Close()
+		w.removeSpillDir()
+		return err
+	}
 	// The controller may not be listening yet (or may be mid-failover):
 	// retry with backoff for a bounded window instead of failing hard.
 	ctrl, err := transport.DialRetry(w.cfg.Transport, w.cfg.ControlAddr, transport.Backoff{}, 0, 2*time.Second, w.stopped)
 	if err != nil {
-		dl.Close()
-		w.removeSpillDir()
-		return fmt.Errorf("worker: control dial: %w", err)
+		return fail(fmt.Errorf("worker: control dial: %w", err))
 	}
 	w.ctrl = ctrl
+	var hello proto.Msg = &proto.RegisterWorker{DataAddr: w.dataAddr, Slots: w.cfg.Slots}
 	if w.cfg.FleetJoin {
-		return w.startFleet(ctrl, dl)
+		hello = &proto.FleetAnnounce{DataAddr: w.dataAddr, Slots: w.cfg.Slots}
 	}
-	if err := w.sendCtrl(&proto.RegisterWorker{DataAddr: w.dataAddr, Slots: w.cfg.Slots}); err != nil {
-		dl.Close()
-		w.removeSpillDir()
-		return fmt.Errorf("worker: register: %w", err)
-	}
-	raw, err := ctrl.Recv()
+	reply, err := w.handshake(ctrl, hello)
 	if err != nil {
-		dl.Close()
-		w.removeSpillDir()
-		return fmt.Errorf("worker: awaiting registration ack: %w", err)
+		return fail(fmt.Errorf("worker: %s: %w", hello.Kind(), err))
 	}
-	msg, err := proto.Unmarshal(raw)
-	proto.PutBuf(raw)
-	if err != nil {
-		dl.Close()
-		w.removeSpillDir()
-		return err
-	}
-	ack, ok := msg.(*proto.RegisterWorkerAck)
-	if !ok {
-		dl.Close()
-		w.removeSpillDir()
-		return fmt.Errorf("worker: expected registration ack, got %s", msg.Kind())
-	}
-	w.id = ack.Worker
-	w.eager = ack.Eager
-	for id, addr := range ack.Peers {
-		w.peers[id] = addr
-	}
-	// Registered workers are in the active set from the first event-loop
-	// turn; there is no warm phase to wait out.
-	w.readyOnce.Do(func() { close(w.readyCh) })
-
-	w.startExecutors()
-	w.wg.Add(3)
-	go w.ctrlPump(ctrl)
-	go w.acceptLoop(dl)
-	go w.run(dl)
-	if w.cfg.HeartbeatEvery > 0 {
-		w.wg.Add(1)
-		go w.heartbeatLoop()
-	}
-	return nil
-}
-
-// startFleet runs the elastic-join handshake: announce, await admission.
-// The controller coalesces its whole admission turn into one frame, so
-// the admit may arrive with template installs and the FleetWarm probe
-// behind it. Those extras are fed into the event loop in order BEFORE the
-// control pump starts, preserving controller message order — the warm ack
-// the controller is waiting for must only be sent after every install in
-// the same frame has been applied.
-func (w *Worker) startFleet(ctrl transport.Conn, dl transport.Listener) error {
-	fail := func(err error) error {
-		ctrl.Close()
-		dl.Close()
-		w.removeSpillDir()
-		return err
-	}
-	if err := w.sendCtrl(&proto.FleetAnnounce{DataAddr: w.dataAddr, Slots: w.cfg.Slots}); err != nil {
-		return fail(fmt.Errorf("worker: fleet announce: %w", err))
-	}
-	raw, err := ctrl.Recv()
-	if err != nil {
-		return fail(fmt.Errorf("worker: awaiting fleet admission: %w", err))
-	}
-	var msgs []proto.Msg
-	err = proto.ForEachMsg(raw, func(m proto.Msg) error {
-		msgs = append(msgs, m)
-		return nil
-	})
-	proto.PutBuf(raw)
-	if err != nil {
-		return fail(err)
-	}
-	if len(msgs) == 0 {
-		return fail(fmt.Errorf("worker: empty fleet admission frame"))
-	}
-	admit, ok := msgs[0].(*proto.FleetAdmit)
-	if !ok {
-		return fail(fmt.Errorf("worker: expected fleet admit, got %s", msgs[0].Kind()))
-	}
-	w.id = admit.Worker
-	w.eager = admit.Eager
-	for id, addr := range admit.Peers {
-		w.peers[id] = addr
+	w.adopt(reply[0])
+	if !w.cfg.FleetJoin {
+		// Registered workers are in the active set from the first event-loop
+		// turn; there is no warm phase to wait out.
+		w.readyOnce.Do(func() { close(w.readyCh) })
 	}
 	w.startExecutors()
 	w.wg.Add(2)
 	go w.acceptLoop(dl)
 	go w.run(dl)
-	// The event loop is live and draining, so these puts cannot deadlock
-	// even if the admission frame outruns the mailbox bound.
-	for _, m := range msgs[1:] {
+	// The rest of the reply goes into the live, draining event loop BEFORE
+	// the control pump starts, preserving controller message order.
+	for _, m := range reply[1:] {
 		w.mbox.put(event{kind: evCtrl, msg: m})
 	}
 	w.wg.Add(1)
@@ -757,6 +680,74 @@ func (w *Worker) startFleet(ctrl transport.Conn, dl transport.Listener) error {
 		go w.heartbeatLoop()
 	}
 	return nil
+}
+
+// handshake is the worker half of every admission exchange: it sends the
+// hello (RegisterWorker, FleetAnnounce or WorkerReconnect) on a fresh
+// control connection and returns the decoded reply frame — the ack, then
+// whatever the controller batched behind it (quotas, halts, installs,
+// FleetWarm). A watcher unblocks the Recv if the worker stops.
+func (w *Worker) handshake(conn transport.Conn, hello proto.Msg) ([]proto.Msg, error) {
+	buf := proto.MarshalAppend(proto.GetBuf(), hello)
+	owned, err := transport.SendOwned(conn, buf)
+	if !owned {
+		proto.PutBuf(buf)
+	}
+	if err != nil {
+		return nil, err
+	}
+	hsDone := make(chan struct{})
+	go func() {
+		select {
+		case <-w.stopped:
+			conn.Close()
+		case <-hsDone:
+		}
+	}()
+	raw, err := conn.Recv()
+	close(hsDone)
+	if err != nil {
+		return nil, err
+	}
+	var reply []proto.Msg
+	err = proto.ForEachMsg(raw, func(m proto.Msg) error {
+		if len(reply) == 0 && ackOf(m) == nil {
+			return fmt.Errorf("worker: expected admission ack, got %s", m.Kind())
+		}
+		reply = append(reply, m)
+		return nil
+	})
+	proto.PutBuf(raw)
+	if err == nil && len(reply) == 0 {
+		err = fmt.Errorf("worker: empty handshake reply")
+	}
+	return reply, err
+}
+
+// ackOf reads an admission ack: a RegisterWorkerAck, or a FleetAdmit, which
+// carries the same fields. Anything else is nil.
+func ackOf(m proto.Msg) *proto.RegisterWorkerAck {
+	switch a := m.(type) {
+	case *proto.RegisterWorkerAck:
+		return a
+	case *proto.FleetAdmit:
+		return (*proto.RegisterWorkerAck)(a)
+	}
+	return nil
+}
+
+// adopt takes what an admission ack assigns: ID, peer map, reporting mode.
+// The ID is set once, at the first admission — a reconnect is acked under
+// the same ID, and leaving it unwritten keeps ID() safe to call off-loop.
+func (w *Worker) adopt(m proto.Msg) {
+	ack := ackOf(m)
+	if w.id == ids.NoWorker {
+		w.id = ack.Worker
+	}
+	w.eager = ack.Eager
+	for id, addr := range ack.Peers {
+		w.peers[id] = addr
+	}
 }
 
 // announcedAddr is the data-plane address a worker gives the controller to
@@ -983,7 +974,7 @@ func (w *Worker) handle(ev *event) (stop bool) {
 		}
 		return true
 	case evReconn:
-		return w.completeReconnect(ev.conn, ev.msg.(*proto.RegisterWorkerAck), ev.msgs)
+		return w.completeReconnect(ev.conn, ev.msgs)
 	}
 	return false
 }
@@ -1040,7 +1031,9 @@ func (w *Worker) reconnectLoop() {
 		if err != nil {
 			return // stopped
 		}
-		ack, extra, err := w.reconnectHandshake(conn)
+		reply, err := w.handshake(conn, &proto.WorkerReconnect{
+			Worker: w.id, DataAddr: w.dataAddr, Slots: w.cfg.Slots,
+		})
 		if err != nil {
 			conn.Close()
 			select {
@@ -1050,81 +1043,28 @@ func (w *Worker) reconnectLoop() {
 				continue
 			}
 		}
-		if !w.mbox.put(event{kind: evReconn, msg: ack, msgs: extra, conn: conn}) {
+		if !w.mbox.put(event{kind: evReconn, msgs: reply, conn: conn}) {
 			conn.Close()
 		}
 		return
 	}
 }
 
-// reconnectHandshake runs the reattach exchange on a fresh connection:
-// announce the prior identity, await the ack. The controller batches its
-// event-loop turn into one frame, so the ack may arrive with quota, halt
-// or other control messages behind it — those are returned for the event
-// loop to process in order after the swap. A watcher unblocks the Recv if
-// the worker stops mid-handshake.
-func (w *Worker) reconnectHandshake(conn transport.Conn) (*proto.RegisterWorkerAck, []proto.Msg, error) {
-	buf := proto.MarshalAppend(proto.GetBuf(), &proto.WorkerReconnect{
-		Worker: w.id, DataAddr: w.dataAddr, Slots: w.cfg.Slots,
-	})
-	if owned, err := transport.SendOwned(conn, buf); err != nil {
-		if !owned {
-			proto.PutBuf(buf)
-		}
-		return nil, nil, err
-	} else if !owned {
-		proto.PutBuf(buf)
-	}
-	hsDone := make(chan struct{})
-	go func() {
-		select {
-		case <-w.stopped:
-			conn.Close()
-		case <-hsDone:
-		}
-	}()
-	raw, err := conn.Recv()
-	close(hsDone)
-	if err != nil {
-		return nil, nil, err
-	}
-	var msgs []proto.Msg
-	err = proto.ForEachMsg(raw, func(m proto.Msg) error {
-		msgs = append(msgs, m)
-		return nil
-	})
-	proto.PutBuf(raw)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(msgs) == 0 {
-		return nil, nil, fmt.Errorf("worker: empty reconnect handshake frame")
-	}
-	ack, ok := msgs[0].(*proto.RegisterWorkerAck)
-	if !ok {
-		return nil, nil, fmt.Errorf("worker: expected reconnect ack, got %s", msgs[0].Kind())
-	}
-	return ack, msgs[1:], nil
-}
-
-// completeReconnect replays the outage buffer on the fresh connection and
-// swaps it in as the control connection. The controller reconciles:
-// replayed completions for commands its takeover recovery discarded fall
-// out of its outstanding tables as unknown IDs, so nothing double-applies,
-// while reports it was still waiting on land exactly once. A send failure
-// mid-replay means the fresh connection died under us: the unsent suffix
-// goes back into the outage buffer — never silently dropped — and the
-// worker stays in outage with a new reconnect loop running.
-func (w *Worker) completeReconnect(conn transport.Conn, ack *proto.RegisterWorkerAck, extra []proto.Msg) (shutdown bool) {
+// completeReconnect adopts the ack, replays the outage buffer on the fresh
+// connection and swaps it in as the control connection. The controller
+// reconciles: replayed completions for commands its takeover recovery
+// discarded fall out of its outstanding tables as unknown IDs, so nothing
+// double-applies, while reports it was still waiting on land exactly once.
+// A send failure mid-replay means the fresh connection died under us: the
+// unsent suffix goes back into the outage buffer — never silently dropped —
+// and the worker stays in outage with a new reconnect loop running.
+func (w *Worker) completeReconnect(conn transport.Conn, reply []proto.Msg) (shutdown bool) {
 	// A promoted standby readmits this worker as a plain active member —
 	// fleet phases are not replicated — so any drain in flight is aborted
 	// and a join mid-warm completes as a plain registration.
 	w.drainFlag.Store(false)
 	w.readyOnce.Do(func() { close(w.readyCh) })
-	w.eager = ack.Eager
-	for id, addr := range ack.Peers {
-		w.peers[id] = addr
-	}
+	w.adopt(reply[0])
 	out := w.outbuf
 	w.outbuf = nil
 	for i, buf := range out {
@@ -1152,7 +1092,7 @@ func (w *Worker) completeReconnect(conn transport.Conn, ack *proto.RegisterWorke
 	w.cfg.Logf("worker %s: reattached to controller, %d buffered frames replayed", w.id, len(out))
 	// Process the rest of the handshake frame (quotas, halts) before the
 	// pump delivers anything newer, preserving controller message order.
-	for _, m := range extra {
+	for _, m := range reply[1:] {
 		if shutdown := w.handleCtrl(m); shutdown {
 			return true
 		}
@@ -1174,10 +1114,7 @@ func (w *Worker) closePeers() {
 func (w *Worker) handleCtrl(msg proto.Msg) bool {
 	switch m := msg.(type) {
 	case *proto.RegisterWorkerAck:
-		// Peer updates arrive as repeated acks with the full peer map.
-		for id, addr := range m.Peers {
-			w.peers[id] = addr
-		}
+		w.adopt(m) // peer updates arrive as repeated acks with the full peer map
 	case *proto.SpawnCommands:
 		js := w.job(m.Job)
 		w.enqueue(w.newBatchUnit(js, m.Cmds, m.Barrier))

@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -87,6 +88,52 @@ func startWorkerHarness(t *testing.T) *fakeController {
 		lis.Close()
 	})
 	return fc
+}
+
+// TestStartClosesControlOnBadAck answers the registration hello with
+// something other than an ack. Start must fail and close the control
+// connection: a connection left open is a member the controller counts as
+// active but nobody serves.
+func TestStartClosesControlOnBadAck(t *testing.T) {
+	tr := transport.NewMem(0)
+	lis, err := tr.Listen("ctrl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	w := New(Config{ControlAddr: "ctrl", DataAddr: "data/1", Transport: tr, Slots: 2, Logf: t.Logf})
+	errc := make(chan error, 1)
+	go func() { errc <- w.Start() }()
+	conn, err := lis.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recv := func() error {
+		got := make(chan error, 1)
+		go func() {
+			_, err := conn.Recv()
+			got <- err
+		}()
+		select {
+		case err := <-got:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatal("control connection neither delivered nor closed")
+			return nil
+		}
+	}
+	if err := recv(); err != nil {
+		t.Fatalf("awaiting hello: %v", err)
+	}
+	if err := conn.Send(proto.Marshal(&proto.Heartbeat{Worker: 1})); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errc; err == nil {
+		t.Fatal("Start accepted a heartbeat as its registration ack")
+	}
+	if err := recv(); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("control connection after failed Start: recv = %v, want ErrClosed", err)
+	}
 }
 
 func (fc *fakeController) send(m proto.Msg) {
