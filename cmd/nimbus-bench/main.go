@@ -7,11 +7,9 @@
 //	nimbus-bench -scale paper -exp table2
 //	nimbus-bench -list
 //
-// With -json, the selected tables plus a fixed set of hot-path
-// micro-benchmarks (ns/op, allocs/op) are also written to the given file
-// as a machine-readable report — the committed BENCH_<n>.json files:
-//
-//	nimbus-bench -exp table2 -json BENCH_6.json
+// Every run first prints this machine's timing error: what a 100µs
+// time.Sleep really takes, and how far simclock.Wait, which every modelled
+// cost goes through, overshoots 100µs on average.
 package main
 
 import (
@@ -21,6 +19,7 @@ import (
 	"time"
 
 	"nimbus/internal/bench"
+	"nimbus/internal/simclock"
 )
 
 var experiments = []struct {
@@ -45,7 +44,6 @@ var experiments = []struct {
 func main() {
 	scaleName := flag.String("scale", "quick", "experiment scale: quick or paper")
 	exp := flag.String("exp", "all", "experiment to run (or 'all')")
-	jsonPath := flag.String("json", "", "write tables + micro-benchmarks (ns/op, allocs/op) to this JSON file")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()
 
@@ -66,7 +64,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var tables []*bench.Table
+	printTimingError()
 	ran := 0
 	for _, e := range experiments {
 		if *exp != "all" && *exp != e.name {
@@ -81,29 +79,24 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("%s(completed in %v)\n\n", t.Format(), time.Since(start).Round(time.Millisecond))
-		tables = append(tables, t)
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; use -list\n", *exp)
 		os.Exit(2)
 	}
-	if *jsonPath != "" {
-		fmt.Printf("running micro-benchmarks...\n")
-		micro := bench.Micro()
-		f, err := os.Create(*jsonPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
+}
+
+// printTimingError reports how far this machine's clock strays from the
+// modelled costs the experiments ask for.
+func printTimingError() {
+	const d, n = 100 * time.Microsecond, 50
+	mean := func(wait func(time.Duration)) time.Duration {
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			wait(d)
 		}
-		if err := bench.WriteJSON(f, scale.Name, tables, micro); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
+		return time.Since(start) / n
 	}
+	fmt.Printf("timing: time.Sleep(%v) takes %v; simclock.Wait(%v) overshoots by %v (means of %d)\n\n",
+		d, mean(time.Sleep), d, mean(simclock.Wait)-d, n)
 }

@@ -41,9 +41,9 @@ type Config struct {
 	ReduceFan int
 	// Seed makes data generation deterministic.
 	Seed int64
-	// Simulated switches task bodies to calibrated sleeps. K-means tasks
-	// are slightly heavier than LR's (Figure 7b iterations run ~45%
-	// longer), so the default simulated duration is 7ms.
+	// Simulated switches task bodies to calibrated waits (fn.Sim).
+	// K-means tasks are slightly heavier than LR's (Figure 7b iterations
+	// run ~45% longer), so the default simulated duration is 7ms.
 	Simulated bool
 	// TaskDuration is the simulated assign task time.
 	TaskDuration time.Duration

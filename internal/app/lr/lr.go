@@ -57,7 +57,7 @@ type Config struct {
 	LearningRate float64
 	// Seed makes data generation deterministic.
 	Seed int64
-	// Simulated switches task bodies to calibrated sleeps.
+	// Simulated switches task bodies to calibrated waits (fn.Sim).
 	Simulated bool
 	// TaskDuration is the simulated Gradient/Estimate task time
 	// (paper-calibrated default: 5ms — 100GB over 8000 tasks on

@@ -23,8 +23,8 @@ type Config struct {
 	MaxReinit, MaxJacobi int
 	// MaxSubsteps bounds the middle loop per frame.
 	MaxSubsteps int
-	// Simulated switches kernels to calibrated sleeps; the loops then run
-	// fixed trip counts (SimReinit/SimJacobi/SimSubsteps).
+	// Simulated switches kernels to calibrated waits (fn.Sim); the loops
+	// then run fixed trip counts (SimReinit/SimJacobi/SimSubsteps).
 	Simulated                         bool
 	SimReinit, SimJacobi, SimSubsteps int
 	// GridTaskDuration / ReduceTaskDuration calibrate simulated stages.

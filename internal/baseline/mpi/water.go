@@ -2,6 +2,8 @@ package mpi
 
 import (
 	"time"
+
+	"nimbus/internal/simclock"
 )
 
 // WaterProfile describes the MPI water-simulation run for the Figure 11
@@ -80,7 +82,7 @@ func RunWaterSubsteps(c *Comm, p WaterProfile) (time.Duration, error) {
 			if waves < 1 {
 				waves = 1
 			}
-			time.Sleep(time.Duration(waves) * p.GridTaskDuration)
+			simclock.Wait(time.Duration(waves) * p.GridTaskDuration)
 		}
 		runStage := func(s waterStage) error {
 			if s.halo {
@@ -90,7 +92,7 @@ func RunWaterSubsteps(c *Comm, p WaterProfile) (time.Duration, error) {
 				}
 			}
 			if s.reduce {
-				time.Sleep(p.ReduceTaskDuration)
+				simclock.Wait(p.ReduceTaskDuration)
 				tag += 2
 				_, err := r.AllReduce(tag, 0, "sum")
 				return err

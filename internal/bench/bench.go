@@ -90,11 +90,13 @@ type Scale struct {
 	// Iterations per measurement.
 	Iterations int
 	// SparkPerTask is the central baseline's modeled per-task scheduling
-	// cost (paper-measured: 166µs for Spark 2.0).
+	// cost (paper-measured: 166µs for Spark 2.0). Central mode still
+	// injects it: the dispatcher waits this long per task.
 	SparkPerTask time.Duration
-	// NimbusPerTask is Nimbus's modeled per-task cost for non-templated
-	// scheduling (paper-measured: 134µs, covering the RPC overhead the
-	// in-memory transport does not pay).
+	// NimbusPerTask is the paper's per-task cost for non-templated Nimbus
+	// scheduling (134µs, covering the RPC overhead the in-memory
+	// transport does not pay). It feeds computed "paper-modelled" columns
+	// only (paperModelled); nothing in the cluster waits for it.
 	NimbusPerTask time.Duration
 	// Water (Figure 11) calibration.
 	WaterWorkers   int
@@ -209,9 +211,40 @@ func (s Scale) nimbusCluster(workers int, mode controller.Mode) (*cluster.Cluste
 	}
 	return cluster.Start(cluster.Options{
 		Workers: workers, Slots: s.Slots, Latency: s.Latency,
-		Mode: mode, CentralPerTaskCost: cost, LivePerTaskCost: s.NimbusPerTask,
-		Registry: reg,
+		Mode: mode, CentralPerTaskCost: cost, Registry: reg,
 	})
+}
+
+// liveSched snapshots a controller's untemplated-scheduling counters.
+type liveSched struct{ nanos, tasks uint64 }
+
+func liveSchedOf(c *controller.Controller) liveSched {
+	return liveSched{c.Stats.ScheduleNanos.Load(), c.Stats.TasksScheduled.Load()}
+}
+
+// paperModelled returns what measured would have been had each task the
+// controller scheduled without a template between from and to cost
+// NimbusPerTask instead of the per-task cost measured over that span:
+// measured + tasks × (NimbusPerTask − measured per task). The assumption
+// behind it is modelledNote's.
+func (s Scale) paperModelled(measured time.Duration, from, to liveSched) time.Duration {
+	tasks := to.tasks - from.tasks
+	if tasks == 0 {
+		return measured
+	}
+	perTask := time.Duration((to.nanos - from.nanos) / tasks)
+	return measured + time.Duration(tasks)*(s.NimbusPerTask-perTask)
+}
+
+// modelledNote states how the paper-modelled values are computed.
+func (s Scale) modelledNote() string {
+	return fmt.Sprintf("paper-modelled = measured + untemplated tasks x (%v - measured per-task cost); "+
+		"it assumes the untemplated controller schedules serially, so each task's extra cost adds to the wall time", s.NimbusPerTask)
+}
+
+// sparkNote labels the times central mode's injected cost produces.
+func (s Scale) sparkNote() string {
+	return fmt.Sprintf("central-mode (spark-opt) times are paper-modelled: the central dispatcher waits %v per task, the paper's Spark 2.0 cost", s.SparkPerTask)
 }
 
 // measuredJob bundles one running measurement setup.

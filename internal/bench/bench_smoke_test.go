@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strconv"
 	"testing"
 	"time"
 )
@@ -52,4 +53,35 @@ func TestEveryExperimentRuns(t *testing.T) {
 			}
 		})
 	}
+}
+
+// Table 1's untemplated scheduling cost is measured, not injected: a huge
+// NimbusPerTask shows up only in the paper-modelled column.
+func TestTable1MeasuresUntemplatedScheduling(t *testing.T) {
+	s := smokeScale()
+	s.NimbusPerTask = 10 * time.Millisecond
+	tbl, err := Table1(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range tbl.Rows {
+		if row[0] != "Nimbus schedule task (no templates)" {
+			continue
+		}
+		measured, err := strconv.ParseFloat(row[1], 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if measured >= 1000 {
+			t.Errorf("measured untemplated scheduling cost %vus, want under 1ms", measured)
+		}
+		if len(row) < 3 {
+			t.Fatalf("row %q has no paper-modelled cell", row)
+		}
+		if modelled, err := strconv.ParseFloat(row[2], 64); err != nil || modelled != 10000 {
+			t.Errorf("paper-modelled cell %q, want 10000", row[2])
+		}
+		return
+	}
+	t.Fatalf("table1 has no untemplated scheduling row:\n%s", tbl.Format())
 }

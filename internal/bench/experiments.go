@@ -26,7 +26,7 @@ func Fig1(s Scale) (*Table, error) {
 		Title:   "Control plane bottleneck: LR under the central (Spark-like) scheduler",
 		Columns: []string{"workers", "iteration(ms)", "compute(ms)", "control(ms)"},
 		Notes: []string{
-			fmt.Sprintf("central per-task scheduling cost modeled at %v (paper-measured Spark 2.0 value)", s.SparkPerTask),
+			s.sparkNote(),
 			"paper shape: compute shrinks with workers, completion time grows",
 		},
 	}
@@ -65,8 +65,7 @@ func Table1(s Scale) (*Table, error) {
 	if _, err := m.timeUntemplatedIterations(1); err != nil {
 		return nil, err
 	}
-	schedNanos := m.c.Controller.Stats.ScheduleNanos.Load()
-	schedTasks := int(m.c.Controller.Stats.TasksScheduled.Load())
+	sched := liveSchedOf(m.c.Controller)
 
 	// Recorded install.
 	if err := m.j.InstallTemplates(); err != nil {
@@ -93,18 +92,21 @@ func Table1(s Scale) (*Table, error) {
 	for _, w := range m.c.Workers {
 		wInstall += w.Stats.InstallNanos.Load()
 	}
+	// Scheduled one at a time, each untemplated task's paper-modelled cost
+	// is NimbusPerTask itself; the templated rows schedule none.
+	templated := func(name string, d time.Duration) []string { return []string{name, us(d), us(d)} }
 	t := &Table{
 		ID:      "table1",
 		Title:   "Template installation is fast compared to scheduling (per-task costs)",
-		Columns: []string{"operation", "per-task cost(us)"},
+		Columns: []string{"operation", "measured(us)", "paper-modelled(us)"},
 		Rows: [][]string{
-			{"Installing controller template", us(record)},
-			{"Installing worker template on controller", us(finalize)},
-			{"Installing worker template on worker", us(perTask(wInstall, tasks))},
-			{"Nimbus schedule task (no templates)", us(perTask(schedNanos, schedTasks))},
-			{"Spark schedule task (modeled)", us(s.SparkPerTask)},
+			templated("Installing controller template", record),
+			templated("Installing worker template on controller", finalize),
+			templated("Installing worker template on worker", perTask(wInstall, tasks)),
+			{"Nimbus schedule task (no templates)", us(perTask(sched.nanos, int(sched.tasks))), us(s.NimbusPerTask)},
+			{"Spark schedule task (paper-modelled)", "-", us(s.SparkPerTask)},
 		},
-		Notes: []string{fmt.Sprintf("%d tasks across %d workers", tasks, workers)},
+		Notes: []string{fmt.Sprintf("%d tasks across %d workers", tasks, workers), s.modelledNote()},
 	}
 	return t, nil
 }
@@ -364,6 +366,7 @@ func Fig7(s Scale) (*Table, error) {
 		Columns: []string{"app", "workers", "spark-opt(ms)", "naiad-opt(ms)", "nimbus(ms)", "compute(ms)"},
 		Notes: []string{
 			"paper shape: Nimbus ~= Naiad and both scale; Spark is 70-100% slower at the low end and 15-23x at 100 workers",
+			s.sparkNote(),
 		},
 	}
 	for _, app := range []string{"lr", "kmeans"} {
@@ -527,6 +530,7 @@ func Fig8(s Scale) (*Table, error) {
 		Columns: []string{"workers", "spark-opt", "nimbus"},
 		Notes: []string{
 			"paper shape: Spark saturates ~6k tasks/s; Nimbus reaches 128k tasks/s at 100 workers",
+			s.sparkNote(),
 		},
 	}
 	tasksPerIter := s.Tasks + s.Tasks/s.ReduceFan + 1
@@ -571,12 +575,14 @@ func Fig9(s Scale) (*Table, error) {
 	t := &Table{
 		ID:      "fig9",
 		Title:   "Dynamic adaptation timeline (per-iteration times)",
-		Columns: []string{"iteration", "time(ms)", "event"},
+		Columns: []string{"iteration", "time(ms)", "paper-modelled(ms)", "event"},
 		Notes: []string{
 			"paper shape: slow without templates; fast after install; doubled compute on half the workers; revalidation spike on restore",
+			s.modelledNote(),
 		},
 	}
 	iterate := func(idx int, f func() error, event string) error {
+		sched := liveSchedOf(m.c.Controller)
 		start := time.Now()
 		if err := f(); err != nil {
 			return err
@@ -584,7 +590,9 @@ func Fig9(s Scale) (*Table, error) {
 		if err := m.j.D.Barrier(); err != nil {
 			return err
 		}
-		t.Rows = append(t.Rows, []string{fmt.Sprint(idx), ms(time.Since(start)), event})
+		took := time.Since(start)
+		modelled := s.paperModelled(took, sched, liveSchedOf(m.c.Controller))
+		t.Rows = append(t.Rows, []string{fmt.Sprint(idx), ms(took), ms(modelled), event})
 		return nil
 	}
 	idx := 1
@@ -785,22 +793,25 @@ func Fig11(s Scale) (*Table, error) {
 		Columns: []string{"system", "frame(ms)", "vs MPI"},
 		Notes: []string{
 			"paper: MPI 31.7s, Nimbus 36.5s (+15%), Nimbus w/o templates 196.8s (+520%)",
+			s.modelledNote(),
 		},
 	}
-	runNimbus := func(useTemplates bool) (time.Duration, error) {
+	// runNimbus returns the measured frame time and its paper-modelled
+	// counterpart.
+	runNimbus := func(useTemplates bool) (time.Duration, time.Duration, error) {
 		reg := fn.NewRegistry()
 		water.Register(reg)
 		c, err := cluster.Start(cluster.Options{
 			Workers: s.WaterWorkers, Slots: s.Slots, Latency: s.Latency,
-			LivePerTaskCost: s.NimbusPerTask, Registry: reg,
+			Registry: reg,
 		})
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		defer c.Stop()
 		d, err := c.Driver("bench")
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		rows := s.WaterParts * 4
 		j, err := water.Setup(d, water.Config{
@@ -810,52 +821,56 @@ func Fig11(s Scale) (*Table, error) {
 			GridTaskDuration: s.WaterGridDur, ReduceTaskDuration: s.WaterReduceDur,
 		})
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		if useTemplates {
 			if err := j.InstallTemplates(); err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 			if err := d.Barrier(); err != nil {
-				return 0, err
+				return 0, 0, err
 			}
 		}
+		sched := liveSchedOf(c.Controller)
 		start := time.Now()
 		for f := 0; f < s.WaterFrames; f++ {
 			if useTemplates {
 				if _, err := j.RunFrame(f + 1); err != nil {
-					return 0, err
+					return 0, 0, err
 				}
 			} else {
 				// Templates off: every stage is submitted and scheduled
 				// afresh, substep by substep.
 				for step := 0; step < s.WaterSubsteps; step++ {
 					if err := j.SubmitPreStages(); err != nil {
-						return 0, err
+						return 0, 0, err
 					}
 					for i := 0; i < s.WaterReinit; i++ {
 						if err := j.SubmitReinitStages(); err != nil {
-							return 0, err
+							return 0, 0, err
 						}
 					}
 					if err := j.SubmitMidStages(); err != nil {
-						return 0, err
+						return 0, 0, err
 					}
 					for i := 0; i < s.WaterJacobi; i++ {
 						if err := j.SubmitJacobiStages(); err != nil {
-							return 0, err
+							return 0, 0, err
 						}
 					}
 					if err := j.SubmitPostStages(); err != nil {
-						return 0, err
+						return 0, 0, err
 					}
 				}
 			}
 		}
 		if err := d.Barrier(); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		return time.Since(start) / time.Duration(s.WaterFrames), nil
+		took := time.Since(start)
+		modelled := s.paperModelled(took, sched, liveSchedOf(c.Controller))
+		frames := time.Duration(s.WaterFrames)
+		return took / frames, modelled / frames, nil
 	}
 
 	comm, err := mpi.NewComm(s.WaterWorkers, s.Latency)
@@ -875,11 +890,11 @@ func Fig11(s Scale) (*Table, error) {
 	}
 	mpiFrame := time.Since(start) / time.Duration(s.WaterFrames)
 
-	withT, err := runNimbus(true)
+	withT, _, err := runNimbus(true)
 	if err != nil {
 		return nil, err
 	}
-	withoutT, err := runNimbus(false)
+	withoutT, withoutModelled, err := runNimbus(false)
 	if err != nil {
 		return nil, err
 	}
@@ -890,6 +905,7 @@ func Fig11(s Scale) (*Table, error) {
 		{"MPI (hand-tuned, static)", ms(mpiFrame), "+0%"},
 		{"Nimbus with templates", ms(withT), rel(withT)},
 		{"Nimbus w/o templates", ms(withoutT), rel(withoutT)},
+		{"Nimbus w/o templates (paper-modelled)", ms(withoutModelled), rel(withoutModelled)},
 	}
 	return t, nil
 }

@@ -85,7 +85,7 @@ func TestEvictDeadWorkerDuringTakeover(t *testing.T) {
 	select {
 	case res = <-resCh:
 	case <-time.After(60 * time.Second):
-		t.Fatal("driver program hung: takeover stalled on the dead worker")
+		leakcheck.Hung(t, "driver program hung: takeover stalled on the dead worker")
 	}
 	if res.err != nil {
 		t.Fatalf("failover run: %v", res.err)

@@ -38,9 +38,6 @@ type Options struct {
 	// CentralPerTaskCost calibrates the central baseline's per-task
 	// scheduling cost (paper: 166µs for Spark 2.0).
 	CentralPerTaskCost time.Duration
-	// LivePerTaskCost calibrates non-templated scheduling in Nimbus mode
-	// (paper: 134µs/task).
-	LivePerTaskCost time.Duration
 	// Registry supplies application functions (default: built-ins only).
 	Registry *fn.Registry
 	// HeartbeatEvery / HeartbeatTimeout enable failure detection.
@@ -172,7 +169,6 @@ func (c *Cluster) controllerConfig() controller.Config {
 		Transport:          c.net,
 		Mode:               c.opts.Mode,
 		CentralPerTaskCost: c.opts.CentralPerTaskCost,
-		LivePerTaskCost:    c.opts.LivePerTaskCost,
 		HeartbeatTimeout:   c.opts.HeartbeatTimeout,
 		BuildParallelism:   c.opts.BuildParallelism,
 		LeaseTTL:           c.opts.LeaseTTL,

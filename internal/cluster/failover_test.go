@@ -135,7 +135,7 @@ func TestKillControllerMidKmeansStandbyFinishes(t *testing.T) {
 	select {
 	case res = <-resCh:
 	case <-time.After(30 * time.Second):
-		t.Fatal("driver program hung after failover")
+		leakcheck.Hung(t, "driver program hung after failover")
 	}
 	if res.err != nil {
 		t.Fatalf("failover run: %v", res.err)
@@ -316,7 +316,7 @@ func TestFailoverWorkerAutonomyBuffersAndReplays(t *testing.T) {
 	select {
 	case res = <-resCh:
 	case <-time.After(30 * time.Second):
-		t.Fatal("driver program hung after failover")
+		leakcheck.Hung(t, "driver program hung after failover")
 	}
 	if res.err != nil {
 		t.Fatalf("driver program: %v", res.err)
@@ -426,7 +426,7 @@ func TestFailoverDriverReissuesUnresolvedGets(t *testing.T) {
 	select {
 	case res = <-resCh:
 	case <-time.After(30 * time.Second):
-		t.Fatal("driver futures hung after failover")
+		leakcheck.Hung(t, "driver futures hung after failover")
 	}
 	if res.err != nil {
 		t.Fatalf("driver program: %v", res.err)

@@ -2,7 +2,9 @@
 // Failover and chaos-soak tests register it before building a cluster;
 // since t.Cleanup runs LIFO, the check fires after the cluster's own
 // teardown and catches pumps, tick loops, reconnect retriers or data-
-// plane writers that survived it.
+// plane writers that survived it. The same tests fail through Hung when
+// they time out waiting on the cluster, so a hang leaves every
+// goroutine's stack behind as well.
 package leakcheck
 
 import (
@@ -36,9 +38,27 @@ func Check(t testing.TB) {
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
-		buf := make([]byte, 1<<20)
-		m := runtime.Stack(buf, true)
 		t.Errorf("leakcheck: %d goroutines leaked (baseline %d, now %d):\n%s",
-			n-base, base, n, buf[:m])
+			n-base, base, n, stacks())
 	})
+}
+
+// Hung fails the test with msg followed by every goroutine's stack. Tests
+// call it when a wait on the cluster times out.
+func Hung(t testing.TB, msg string) {
+	t.Helper()
+	t.Fatalf("%s; goroutines:\n%s", msg, stacks())
+}
+
+// stacks returns every goroutine's stack, growing the buffer until the
+// dump fits.
+func stacks() []byte {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return buf[:n]
+		}
+		buf = make([]byte, 2*len(buf))
+	}
 }

@@ -135,7 +135,7 @@ func TestSoakKmeansControllerKillUnderChaos(t *testing.T) {
 			select {
 			case res = <-resCh:
 			case <-time.After(60 * time.Second):
-				t.Fatal("driver program hung after failover under chaos")
+				leakcheck.Hung(t, "driver program hung after failover under chaos")
 			}
 			if res.err != nil {
 				t.Fatalf("soak run: %v", res.err)

@@ -72,16 +72,11 @@ type Config struct {
 	Transport transport.Transport
 	// Mode selects the scheduling regime.
 	Mode Mode
-	// CentralPerTaskCost models the baseline scheduler's per-task CPU cost
-	// in ModeCentral (the paper measures 166µs/task for Spark 2.0; zero
+	// CentralPerTaskCost models the baseline scheduler's per-task cost in
+	// ModeCentral: the dispatcher waits this long (simclock.Wait) before
+	// sending each task (the paper measures 166µs/task for Spark 2.0; zero
 	// disables the model and measures this implementation's native cost).
 	CentralPerTaskCost time.Duration
-	// LivePerTaskCost models the per-task cost of non-templated central
-	// scheduling in ModeNimbus (the paper measures 134µs/task for Nimbus,
-	// including the RPC and syscall overhead an in-memory loopback does
-	// not pay; zero measures this implementation's native cost). It is
-	// what makes templates matter: templated instantiation bypasses it.
-	LivePerTaskCost time.Duration
 	// HeartbeatTimeout marks a worker failed after silence (zero disables
 	// heartbeat-based detection; connection errors still trigger it).
 	HeartbeatTimeout time.Duration

@@ -10,6 +10,7 @@ import (
 	"nimbus/internal/ids"
 	"nimbus/internal/params"
 	"nimbus/internal/proto"
+	"nimbus/internal/simclock"
 	"nimbus/internal/stream"
 )
 
@@ -365,9 +366,6 @@ func (c *Controller) scheduleStageLive(j *jobState, m *proto.SubmitStage) error 
 			Reads: readObjs, Writes: writeObjs, Before: before, Params: p,
 		})
 		c.Stats.TasksScheduled.Add(1)
-		if c.cfg.Mode == ModeNimbus && c.cfg.LivePerTaskCost > 0 {
-			spinWait(c.cfg.LivePerTaskCost)
-		}
 	}
 	c.dispatchCommands(j, batches)
 	return nil
@@ -533,7 +531,7 @@ func (g *centralGraph) complete(done []ids.CommandID) {
 }
 
 // dispatchReady sends every ready command, modeling the baseline
-// scheduler's per-task cost with a calibrated busy wait.
+// scheduler's per-task cost with a calibrated wait.
 func (g *centralGraph) dispatchReady() {
 	for {
 		progressed := false
@@ -544,9 +542,7 @@ func (g *centralGraph) dispatchReady() {
 			n.dispatched = true
 			n.ready = false
 			progressed = true
-			if cost := g.c.cfg.CentralPerTaskCost; cost > 0 {
-				spinWait(cost)
-			}
+			simclock.Wait(g.c.cfg.CentralPerTaskCost)
 			g.c.sendWorker(g.c.workers[n.worker], &proto.SpawnCommands{
 				Job:  g.j.id,
 				Cmds: []*command.Command{n.cmd},
@@ -556,12 +552,5 @@ func (g *centralGraph) dispatchReady() {
 		if !progressed {
 			return
 		}
-	}
-}
-
-// spinWait models scheduler CPU time.
-func spinWait(d time.Duration) {
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
 	}
 }

@@ -3,10 +3,10 @@
 // Task commands name a FunctionID; workers resolve it through a Registry
 // shared (by construction, at process start) between the application and
 // every worker. Functions receive a Ctx exposing the task's read buffers,
-// write buffers and parameter blob. Two built-in functions support the
-// scaling experiments: Sim occupies an executor slot for a parameterized
-// duration without burning CPU (so a hundred simulated workers can share
-// one machine), and Spin busy-waits for callers that want real occupancy.
+// write buffers and parameter blob. The built-in Sim supports the scaling
+// experiments: it occupies an executor slot for a parameterized duration,
+// leaving the CPU free for all but the last 1.5ms of it (so a hundred
+// simulated workers can share one machine), and Nop does nothing.
 package fn
 
 import (
@@ -16,6 +16,7 @@ import (
 
 	"nimbus/internal/ids"
 	"nimbus/internal/params"
+	"nimbus/internal/simclock"
 )
 
 // Ctx is the execution context handed to an application function.
@@ -99,7 +100,6 @@ func NewRegistry() *Registry {
 		names:  make(map[ids.FunctionID]string),
 	}
 	r.MustRegister(FuncSim, "builtin/sim", Sim)
-	r.MustRegister(FuncSpin, "builtin/spin", Spin)
 	r.MustRegister(FuncNop, "builtin/nop", func(*Ctx) error { return nil })
 	return r
 }
@@ -107,7 +107,8 @@ func NewRegistry() *Registry {
 // Built-in function IDs. Application IDs start at FirstAppFunc.
 const (
 	FuncSim ids.FunctionID = iota + 1
-	FuncSpin
+	// ID 2 is reserved so FuncNop keeps its wire ID.
+	_
 	FuncNop
 	// FirstAppFunc is the first ID available to applications.
 	FirstAppFunc ids.FunctionID = 100
@@ -157,33 +158,23 @@ func (r *Registry) ID(name string) ids.FunctionID {
 	return r.byName[name]
 }
 
-// SimParams encodes a Sim/Spin task's duration.
+// SimParams encodes a Sim task's duration.
 func SimParams(d time.Duration) params.Blob {
 	return params.NewEncoder(16).Duration(d).Blob()
 }
 
-// SimDuration decodes a Sim/Spin task's duration.
+// SimDuration decodes a Sim task's duration.
 func SimDuration(p params.Blob) time.Duration {
 	return params.NewDecoder(p).Duration()
 }
 
-// Sim models a computation of the parameterized duration by sleeping: the
-// executor slot stays occupied but the CPU is free, letting many simulated
-// workers share one machine. Scaling experiments calibrate the duration to
-// the paper's workloads (≈5ms per LR task).
+// Sim models a computation of the parameterized duration through
+// simclock.Wait: the executor slot stays occupied, and the CPU is free
+// only for waits longer than 1.5ms (and then for all but their last
+// 1.5ms), which lets many simulated workers share one machine. Scaling
+// experiments calibrate the duration to the paper's workloads (≈5ms per
+// LR task).
 func Sim(c *Ctx) error {
-	if d := SimDuration(c.Params); d > 0 {
-		time.Sleep(d)
-	}
-	return nil
-}
-
-// Spin busy-waits for the parameterized duration, modeling a computation
-// that really occupies a core. Use only with few concurrent workers.
-func Spin(c *Ctx) error {
-	d := SimDuration(c.Params)
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-	}
+	simclock.Wait(SimDuration(c.Params))
 	return nil
 }

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"nimbus/internal/bufpool"
+	"nimbus/internal/simclock"
 )
 
 // ErrClosed is returned by operations on a closed connection or listener.
@@ -302,11 +303,11 @@ func (q *memQueue) pop() ([]byte, error) {
 			if q.latency > 0 {
 				now := time.Now()
 				if wait := item.due.Sub(now); wait > 0 {
-					// Sleep outside the lock, then re-check; only this reader
+					// Wait outside the lock, then re-check; only this reader
 					// pops, so the head cannot change out from under us except
 					// by growing.
 					q.mu.Unlock()
-					time.Sleep(wait)
+					simclock.Wait(wait)
 					q.mu.Lock()
 					continue
 				}

@@ -112,6 +112,7 @@ func TestTCPOrderingAndClose(t *testing.T) {
 }
 
 func TestMemLatency(t *testing.T) {
+	// One hop is never delivered early.
 	const lat = 5 * time.Millisecond
 	a, b := Pipe(lat)
 	defer a.Close()
@@ -125,6 +126,39 @@ func TestMemLatency(t *testing.T) {
 	}
 	if d := time.Since(start); d < lat {
 		t.Fatalf("delivered in %v, want >= %v", d, lat)
+	}
+
+	// Serial round trips cost what the model says: 100 of them at 100µs a
+	// hop take 20ms, not the ~1ms-per-hop floor a plain time.Sleep pays.
+	// The fastest of three attempts is judged, since the OS can deschedule
+	// the receiver for milliseconds on a loaded box.
+	const hop, trips = 100 * time.Microsecond, 100
+	c, d := Pipe(hop)
+	defer c.Close()
+	defer d.Close()
+	var best time.Duration
+	for attempt := 0; attempt < 3; attempt++ {
+		start = time.Now()
+		for i := 0; i < trips; i++ {
+			if err := c.Send([]byte("ping")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Recv(); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Send([]byte("pong")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Recv(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if took := time.Since(start); attempt == 0 || took < best {
+			best = took
+		}
+	}
+	if best < 2*trips*hop || best > 40*time.Millisecond {
+		t.Fatalf("%d round trips over Pipe(%v) took %v at best, want %v to 40ms", trips, hop, best, 2*trips*hop)
 	}
 }
 
