@@ -4,11 +4,10 @@
 //
 // The worker registers the built-in functions plus the bundled
 // applications (lr, kmeans, water), so driver programs built from this
-// repository can run against it directly. With -fleet the worker joins
-// elastically: it is warmed (every live job's active templates installed
-// and compiled) before it takes traffic, and a controller-initiated
-// drain lets it retire without failing a command (DESIGN.md "Elastic
-// fleet").
+// repository can run against it directly. A worker that joins while a job
+// is live is warmed (every live job's active templates installed and
+// compiled) before it takes traffic, and a controller-initiated drain lets
+// it retire without failing a command (DESIGN.md "Elastic fleet").
 package main
 
 import (
@@ -31,7 +30,6 @@ func main() {
 	slots := flag.Int("slots", 8, "executor slots")
 	ckptDir := flag.String("checkpoint-dir", "nimbus-checkpoints", "durable storage directory")
 	hb := flag.Duration("heartbeat", time.Second, "heartbeat period")
-	fleetJoin := flag.Bool("fleet", false, "join elastically: warm before taking traffic, drainable")
 	flag.Parse()
 
 	reg := fn.NewRegistry()
@@ -47,20 +45,17 @@ func main() {
 		Registry:       reg,
 		Durable:        durable.NewFS(*ckptDir),
 		HeartbeatEvery: *hb,
-		FleetJoin:      *fleetJoin,
 		Logf:           log.Printf,
 	})
 	if err := w.Start(); err != nil {
 		log.Fatalf("starting worker: %v", err)
 	}
-	if *fleetJoin {
-		log.Printf("nimbus worker %s admitted by %s (data plane %s, %d slots); warming...",
-			w.ID(), *ctrl, *data, *slots)
-		<-w.Ready()
-		log.Printf("nimbus worker %s warmed and active", w.ID())
-	} else {
-		log.Printf("nimbus worker %s registered with %s (data plane %s, %d slots)",
-			w.ID(), *ctrl, *data, *slots)
+	log.Printf("nimbus worker %s admitted by %s (data plane %s, %d slots)",
+		w.ID(), *ctrl, *data, *slots)
+	select {
+	case <-w.Ready():
+		log.Printf("nimbus worker %s active", w.ID())
+	case <-w.Stopped():
 	}
 	if err := w.Wait(); err != nil {
 		log.Printf("worker stopped: %v", err)

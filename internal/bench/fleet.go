@@ -86,14 +86,8 @@ func Fleet(s Scale) (*Table, error) {
 	for _, size := range sizes[1:] {
 		batch := size - fleetWorkers(c)
 		for i := 0; i < batch; i++ {
-			w, err := c.JoinWorker()
-			if err != nil {
+			if _, err := c.AddWorker(); err != nil {
 				return nil, fmt.Errorf("join to %d: %w", size, err)
-			}
-			select {
-			case <-w.Ready():
-			case <-time.After(30 * time.Second):
-				return nil, fmt.Errorf("join to %d: worker never became ready", size)
 			}
 		}
 		dur, err := iterate()
@@ -208,9 +202,9 @@ func (s Scale) fleetReference(cfg kmeans.Config, iters int) ([]byte, error) {
 }
 
 // fleetSim joins a bare FleetSimWorkers-node fleet over Mem (no jobs, so
-// each join is pure lifecycle protocol) and drains it back, reporting
-// throughput. It exercises the controller's fleet tables at a scale an
-// in-process cluster with live jobs cannot reach.
+// each join is one hello and one ack with nothing to warm) and drains it
+// back, reporting throughput. It exercises the controller's fleet tables
+// at a scale an in-process cluster with live jobs cannot reach.
 func (s Scale) fleetSim() (string, error) {
 	c, err := cluster.Start(cluster.Options{Workers: 4, Slots: 1})
 	if err != nil {
@@ -220,14 +214,8 @@ func (s Scale) fleetSim() (string, error) {
 	target := s.FleetSimWorkers
 	joinStart := time.Now()
 	for fleetWorkers(c) < target {
-		w, err := c.JoinWorker()
-		if err != nil {
-			return "", fmt.Errorf("fleet sim join: %w", err)
-		}
-		select {
-		case <-w.Ready():
-		case <-time.After(30 * time.Second):
-			return "", fmt.Errorf("fleet sim: worker never became ready at size %d", fleetWorkers(c))
+		if _, err := c.AddWorker(); err != nil {
+			return "", fmt.Errorf("fleet sim join at size %d: %w", fleetWorkers(c), err)
 		}
 	}
 	joinDur := time.Since(joinStart)
@@ -240,8 +228,7 @@ func (s Scale) fleetSim() (string, error) {
 	drainDur := time.Since(drainStart)
 	st := c.Controller.FleetStats()
 	return fmt.Sprintf(
-		"%d-worker fleet sim over Mem: joined in %v (%.0f joins/s, warm p99 %v), drained in %v (%.0f drains/s)",
-		target, joinDur.Round(time.Millisecond), float64(st.Joins)/joinDur.Seconds(),
-		st.WarmP99.Round(time.Microsecond),
+		"%d-worker fleet sim over Mem: joined in %v (%.0f joins/s), drained in %v (%.0f drains/s)",
+		target, joinDur.Round(time.Millisecond), float64(target-4)/joinDur.Seconds(),
 		drainDur.Round(time.Millisecond), float64(st.Drains)/drainDur.Seconds()), nil
 }

@@ -183,10 +183,8 @@ func (c *Cluster) controllerConfig() controller.Config {
 	}
 }
 
-// workerConfig builds the worker Config shared by every startup path —
-// fixed-fleet registration (AddWorker) and elastic joins (JoinWorker)
-// differ only in the handshake flag.
-func (c *Cluster) workerConfig(fleetJoin bool) worker.Config {
+// workerConfig builds the Config of the cluster's next worker.
+func (c *Cluster) workerConfig() worker.Config {
 	c.nextIdx++
 	return worker.Config{
 		ControlAddr:    ControlAddr,
@@ -200,14 +198,16 @@ func (c *Cluster) workerConfig(fleetJoin bool) worker.Config {
 		PeerQueueBytes: c.opts.PeerQueueBytes,
 		RecvBudget:     c.opts.RecvBudget,
 		SpillDir:       c.opts.SpillDir,
-		FleetJoin:      fleetJoin,
 		Logf:           c.opts.Logf,
 	}
 }
 
-// startWorker starts a worker from cfg and tracks it in the cluster.
-func (c *Cluster) startWorker(cfg worker.Config) (*worker.Worker, error) {
-	w := worker.New(cfg)
+// JoinWorker starts one more worker and tracks it in the cluster. Start
+// returns once the controller has admitted it; the worker's Ready channel
+// closes once it is active — at once, unless a live job warms it first
+// (every active template installed and compiled before it takes traffic).
+func (c *Cluster) JoinWorker() (*worker.Worker, error) {
+	w := worker.New(c.workerConfig())
 	if err := w.Start(); err != nil {
 		return nil, err
 	}
@@ -215,17 +215,18 @@ func (c *Cluster) startWorker(cfg worker.Config) (*worker.Worker, error) {
 	return w, nil
 }
 
-// AddWorker starts one more worker and registers it with the controller.
+// AddWorker starts one more worker and returns once it is active.
 func (c *Cluster) AddWorker() (*worker.Worker, error) {
-	return c.startWorker(c.workerConfig(false))
-}
-
-// JoinWorker starts one more worker through the elastic-fleet lifecycle:
-// it announces itself, is warmed with every live job's active templates,
-// and only enters the scheduler's active set at FleetReady. Start returns
-// after admission; wait on the worker's Ready channel for warm completion.
-func (c *Cluster) JoinWorker() (*worker.Worker, error) {
-	return c.startWorker(c.workerConfig(true))
+	w, err := c.JoinWorker()
+	if err != nil {
+		return nil, err
+	}
+	select {
+	case <-w.Ready():
+		return w, nil
+	case <-w.Stopped():
+		return nil, fmt.Errorf("cluster: worker %s stopped before it became active", w.ID())
+	}
 }
 
 // FleetSample adapts the controller's load snapshot to the autoscaler's

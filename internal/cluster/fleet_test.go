@@ -126,6 +126,75 @@ func TestFleetJoinWarmBeforeTraffic(t *testing.T) {
 	}
 }
 
+// TestAddWorkerMidJobIsWarmed adds a worker with AddWorker, the plain way
+// in, in the middle of the same iterative job as
+// TestFleetJoinWarmBeforeTraffic. Whether a fresh worker warms is the
+// controller's call, not the caller's: with a job live it must be warmed
+// before AddWorker returns, then take work, and leave the centroids
+// bit-identical to an undisturbed run.
+func TestAddWorkerMidJobIsWarmed(t *testing.T) {
+	leakcheck.Check(t)
+	const iters = 8
+
+	refReg := testRegistry(t)
+	kmeans.Register(refReg)
+	ref := startTestCluster(t, Options{Workers: 2, Slots: 2, Registry: refReg})
+	refCents, refD, err := runKmeansExplicit(ref, iters)
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	refD.Close()
+
+	reg := testRegistry(t)
+	kmeans.Register(reg)
+	c := startTestCluster(t, Options{Workers: 2, Slots: 2, Registry: reg})
+	d, err := c.Driver("kmeans-add")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	j, err := kmeans.Setup(d, kmeansFailoverCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.InstallTemplate(); err != nil {
+		t.Fatal(err)
+	}
+	iterate := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := j.Iterate(); err != nil {
+				t.Fatalf("iterate %d: %v", i, err)
+			}
+			if _, err := j.ShiftValue(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	iterate(0, 3)
+
+	w, err := c.AddWorker()
+	if err != nil {
+		t.Fatalf("add worker: %v", err)
+	}
+	compiles, acts := w.Stats.TemplateCompiles.Load(), w.Stats.Activations.Load()
+	if compiles == 0 || acts != 0 {
+		t.Fatalf("worker added mid-job: compiles=%d activations=%d at ready, want compiles > 0 and no activations", compiles, acts)
+	}
+
+	iterate(3, iters)
+	cents, err := d.Get(j.Centroids, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cents, refCents) {
+		t.Fatal("centroids after mid-run AddWorker differ from undisturbed run")
+	}
+	if w.Stats.Activations.Load() == 0 {
+		t.Fatal("worker added mid-job took no work")
+	}
+}
+
 // TestFleetDrainDuringConcurrentLoops drains a worker while two jobs are
 // both mid-InstantiateWhile. Both loops must converge bit-identically to
 // an undisturbed run with zero failed commands: a drain is a planned
@@ -287,14 +356,14 @@ func TestFleetChaosKillMidWarmLeavesNoState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Play the doomed worker on a raw connection: announce, then die
+	// Play the doomed worker on a raw connection: register, then die
 	// mid-warm while the controller is stalled planning our templates.
 	armed.Store(true)
 	conn, err := c.Transport.Dial(ControlAddr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := conn.Send(proto.Marshal(&proto.FleetAnnounce{DataAddr: "nimbus/data/99", Slots: 2})); err != nil {
+	if err := conn.Send(proto.Marshal(&proto.RegisterWorker{DataAddr: "nimbus/data/99", Slots: 2})); err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan []byte, 1)

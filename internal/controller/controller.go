@@ -177,11 +177,11 @@ type Stats struct {
 	Evictions    atomic.Uint64
 	JobsExpired  atomic.Uint64
 	CkptsAborted atomic.Uint64
-	// FleetJoins / FleetDrains count completed elastic-fleet lifecycle
-	// transitions (fleet.go): a join is announce→warm→ready, a drain is
-	// drain→quiesce→decommission. Neither counts fixed-fleet
-	// registrations or failures.
-	FleetJoins  atomic.Uint64
+	// WarmJoins / FleetDrains count completed elastic-fleet lifecycle
+	// transitions (fleet.go): a join is hello→warm→ready, a drain is
+	// drain→quiesce→decommission. Neither counts workers activated with
+	// nothing to warm, or failures.
+	WarmJoins   atomic.Uint64
 	FleetDrains atomic.Uint64
 
 	ScheduleNanos    atomic.Uint64 // live per-task scheduling
@@ -248,7 +248,7 @@ type Controller struct {
 	loopLat         latencyRecorder
 
 	// Elastic fleet (fleet.go): workers mid-drain awaiting quiescence,
-	// and the lifecycle latency rings (announce→ready warm latency,
+	// and the lifecycle latency rings (hello→ready warm latency,
 	// drain→decommission rebalance latency).
 	draining map[ids.WorkerID]struct{}
 	warmLat  latencyRecorder
@@ -387,10 +387,11 @@ type workerState struct {
 	slots    int
 	alive    bool
 	lastBeat time.Time
-	// phase is the fleet lifecycle state (fleet.go); fixed-fleet workers
-	// are born phaseActive. pending mirrors the last heartbeat's queue
-	// depth — the autoscaler's load signal. warm/drainStart track the
-	// lifecycle transition in flight, if any.
+	// phase is the fleet lifecycle state (fleet.go); a worker with
+	// nothing to warm is active from the turn that admits it. pending
+	// mirrors the last heartbeat's queue depth — the autoscaler's load
+	// signal. warm/drainStart track the lifecycle transition in flight, if
+	// any.
 	phase      workerPhase
 	pending    int
 	warm       *warmState
@@ -663,8 +664,16 @@ func (c *Controller) trackConn(conn transport.Conn) {
 
 // untrackConn forgets a tracked connection once it is done — its pump
 // exited, or its handshake was rejected without one — so reconnect churn
-// over a long-lived controller does not pin dead Conn objects.
+// over a long-lived controller does not pin dead Conn objects. Once the
+// node is stopping it forgets nothing: a pump that quit on c.stopped left
+// its connection open, and Kill, which closes c.stopped before it collects
+// the registry, must still sever it or the peer never sees the crash.
 func (c *Controller) untrackConn(conn transport.Conn) {
+	select {
+	case <-c.stopped:
+		return
+	default:
+	}
 	c.connMu.Lock()
 	if c.conns != nil {
 		delete(c.conns, conn)
@@ -736,8 +745,7 @@ func (c *Controller) handshake(conn transport.Conn) {
 	}
 	switch msg.(type) {
 	case *proto.RegisterWorker, *proto.RegisterDriver, *proto.GatewayHello,
-		*proto.ReplAttach, *proto.WorkerReconnect, *proto.DriverReattach,
-		*proto.FleetAnnounce:
+		*proto.ReplAttach, *proto.DriverReattach:
 		c.trackConn(conn)
 		select {
 		case c.events <- cevent{kind: cevMsg, msg: msg, conn: conn, at: time.Now()}:
@@ -824,11 +832,7 @@ func (c *Controller) handleMsg(ev cevent) {
 	// flight — drop it.
 	switch m := ev.msg.(type) {
 	case *proto.RegisterWorker:
-		c.nextWorker++
-		c.registerWorker(c.nextWorker, m.DataAddr, m.Slots, ev.conn)
-		return
-	case *proto.FleetAnnounce:
-		c.fleetAnnounce(m, ev.conn)
+		c.registerWorker(m, ev.conn)
 		return
 	case *proto.FleetWarmAck:
 		c.fleetWarmAck(m)
@@ -847,9 +851,6 @@ func (c *Controller) handleMsg(ev cevent) {
 		return
 	case *proto.ReplAck:
 		c.handleReplAck(m)
-		return
-	case *proto.WorkerReconnect:
-		c.reconnectWorker(m, ev.conn)
 		return
 	case *proto.DriverReattach:
 		c.reattachDriver(m, ev.conn, ev.gw, ev.sess)
@@ -929,31 +930,53 @@ func (c *Controller) handleMsg(ev cevent) {
 	}
 }
 
-// admitWorker is the controller half of every worker handshake: it records
-// the worker under id, stages its ack (a FleetAdmit if it must warm first)
-// at the head of this turn's frame to it, and starts its pump.
-func (c *Controller) admitWorker(id ids.WorkerID, dataAddr string, slots int, conn transport.Conn, warming bool) *workerState {
+// registerWorker is the controller half of every worker hello. A worker
+// presenting a prior ID (back after a controller switch or a dropped
+// connection) keeps it: the ID is its data-plane identity — peers address
+// fetches by it and a promoted directory rebinds the job state it still
+// holds. A fresh worker gets the next ID. The ack goes at the head of this
+// turn's frame to the worker. A fresh worker joining while a job is live
+// takes the warm round first (fleet.go); every other worker enters the
+// active set in this turn.
+func (c *Controller) registerWorker(m *proto.RegisterWorker, conn transport.Conn) {
+	id := m.Worker
+	if id == ids.NoWorker {
+		c.nextWorker++
+		id = c.nextWorker
+	} else if ws := c.workers[id]; ws != nil && ws.alive {
+		c.cfg.Logf("controller: reconnect for live %s rejected", id)
+		conn.Close()
+		c.untrackConn(conn)
+		return
+	} else if id > c.nextWorker {
+		c.nextWorker = id
+	}
 	ws := &workerState{
-		id: id, conn: conn, dataAddr: dataAddr,
-		slots: slots, alive: true, lastBeat: time.Now(),
+		id: id, conn: conn, dataAddr: m.DataAddr,
+		slots: m.Slots, alive: true, lastBeat: time.Now(),
 	}
 	c.workers[id] = ws
-	peers, eager := c.peerMap(), c.cfg.Mode == ModeCentral
-	if warming {
-		ws.phase = phaseWarming
-		c.sendWorker(ws, &proto.FleetAdmit{Worker: id, Peers: peers, Eager: eager})
-	} else {
-		c.sendWorker(ws, &proto.RegisterWorkerAck{Worker: id, Peers: peers, Eager: eager})
-	}
+	c.sendWorker(ws, &proto.RegisterWorkerAck{Worker: id, Peers: c.peerMap(), Eager: c.cfg.Mode == ModeCentral})
 	c.wg.Add(1)
 	go c.pump(conn, id, ids.NoJob, false)
-	return ws
+	// Jobs parked behind a takeover have no placement yet: the worker is
+	// part of the roster they will be recovered onto, not a join.
+	if m.Worker == ids.NoWorker && len(c.jobs) > 0 && !c.takeoverWait {
+		ws.phase = phaseWarming
+		ws.warm = &warmState{start: time.Now()}
+		c.planWarm(ws)
+		return
+	}
+	c.activateWorker(ws)
+	delete(c.expectRejoin, id)
+	c.maybeStartTakeover()
 }
 
 // activateWorker is the one place a worker enters the active set and the
 // job ledgers. Its peers learn its address and it learns every job's quota;
 // only the newcomer is told, since shares are per-worker (slots × weight /
-// totalWeight) and a join changes no one else's.
+// totalWeight) and a join changes no one else's. FleetReady rides in the
+// same frame as whatever activated the worker.
 func (c *Controller) activateWorker(ws *workerState) {
 	ws.phase = phaseActive
 	c.active = append(c.active, ws.id)
@@ -963,14 +986,7 @@ func (c *Controller) activateWorker(ws *workerState) {
 	}
 	c.refreshPeers(ws.id)
 	c.sendQuotas(ws)
-}
-
-// registerWorker admits a worker straight into the active set, under a
-// fresh ID (RegisterWorker) or its prior one (WorkerReconnect).
-func (c *Controller) registerWorker(id ids.WorkerID, dataAddr string, slots int, conn transport.Conn) {
-	c.activateWorker(c.admitWorker(id, dataAddr, slots, conn, false))
-	delete(c.expectRejoin, id)
-	c.maybeStartTakeover()
+	c.sendWorker(ws, &proto.FleetReady{Worker: ws.id})
 }
 
 // peerMap is the data-plane address of every worker a peer may still

@@ -9,19 +9,20 @@ import (
 	"nimbus/internal/flow"
 	"nimbus/internal/ids"
 	"nimbus/internal/proto"
-	"nimbus/internal/transport"
 )
 
 // This file implements the elastic worker fleet lifecycle (DESIGN.md
 // "Elastic fleet"):
 //
-//	announce → admit → warm → ready          (join)
+//	hello → ack → warm → ready               (join while a job is live)
 //	drain → (retarget + eager flush) → decommission
 //
-// A joining worker is admitted outside the active set, warmed — every live
-// job's retargeted templates are installed and compiled on it before it
-// takes any traffic — and only then entered into placement and the
-// fair-share allocator. Drain is the reverse: the departing worker's
+// A fresh worker that registers while a job is live is admitted outside
+// the active set, warmed — every live job's retargeted templates are
+// installed and compiled on it before it takes any traffic — and only then
+// entered into placement and the fair-share allocator. With nothing to warm
+// (no live job, or jobs parked behind a takeover) registerWorker activates
+// it in the same turn. Drain is the reverse: the departing worker's
 // partitions retarget onto the survivors atomically (the SetActive/Migrate
 // machinery from the adaptation path), its latest data is eagerly flushed,
 // and it is decommissioned only once its outstanding work reaches zero, so
@@ -29,19 +30,19 @@ import (
 //
 // None of the lifecycle state is replicated to a standby: a promoted
 // controller's snapshot carries only the active roster. A worker caught
-// mid-drain reconnects through the ordinary PR 6 reconcile path and rejoins
-// as a plain active worker (drain-abort); a worker caught mid-warm rejoins
-// cold. Both are safe because warm is a latency optimization and drain is
+// mid-drain registers again under its prior ID and rejoins as a plain
+// active worker (drain-abort); a worker caught mid-warm rejoins cold. Both
+// are safe because warm is a latency optimization and drain is
 // re-issuable.
 
-// workerPhase is a worker's fleet lifecycle state. Workers registered
-// through the fixed-fleet RegisterWorker path are born active.
+// workerPhase is a worker's fleet lifecycle state. A worker with nothing
+// to warm is active from the turn that admits it.
 type workerPhase uint8
 
 const (
 	// phaseActive: in c.active, eligible for placement.
 	phaseActive workerPhase = iota
-	// phaseWarming: admitted via FleetAnnounce, receiving template
+	// phaseWarming: admitted while a job is live, receiving template
 	// installs; not in c.active, owns no ledgers, takes no traffic.
 	phaseWarming
 	// phaseDraining: removed from c.active, still serving its in-flight
@@ -86,8 +87,9 @@ type FleetStats struct {
 	// Joins / Drains count completed lifecycle transitions.
 	Joins  uint64
 	Drains uint64
-	// WarmP50/P99 are quantiles of announce-to-ready latency over the
-	// recent window; RebalanceP50/P99 of drain-to-decommission latency.
+	// WarmP50/P99 are quantiles of hello-to-ready latency of warmed joins
+	// over the recent window; RebalanceP50/P99 of drain-to-decommission
+	// latency.
 	WarmP50      time.Duration
 	WarmP99      time.Duration
 	RebalanceP50 time.Duration
@@ -107,7 +109,7 @@ func (c *Controller) FleetStats() FleetStats {
 				s.Draining++
 			}
 		}
-		s.Joins = c.Stats.FleetJoins.Load()
+		s.Joins = c.Stats.WarmJoins.Load()
 		s.Drains = c.Stats.FleetDrains.Load()
 		s.WarmP50 = c.warmLat.quantile(0.50)
 		s.WarmP99 = c.warmLat.quantile(0.99)
@@ -150,18 +152,6 @@ func (c *Controller) FleetSample() FleetSample {
 		}
 	})
 	return s
-}
-
-// fleetAnnounce admits an elastically-joining worker: allocate its ID and
-// state outside the active set, reply with the admit, and start the warm
-// round. The admit, every template install and the warm marker coalesce
-// into one frame on the FIFO control channel, so the worker processes them
-// strictly in order.
-func (c *Controller) fleetAnnounce(m *proto.FleetAnnounce, conn transport.Conn) {
-	c.nextWorker++
-	ws := c.admitWorker(c.nextWorker, m.DataAddr, m.Slots, conn, true)
-	ws.warm = &warmState{start: time.Now()}
-	c.planWarm(ws)
 }
 
 // planWarm plans every live job's retarget onto the prospective set
@@ -308,8 +298,7 @@ func (c *Controller) finishJoin(ws *workerState, planned map[ids.JobID]*warmJob)
 		}
 		j.autoValid = false
 	}
-	c.sendWorker(ws, &proto.FleetReady{Worker: ws.id})
-	c.Stats.FleetJoins.Add(1)
+	c.Stats.WarmJoins.Add(1)
 	c.warmLat.record(time.Since(warm.start))
 	c.cfg.Logf("controller: worker %s joined fleet (%d active, warmed in %v)",
 		ws.id, len(c.active), time.Since(warm.start).Round(time.Microsecond))

@@ -17,12 +17,12 @@ import (
 // When the standby's lease expires (standby.go) it calls NewFromReplica
 // with its shadow state and StartTakeover to re-bind the primary's listen
 // endpoint. Restored jobs park behind pendingTakeover while the worker
-// roster reassembles via WorkerReconnect; once every expected worker is
-// back, beginTakeover replays each job's definition history to rebuild
-// variables and template recordings, then drives the job through the
-// existing halt → revert-to-checkpoint → replay-oplog recovery path
-// (recovery.go). Reattaching drivers learn the job's applied-op count and
-// resend the journaled suffix the dead primary never logged.
+// roster reassembles as workers register under their prior IDs; once every
+// expected worker is back, beginTakeover replays each job's definition
+// history to rebuild variables and template recordings, then drives the job
+// through the existing halt → revert-to-checkpoint → replay-oplog recovery
+// path (recovery.go). Reattaching drivers learn the job's applied-op count
+// and resend the journaled suffix the dead primary never logged.
 
 // NewFromReplica builds a controller from a replicated snapshot. The
 // result is inert until StartTakeover; epoch is the promoted leadership
@@ -202,24 +202,6 @@ func (c *Controller) replayDef(j *jobState, m proto.Msg) {
 	default:
 		c.cfg.Logf("controller: unexpected replicated definition %s", m.Kind())
 	}
-}
-
-// reconnectWorker readmits a worker under its prior identity after a
-// controller switch (or a transient connection drop). The ID is the
-// worker's data-plane identity — peers address fetches by it and the
-// promoted directory will rebind the job state it still holds — so unlike
-// registration it is preserved, not allocated.
-func (c *Controller) reconnectWorker(m *proto.WorkerReconnect, conn transport.Conn) {
-	if ws := c.workers[m.Worker]; ws != nil && ws.alive {
-		c.cfg.Logf("controller: reconnect for live %s rejected", m.Worker)
-		conn.Close()
-		c.untrackConn(conn)
-		return
-	}
-	if m.Worker > c.nextWorker {
-		c.nextWorker = m.Worker
-	}
-	c.registerWorker(m.Worker, m.DataAddr, m.Slots, conn)
 }
 
 // reattachDriver rebinds a driver to its restored job on the promoted

@@ -92,7 +92,6 @@ const (
 	KindReplJobStart
 	KindReplJobEnd
 	KindLeaseRenew
-	KindWorkerReconnect
 	KindDriverReattach
 	KindReattachAck
 	KindDataChunk
@@ -103,8 +102,6 @@ const (
 	KindMuxData
 	KindSessionClose
 	KindAdmissionReject
-	KindFleetAnnounce
-	KindFleetAdmit
 	KindFleetWarm
 	KindFleetWarmAck
 	KindFleetReady
@@ -171,7 +168,6 @@ var kinds = [KindMax]struct {
 	KindReplJobStart:        {"repl-job-start", func() Msg { return new(ReplJobStart) }},
 	KindReplJobEnd:          {"repl-job-end", func() Msg { return new(ReplJobEnd) }},
 	KindLeaseRenew:          {"lease-renew", func() Msg { return new(LeaseRenew) }},
-	KindWorkerReconnect:     {"worker-reconnect", func() Msg { return new(WorkerReconnect) }},
 	KindDriverReattach:      {"driver-reattach", func() Msg { return new(DriverReattach) }},
 	KindReattachAck:         {"reattach-ack", func() Msg { return new(ReattachAck) }},
 	KindDataChunk:           {"data-chunk", func() Msg { return new(DataChunk) }},
@@ -182,8 +178,6 @@ var kinds = [KindMax]struct {
 	KindMuxData:             {"mux-data", func() Msg { return new(MuxData) }},
 	KindSessionClose:        {"session-close", func() Msg { return new(SessionClose) }},
 	KindAdmissionReject:     {"admission-reject", func() Msg { return new(AdmissionReject) }},
-	KindFleetAnnounce:       {"fleet-announce", func() Msg { return new(FleetAnnounce) }},
-	KindFleetAdmit:          {"fleet-admit", func() Msg { return new(FleetAdmit) }},
 	KindFleetWarm:           {"fleet-warm", func() Msg { return new(FleetWarm) }},
 	KindFleetWarmAck:        {"fleet-warm-ack", func() Msg { return new(FleetWarmAck) }},
 	KindFleetReady:          {"fleet-ready", func() Msg { return new(FleetReady) }},
@@ -239,11 +233,16 @@ func Unmarshal(b []byte) (Msg, error) {
 // ---------------------------------------------------------------------------
 // Registration
 
-// RegisterWorker is the first message a worker sends to the controller.
-// DataAddr is the worker's data-plane listen address, which the controller
-// distributes so workers can exchange data directly (control-plane
-// requirement 2, paper §3.1).
+// RegisterWorker is the first message a worker sends on every control
+// connection. DataAddr is the worker's data-plane listen address, which the
+// controller distributes so workers can exchange data directly
+// (control-plane requirement 2, paper §3.1). Worker is NoWorker for a fresh
+// worker, which the controller assigns the next ID; a worker back after a
+// controller outage presents its prior ID, so the controller reconciles it
+// against the replicated roster instead of treating it as new capacity.
+// Either way the controller answers with a RegisterWorkerAck.
 type RegisterWorker struct {
+	Worker   ids.WorkerID
 	DataAddr string
 	// Slots is the number of tasks the worker executes concurrently
 	// (c3.2xlarge workers in the paper have 8 cores).
@@ -254,13 +253,15 @@ type RegisterWorker struct {
 func (*RegisterWorker) Kind() MsgKind { return KindRegisterWorker }
 
 func (m *RegisterWorker) fields(c *wire.Coder) {
+	wire.Uv(c, &m.Worker)
 	c.Str(&m.DataAddr)
 	wire.Uv(c, &m.Slots)
 }
 
-// RegisterWorkerAck assigns the worker its ID and tells it about its peers'
-// data-plane addresses. Peers is keyed by worker ID; updates arrive as new
-// workers join.
+// RegisterWorkerAck is the one admission ack: it assigns the worker its ID
+// (or echoes its prior one) and tells it about its peers' data-plane
+// addresses. Peers is keyed by worker ID; later acks refresh the map as
+// workers join and leave.
 type RegisterWorkerAck struct {
 	Worker ids.WorkerID
 	Peers  map[ids.WorkerID]string
@@ -1150,8 +1151,8 @@ func (m *ErrorMsg) fields(c *wire.Coder) { c.Str(&m.Text) }
 // primary's applied driver ops (ReplOp, acked with ReplAck so the primary
 // can bound the replication window), checkpoint commits (ReplCkpt), job
 // admissions/teardowns (ReplJobStart/ReplJobEnd) and lease renewals
-// (LeaseRenew). After a takeover, workers re-present their identity with
-// WorkerReconnect and drivers re-bind their job with DriverReattach /
+// (LeaseRenew). After a takeover, workers re-present their identity in
+// RegisterWorker and drivers re-bind their job with DriverReattach /
 // ReattachAck.
 
 // ReplAttach is the first message a hot-standby controller sends on its
@@ -1344,26 +1345,6 @@ func (m *LeaseRenew) fields(c *wire.Coder) {
 	c.U64(&m.TTLMillis)
 }
 
-// WorkerReconnect re-registers a worker that survived a controller
-// outage: it presents its previously assigned identity so the promoted
-// controller can match it against the replicated roster and reconcile
-// instead of treating it as new capacity. The controller answers with the
-// usual RegisterWorkerAck echoing the preserved ID.
-type WorkerReconnect struct {
-	Worker   ids.WorkerID
-	DataAddr string
-	Slots    int
-}
-
-// Kind implements Msg.
-func (*WorkerReconnect) Kind() MsgKind { return KindWorkerReconnect }
-
-func (m *WorkerReconnect) fields(c *wire.Coder) {
-	wire.Uv(c, &m.Worker)
-	c.Str(&m.DataAddr)
-	wire.Uv(c, &m.Slots)
-}
-
 // DriverReattach re-binds a driver to its job after a controller switch.
 // Name must match the job's admitted name (a cheap identity check).
 type DriverReattach struct {
@@ -1488,46 +1469,12 @@ func (m *AdmissionReject) fields(c *wire.Coder) {
 }
 
 // ---------------------------------------------------------------------------
-// Elastic fleet lifecycle (announce → admit → warm → ready; drain →
-// decommission). A joining worker announces itself instead of registering:
-// the controller admits it outside the active set, streams every live job's
-// active templates at it, and only enters it into placement once the worker
+// Elastic fleet lifecycle (hello → ack → warm → ready; drain →
+// decommission). A fresh worker that registers while a job is live is
+// admitted outside the active set: the controller streams every live job's
+// active templates at it and only enters it into placement once the worker
 // acknowledges the warm marker — so a new worker never takes traffic with a
 // cold template cache.
-
-// FleetAnnounce is the first message an elastically-joining worker sends.
-// Unlike RegisterWorker it does not enter the worker into the active set:
-// the controller replies with FleetAdmit and runs the warm protocol first.
-type FleetAnnounce struct {
-	DataAddr string
-	Slots    int
-}
-
-// Kind implements Msg.
-func (*FleetAnnounce) Kind() MsgKind { return KindFleetAnnounce }
-
-func (m *FleetAnnounce) fields(c *wire.Coder) {
-	c.Str(&m.DataAddr)
-	wire.Uv(c, &m.Slots)
-}
-
-// FleetAdmit assigns an announcing worker its ID and peer map. The worker
-// is admitted but not yet active: template installs follow, then a
-// FleetWarm marker.
-type FleetAdmit struct {
-	Worker ids.WorkerID
-	Peers  map[ids.WorkerID]string
-	Eager  bool
-}
-
-// Kind implements Msg.
-func (*FleetAdmit) Kind() MsgKind { return KindFleetAdmit }
-
-func (m *FleetAdmit) fields(c *wire.Coder) {
-	wire.Uv(c, &m.Worker)
-	peers(c, &m.Peers)
-	c.Bool(&m.Eager)
-}
 
 // FleetWarm is the controller's warm marker: it follows the batch of
 // template installs for a joining worker on the FIFO control channel, so
@@ -1558,8 +1505,9 @@ func (m *FleetWarmAck) fields(c *wire.Coder) {
 	c.U64(&m.Seq)
 }
 
-// FleetReady tells a warmed worker it has entered the active set and will
-// start receiving traffic.
+// FleetReady tells a worker it has entered the active set and will start
+// receiving traffic: in the turn that admitted it, or once its warm round
+// completes.
 type FleetReady struct {
 	Worker ids.WorkerID
 }

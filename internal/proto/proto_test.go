@@ -99,15 +99,13 @@ func everyMessage() []Msg {
 		&ReplJobStart{Job: 3, Name: "late", Weight: 2, Tenant: "acme"},
 		&ReplJobEnd{Job: 3},
 		&LeaseRenew{Epoch: 1, TTLMillis: 500},
-		&WorkerReconnect{Worker: 2, DataAddr: "data/2", Slots: 8},
+		&RegisterWorker{Worker: 2, DataAddr: "data/2", Slots: 8},
 		&DriverReattach{Job: 2, Name: "drv", Weight: 1},
 		&ReattachAck{Job: 2, Applied: 18, Ok: true, Err: "none"},
 		&GatewayHello{},
 		&MuxData{Session: 5, Seq: 9, Raw: []byte{byte(KindPut), 1, 2}},
 		&SessionClose{Session: 5},
 		&AdmissionReject{Code: RejectQueueFull, RetryAfterMillis: 250, Err: "admission queue full"},
-		&FleetAnnounce{DataAddr: "data/9", Slots: 8},
-		&FleetAdmit{Worker: 9, Peers: map[ids.WorkerID]string{1: "a", 2: "b"}, Eager: true},
 		&FleetWarm{Seq: 3},
 		&FleetWarmAck{Worker: 9, Seq: 3},
 		&FleetReady{Worker: 9},

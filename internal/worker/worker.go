@@ -91,12 +91,6 @@ type Config struct {
 	// SpillDir is where receive-side spill files live. Empty means a
 	// private temp directory, removed at Stop.
 	SpillDir string
-	// FleetJoin selects the elastic-fleet handshake: the worker announces
-	// itself (FleetAnnounce) instead of registering, is warmed with every
-	// live job's templates before taking traffic, and honors drain /
-	// decommission orders. Ready() closes once the controller admits it
-	// into the active set.
-	FleetJoin bool
 	// Logf receives diagnostics. Nil defaults to log.Printf.
 	Logf func(format string, args ...any)
 }
@@ -277,9 +271,9 @@ type Worker struct {
 
 	// Fleet lifecycle. drainFlag marks a FleetDrain received — in-flight
 	// work keeps executing, and a reconnect after failover clears it
-	// (drain-abort). readyCh closes when the worker enters the active set
-	// (at registration for fixed-fleet workers, at FleetReady for elastic
-	// joins). Both are observable off the event loop by tests.
+	// (drain-abort). readyCh closes at the first FleetReady, when the worker
+	// enters the active set. Both are observable off the event loop by
+	// tests.
 	drainFlag atomic.Bool
 	readyCh   chan struct{}
 	readyOnce sync.Once
@@ -606,9 +600,10 @@ func (w *Worker) StoreOf(job ids.JobID) *datastore.Store {
 	return nil
 }
 
-// Start connects to the controller, registers (or, with FleetJoin,
-// announces itself), and launches the event loop. It returns once the
-// controller has admitted the worker.
+// Start connects to the controller, registers, and launches the event
+// loop. It returns once the controller has admitted the worker; Ready
+// closes once it is active, which is at once unless a live job warms it
+// first.
 func (w *Worker) Start() error {
 	dir := w.cfg.SpillDir
 	if dir == "" {
@@ -650,20 +645,11 @@ func (w *Worker) Start() error {
 		return fail(fmt.Errorf("worker: control dial: %w", err))
 	}
 	w.ctrl = ctrl
-	var hello proto.Msg = &proto.RegisterWorker{DataAddr: w.dataAddr, Slots: w.cfg.Slots}
-	if w.cfg.FleetJoin {
-		hello = &proto.FleetAnnounce{DataAddr: w.dataAddr, Slots: w.cfg.Slots}
-	}
-	reply, err := w.handshake(ctrl, hello)
+	reply, err := w.handshake(ctrl)
 	if err != nil {
-		return fail(fmt.Errorf("worker: %s: %w", hello.Kind(), err))
+		return fail(fmt.Errorf("worker: register: %w", err))
 	}
-	w.adopt(reply[0])
-	if !w.cfg.FleetJoin {
-		// Registered workers are in the active set from the first event-loop
-		// turn; there is no warm phase to wait out.
-		w.readyOnce.Do(func() { close(w.readyCh) })
-	}
+	w.adopt(reply[0].(*proto.RegisterWorkerAck))
 	w.startExecutors()
 	w.wg.Add(2)
 	go w.acceptLoop(dl)
@@ -683,11 +669,13 @@ func (w *Worker) Start() error {
 }
 
 // handshake is the worker half of every admission exchange: it sends the
-// hello (RegisterWorker, FleetAnnounce or WorkerReconnect) on a fresh
-// control connection and returns the decoded reply frame — the ack, then
-// whatever the controller batched behind it (quotas, halts, installs,
-// FleetWarm). A watcher unblocks the Recv if the worker stops.
-func (w *Worker) handshake(conn transport.Conn, hello proto.Msg) ([]proto.Msg, error) {
+// RegisterWorker hello on a fresh control connection — carrying the
+// worker's ID, which is NoWorker until the first ack assigns one — and
+// returns the decoded reply frame: the RegisterWorkerAck, then whatever
+// the controller batched behind it (quotas, halts, installs, FleetWarm or
+// FleetReady). A watcher unblocks the Recv if the worker stops.
+func (w *Worker) handshake(conn transport.Conn) ([]proto.Msg, error) {
+	hello := &proto.RegisterWorker{Worker: w.id, DataAddr: w.dataAddr, Slots: w.cfg.Slots}
 	buf := proto.MarshalAppend(proto.GetBuf(), hello)
 	owned, err := transport.SendOwned(conn, buf)
 	if !owned {
@@ -711,7 +699,7 @@ func (w *Worker) handshake(conn transport.Conn, hello proto.Msg) ([]proto.Msg, e
 	}
 	var reply []proto.Msg
 	err = proto.ForEachMsg(raw, func(m proto.Msg) error {
-		if len(reply) == 0 && ackOf(m) == nil {
+		if _, ok := m.(*proto.RegisterWorkerAck); len(reply) == 0 && !ok {
 			return fmt.Errorf("worker: expected admission ack, got %s", m.Kind())
 		}
 		reply = append(reply, m)
@@ -724,23 +712,10 @@ func (w *Worker) handshake(conn transport.Conn, hello proto.Msg) ([]proto.Msg, e
 	return reply, err
 }
 
-// ackOf reads an admission ack: a RegisterWorkerAck, or a FleetAdmit, which
-// carries the same fields. Anything else is nil.
-func ackOf(m proto.Msg) *proto.RegisterWorkerAck {
-	switch a := m.(type) {
-	case *proto.RegisterWorkerAck:
-		return a
-	case *proto.FleetAdmit:
-		return (*proto.RegisterWorkerAck)(a)
-	}
-	return nil
-}
-
 // adopt takes what an admission ack assigns: ID, peer map, reporting mode.
 // The ID is set once, at the first admission — a reconnect is acked under
 // the same ID, and leaving it unwritten keeps ID() safe to call off-loop.
-func (w *Worker) adopt(m proto.Msg) {
-	ack := ackOf(m)
+func (w *Worker) adopt(ack *proto.RegisterWorkerAck) {
 	if w.id == ids.NoWorker {
 		w.id = ack.Worker
 	}
@@ -767,9 +742,12 @@ func announcedAddr(configured, bound string) string {
 }
 
 // Ready is closed once the controller has entered this worker into the
-// active set: immediately after registration for fixed-fleet workers, at
-// FleetReady (warm complete) for elastic joins.
+// active set (its first FleetReady): in the turn that admitted it, or once
+// a live job has warmed it.
 func (w *Worker) Ready() <-chan struct{} { return w.readyCh }
+
+// Stopped is closed once the worker has stopped.
+func (w *Worker) Stopped() <-chan struct{} { return w.stopped }
 
 // Draining reports whether a FleetDrain order is in effect.
 func (w *Worker) Draining() bool { return w.drainFlag.Load() }
@@ -1022,7 +1000,7 @@ func (w *Worker) enterOutage(err error) {
 }
 
 // reconnectLoop redials the control endpoint with backoff until a
-// controller acks a WorkerReconnect under this worker's existing identity.
+// controller acks a RegisterWorker carrying this worker's existing identity.
 // It gives up only when the worker stops.
 func (w *Worker) reconnectLoop() {
 	defer w.wg.Done()
@@ -1031,9 +1009,7 @@ func (w *Worker) reconnectLoop() {
 		if err != nil {
 			return // stopped
 		}
-		reply, err := w.handshake(conn, &proto.WorkerReconnect{
-			Worker: w.id, DataAddr: w.dataAddr, Slots: w.cfg.Slots,
-		})
+		reply, err := w.handshake(conn)
 		if err != nil {
 			conn.Close()
 			select {
@@ -1061,10 +1037,9 @@ func (w *Worker) reconnectLoop() {
 func (w *Worker) completeReconnect(conn transport.Conn, reply []proto.Msg) (shutdown bool) {
 	// A promoted standby readmits this worker as a plain active member —
 	// fleet phases are not replicated — so any drain in flight is aborted
-	// and a join mid-warm completes as a plain registration.
+	// and a join mid-warm completes with the FleetReady in this frame.
 	w.drainFlag.Store(false)
-	w.readyOnce.Do(func() { close(w.readyCh) })
-	w.adopt(reply[0])
+	w.adopt(reply[0].(*proto.RegisterWorkerAck))
 	out := w.outbuf
 	w.outbuf = nil
 	for i, buf := range out {
