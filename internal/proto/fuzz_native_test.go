@@ -50,6 +50,17 @@ func hostileSeeds() [][]byte {
 		// more bytes than the tail carries, and a bare session close.
 		huge(byte(KindMuxData), 0x05, 0x01), // envelope raw-length over empty tail
 		{byte(KindSessionClose)},            // session close missing its id
+		// Worker hellos: the one hello now leads with an optional prior
+		// worker ID: a hello in the older layout (no ID), an overlong ID,
+		// an ID with nothing after it and an address length over the tail.
+		// The retired fleet-announce and fleet-admit frames, under their
+		// old kind bytes, now land on renumbered kinds.
+		{byte(KindRegisterWorker), 0x06, 'd', 'a', 't', 'a', '/', '1', 0x08},                                       // hello without the prior-ID field
+		append([]byte{byte(KindRegisterWorker)}, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01), // overlong prior ID
+		huge(byte(KindRegisterWorker)),                             // prior ID 2^50, hello cut after it
+		{byte(KindRegisterWorker), 0x02, 0x7f, 'd'},                // address length over the tail
+		{0x37, 0x06, 'd', 'a', 't', 'a', '/', '9', 0x08},           // retired fleet-announce frame
+		{0x38, 0x09, 0x02, 0x01, 0x01, 'a', 0x02, 0x01, 'b', 0x01}, // retired fleet-admit frame
 	}
 	// Every valid message, marshaled, plus a truncated and a corrupted
 	// variant: the fuzzer mutates from realistic frames, not just noise.
