@@ -314,6 +314,73 @@ func BenchmarkRebuildDiff(b *testing.B) {
 	}
 }
 
+// BenchmarkMigrate measures what replaced BenchmarkRebuildDiff on the
+// controller: Template.Migrate edits each migration's assignment from the
+// moved tasks' cone instead of rebuilding and diffing the template. One op
+// is the same fixed chain of 1000 single-partition migrations on the
+// 8000-task template. visited/edit is the entries and accessor records a
+// migration visits per entry it adds or removes; the template's one shared
+// input, which every task reads, is what keeps it above 1. entries/live is
+// the index space over the live entries at the end of the chain, with
+// BenchmarkRebuildDiff's bound of 1.25.
+func BenchmarkMigrate(b *testing.B) {
+	const chain = 1000
+	stages := []*proto.SubmitStage{
+		{Stage: 1, Fn: fn.FuncSim, Tasks: 8000,
+			Refs: []proto.VarRef{
+				{Var: 1, Pattern: proto.OnePerTask},
+				{Var: 2, Pattern: proto.Shared},
+				{Var: 3, Write: true, Pattern: proto.OnePerTask},
+			}},
+		{Stage: 2, Fn: fn.FuncSim, Tasks: 100,
+			Refs: []proto.VarRef{
+				{Var: 3, Pattern: proto.Grouped},
+				{Var: 4, Write: true, Pattern: proto.OnePerTask},
+			}},
+	}
+	b.ReportAllocs()
+	var ratio, visited, changed float64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tmpl := &core.Template{ID: 1, Name: "b", Stages: stages}
+		place := core.NewStaticPlacement(100)
+		place.Define(1, 8000)
+		place.Define(2, 1)
+		place.Define(3, 8000)
+		place.Define(4, 100)
+		var alloc ids.ObjectIDs
+		dir := flow.NewDirectory(&alloc)
+		prev, err := core.BuildAssignment(1, dir, place, stages, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for m := 0; m < chain; m++ {
+			part := m * 7 % 8000
+			w := ids.WorkerID(1 + (part+1)%100)
+			place.Reassign(1, part, w)
+			place.Reassign(3, part, w)
+			moves := []core.Move{{Var: 1, Partition: part}, {Var: 3, Partition: part}}
+			next, d, err := tmpl.Migrate(1, dir, place, prev, moves, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if d.Changed == 0 || d.Rebuilt {
+				b.Fatalf("migration %d: %d edits, rebuilt %v", m, d.Changed, d.Rebuilt)
+			}
+			visited += float64(d.Visited)
+			changed += float64(d.Changed)
+			prev = next
+		}
+		ratio = float64(prev.MaxIndex()) / float64(prev.Size())
+	}
+	b.ReportMetric(visited/changed, "visited/edit")
+	b.ReportMetric(ratio, "entries/live")
+	if ratio > 1.25 {
+		b.Fatalf("index space is %.2fx the live entries after %d migrations", ratio, chain)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Ablations (DESIGN.md §6)
 

@@ -351,7 +351,7 @@ func Table3(s Scale) (*Table, error) {
 		},
 		Notes: []string{
 			"paper: 41us single edit, 35ms for 800 edits, 203ms full install, 230ms Naiad",
-			"control bytes shipped scale with the edit; this implementation's edit *generation* rebuilds and diffs the template (O(template)) on the controller",
+			"control bytes shipped scale with the edit; edit generation visits only the moved tasks' cone, but still copies the template's entry arrays (O(template) bytes)",
 		},
 	}
 	return t, nil

@@ -11,6 +11,7 @@ import (
 	"nimbus/internal/driver"
 	"nimbus/internal/fn"
 	"nimbus/internal/ids"
+	"nimbus/internal/worker"
 )
 
 // TestMigrationEdits exercises paper §4.3 / Figure 6: moving a task
@@ -173,6 +174,149 @@ func TestResizeWorkers(t *testing.T) {
 	}
 	if patches == 0 {
 		t.Errorf("expected patches to move partition data on resize")
+	}
+}
+
+// TestMigrationEditsEveryTemplate: one migration edits every installed
+// template of the job, each on its own goroutine over one live view of the
+// directory, and each keeps computing what an unmigrated run computes.
+func TestMigrationEditsEveryTemplate(t *testing.T) {
+	c := startTestCluster(t, Options{Workers: 4})
+	d, err := c.Driver("test")
+	if err != nil {
+		t.Fatalf("driver: %v", err)
+	}
+	defer d.Close()
+
+	const parts = 8
+	x := d.MustVar("x", parts)
+	sum := d.MustVar("sum", 1)
+	for p := 0; p < parts; p++ {
+		if err := d.PutFloats(x, p, []float64{1}); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+	}
+	for _, name := range []string{"double", "total"} {
+		if err := d.BeginTemplate(name); err != nil {
+			t.Fatal(err)
+		}
+		if name == "double" {
+			err = d.Submit(fnDouble, parts, nil, x.Read(), x.Write())
+		} else {
+			err = d.Submit(fnSumAll, 1, nil, x.ReadGrouped(), sum.WriteShared())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.EndTemplate(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+
+	var merr error
+	c.Controller.Do(func() {
+		w := c.Controller.ActiveWorkers()
+		merr = c.Controller.Migrate([]ids.VariableID{x.ID}, []int{1, 2, 5}, w[3])
+	})
+	if merr != nil {
+		t.Fatalf("migrate: %v", merr)
+	}
+	want := float64(2 * parts) // recording doubled x once
+	for i := 0; i < 3; i++ {
+		if err := d.Instantiate("double"); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Instantiate("total"); err != nil {
+			t.Fatal(err)
+		}
+		want *= 2
+		got, err := d.GetFloats(sum, 0)
+		if err != nil || len(got) != 1 || got[0] != want {
+			t.Fatalf("iteration %d: sum = %v (err %v), want [%v]", i, got, err, want)
+		}
+	}
+	var built, rebuilt, edits uint64
+	c.Controller.Do(func() {
+		built = c.Controller.Stats.TemplatesBuilt.Load()
+		rebuilt = c.Controller.Stats.MigrateRebuilds.Load()
+		edits = c.Controller.Stats.EditsSent.Load()
+	})
+	if built != 2 || rebuilt != 0 || edits == 0 {
+		t.Fatalf("templates built %d, migrations rebuilt %d, edits sent %d; want 2, 0 and some", built, rebuilt, edits)
+	}
+}
+
+// TestMigrateTargetMustBeActive: a migration may only move partitions to an
+// active worker. After SetActive drops one of four workers, migrating to it
+// fails, the template still runs on the active three, and the dropped
+// worker runs nothing.
+func TestMigrateTargetMustBeActive(t *testing.T) {
+	c := startTestCluster(t, Options{Workers: 4})
+	d, err := c.Driver("test")
+	if err != nil {
+		t.Fatalf("driver: %v", err)
+	}
+	defer d.Close()
+
+	const parts = 8
+	x := d.MustVar("x", parts)
+	sum := d.MustVar("sum", 1)
+	for p := 0; p < parts; p++ {
+		if err := d.PutFloats(x, p, []float64{1}); err != nil {
+			t.Fatalf("put: %v", err)
+		}
+	}
+	if err := d.BeginTemplate("blk"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Submit(fnDouble, parts, nil, x.Read(), x.Write()); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Submit(fnSumAll, 1, nil, x.ReadGrouped(), sum.WriteShared()); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.EndTemplate("blk"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+
+	var all []ids.WorkerID
+	var merr error
+	c.Controller.Do(func() {
+		all = c.Controller.ActiveWorkers()
+		if merr = c.Controller.SetActive(all[:3]); merr != nil {
+			return
+		}
+		merr = c.Controller.Migrate([]ids.VariableID{x.ID}, []int{1, 2}, all[3])
+	})
+	if merr == nil {
+		t.Fatalf("migrating to %v, which SetActive dropped, succeeded", all[3])
+	}
+	var dropped *worker.Worker
+	for _, w := range c.Workers {
+		if w.ID() == all[3] {
+			dropped = w
+		}
+	}
+	ran := dropped.Stats.TasksRun.Load()
+	want := float64(2 * parts) // recording ran the block once
+	for i := 0; i < 2; i++ {
+		if err := d.Instantiate("blk"); err != nil {
+			t.Fatal(err)
+		}
+		want *= 2
+		got, err := d.GetFloats(sum, 0)
+		if err != nil || len(got) != 1 || got[0] != want {
+			t.Fatalf("iteration %d: sum = %v (err %v), want [%v]", i, got, err, want)
+		}
+	}
+	if n := dropped.Stats.TasksRun.Load() - ran; n != 0 {
+		t.Fatalf("%v is not active but ran %d tasks", all[3], n)
 	}
 }
 

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -80,6 +81,7 @@ func (c *Controller) reassignAll(j *jobState) {
 		}
 	}
 	j.placeEpoch++
+	clear(j.synced)
 }
 
 // workerSig canonically names the active worker set for the assignment
@@ -133,12 +135,11 @@ func (c *Controller) cacheActiveAssignments(j *jobState) {
 // Migrate moves the given partitions of the given variables to worker dst
 // within the sole admitted job (call via Do). Variable IDs are per-job;
 // with several jobs admitted, use MigrateJob. Installed templates are
-// updated in place through edits: the controller rebuilds each template's
-// entry array under the new placement (in parallel, over a shared snapshot
-// view), keeps unchanged entries' indexes via provenance matching, and
-// stages the per-worker deltas to ride the next instantiation message
-// (paper §4.3, Figure 6). Partition data moves lazily via the next
-// validation's patch.
+// updated in place through edits: core's Template.Migrate edits each
+// template's assignment for the moved tasks only (in parallel, over one
+// live view of the directory), and the per-worker deltas are staged to ride the
+// next instantiation message (paper §4.3, Figure 6). Partition data moves
+// lazily via the next validation's patch.
 func (c *Controller) Migrate(vars []ids.VariableID, parts []int, dst ids.WorkerID) error {
 	j := c.soleJob()
 	if j == nil {
@@ -148,16 +149,17 @@ func (c *Controller) Migrate(vars []ids.VariableID, parts []int, dst ids.WorkerI
 }
 
 // MigrateJob moves the given partitions of one job's variables to worker
-// dst (call via Do).
+// dst (call via Do). dst must be active: a warming, draining or
+// deactivated worker takes no commands.
 func (c *Controller) MigrateJob(job ids.JobID, vars []ids.VariableID, parts []int, dst ids.WorkerID) error {
 	j := c.jobs[job]
 	if j == nil {
 		return fmt.Errorf("controller: migrate for unknown %s", job)
 	}
-	ws := c.workers[dst]
-	if ws == nil || !ws.alive {
+	if ws := c.workers[dst]; ws == nil || !ws.alive || !slices.Contains(c.active, dst) {
 		return fmt.Errorf("controller: migration target %s not available", dst)
 	}
+	moves := make([]core.Move, 0, len(vars)*len(parts))
 	for _, v := range vars {
 		vm := j.vars[v]
 		if vm == nil {
@@ -168,31 +170,40 @@ func (c *Controller) MigrateJob(job ids.JobID, vars []ids.VariableID, parts []in
 				return fmt.Errorf("controller: migrate of %s partition %d out of %d",
 					v, p, vm.partitions)
 			}
+			moves = append(moves, core.Move{Var: v, Partition: p})
 		}
 	}
 	start := time.Now()
-	// Build every installed template's rebuilt assignment against the
-	// *prospective* placement (a snapshot with the moves applied) before
-	// mutating anything: an error in any rebuild leaves the controller
-	// fully unchanged, like SetActive.
+	// Edit every installed template's assignment for the *prospective*
+	// placement (a copy with the moves applied) before mutating anything:
+	// an error in any template leaves the controller fully unchanged, like
+	// SetActive. The loop waits for the group, so the edits resolve
+	// instances through a live view of the directory instead of a snapshot
+	// (a snapshot copies the whole instance table after every change).
 	type editPlan struct {
-		name string
-		t    *core.Template
-		old  *core.Assignment
-		next *core.Assignment
-		err  error
+		name  string
+		t     *core.Template
+		old   *core.Assignment
+		moves []core.Move
+		next  *core.Assignment
+		diff  *core.DiffResult
+		err   error
 	}
 	var plans []editPlan
 	for name, t := range j.templates {
 		if t.Active == nil {
 			continue // build in flight; its commit rebuilds under the new placement
 		}
-		plans = append(plans, editPlan{name: name, t: t, old: t.Active})
+		p := editPlan{name: name, t: t, old: t.Active}
+		if j.synced[name] == t.Active {
+			p.moves = moves
+		}
+		plans = append(plans, p)
 	}
 	sort.Slice(plans, func(i, k int) bool { return plans[i].name < plans[k].name })
 	var view *flow.BuildView
 	if len(plans) > 0 {
-		view = j.dir.Snapshot().View()
+		view = j.dir.LiveView()
 		place := j.placementSnapshot(nil)
 		for _, v := range vars {
 			for _, p := range parts {
@@ -205,7 +216,7 @@ func (c *Controller) MigrateJob(job ids.JobID, vars []ids.VariableID, parts []in
 				p.err = err
 				return
 			}
-			p.next, p.err = p.t.RebuildPar(p.old.ID, view, place, p.old, inner)
+			p.next, p.diff, p.err = p.t.Migrate(p.old.ID, view, place, p.old, p.moves, inner)
 		})
 		for i := range plans {
 			if plans[i].err != nil {
@@ -213,7 +224,7 @@ func (c *Controller) MigrateJob(job ids.JobID, vars []ids.VariableID, parts []in
 			}
 		}
 		if err := view.Commit(j.dir); err != nil {
-			// Unreachable: snapshot, build and commit happen within one
+			// Unreachable: view, edits and commit happen within one
 			// event-loop call.
 			return err
 		}
@@ -227,17 +238,21 @@ func (c *Controller) MigrateJob(job ids.JobID, vars []ids.VariableID, parts []in
 	}
 	j.placeEpoch++
 	for i := range plans {
-		c.stageEdits(j, plans[i].name, plans[i].t, plans[i].old, plans[i].next)
+		p := &plans[i]
+		if p.diff.Rebuilt {
+			c.Stats.MigrateRebuilds.Add(1)
+		}
+		c.stageEdits(j, p.name, p.t, p.old, p.next, p.diff)
+		j.synced[p.name] = p.next
 	}
 	c.Stats.MigrateNanos.Add(uint64(time.Since(start)))
 	j.autoValid = false
 	return nil
 }
 
-// stageEdits swaps a rebuilt assignment in for its predecessor and stages
+// stageEdits swaps an edited assignment in for its predecessor and stages
 // the per-worker deltas as edits riding the job's next instantiation.
-func (c *Controller) stageEdits(j *jobState, name string, t *core.Template, old, next *core.Assignment) {
-	diff := core.Diff(old, next)
+func (c *Controller) stageEdits(j *jobState, name string, t *core.Template, old, next *core.Assignment, diff *core.DiffResult) {
 	next.Installed = make(map[ids.WorkerID]bool, len(old.Installed))
 	for w, in := range old.Installed {
 		next.Installed[w] = in

@@ -267,6 +267,7 @@ func (c *Controller) adoptAssignment(j *jobState, t *core.Template, a *core.Assi
 	start := time.Now()
 	t.Assignments = append(t.Assignments, a)
 	t.Active = a
+	j.synced[t.Name] = a
 	c.Stats.TemplatesBuilt.Add(1)
 	c.installAssignment(j, t, a)
 	c.Stats.FinalizeNanos.Add(uint64(time.Since(start)))
@@ -444,6 +445,7 @@ func (c *Controller) commitRetargets(j *jobState, plans []retargetPlan, view *fl
 		default:
 			p.t.Assignments = append(p.t.Assignments, p.built)
 			p.t.Active = p.built
+			j.synced[p.name] = p.built
 			bySig := j.assignCache[p.name]
 			if bySig == nil {
 				bySig = make(map[string]*core.Assignment)

@@ -191,7 +191,10 @@ type Stats struct {
 	InstantiateNanos atomic.Uint64 // block instantiation (controller side)
 	ValidateNanos    atomic.Uint64 // precondition validation
 	PatchBuildNanos  atomic.Uint64 // patch construction
-	MigrateNanos     atomic.Uint64 // edit generation (rebuild + diff)
+	MigrateNanos     atomic.Uint64 // edit generation (Template.Migrate)
+	// MigrateRebuilds counts template migrations Template.Migrate could
+	// not edit exactly and rebuilt instead.
+	MigrateRebuilds atomic.Uint64
 }
 
 // Controller is the Nimbus controller node.
@@ -320,7 +323,13 @@ type jobState struct {
 	// signature so returning to a previous schedule reuses installed
 	// worker templates (Figure 9's restore path).
 	assignCache map[string]map[string]*core.Assignment
-	patchCache  *core.PatchCache
+	// synced maps each template name to the assignment known to match
+	// the job's placement: a fresh build or a migration's edit. A
+	// placement change clears it; an assignment restored from assignCache
+	// may match an older placement, so the next migration compares every
+	// anchor instead of trusting its list of moves.
+	synced     map[string]*core.Assignment
+	patchCache *core.PatchCache
 	// pendingEdits stages per-worker edits to attach to the next
 	// instantiation of each assignment.
 	pendingEdits map[ids.TemplateID]map[ids.WorkerID][]editStaged
@@ -541,6 +550,7 @@ func (c *Controller) newJobState(name string, weight int, conn transport.Conn) *
 		templates:    make(map[string]*core.Template),
 		patchCache:   core.NewPatchCache(),
 		pendingEdits: make(map[ids.TemplateID]map[ids.WorkerID][]editStaged),
+		synced:       make(map[string]*core.Assignment),
 		building:     make(map[string]*buildJob),
 		outstanding:  make(map[ids.CommandID]ids.WorkerID),
 		instances:    make(map[uint64]*instState),

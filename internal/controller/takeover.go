@@ -64,6 +64,7 @@ func (c *Controller) restoreJob(rj *proto.ReplJob) {
 		templates:    make(map[string]*core.Template),
 		patchCache:   core.NewPatchCache(),
 		pendingEdits: make(map[ids.TemplateID]map[ids.WorkerID][]editStaged),
+		synced:       make(map[string]*core.Assignment),
 		building:     make(map[string]*buildJob),
 		outstanding:  make(map[ids.CommandID]ids.WorkerID),
 		instances:    make(map[uint64]*instState),

@@ -131,7 +131,10 @@ type buildState struct {
 	entries  []command.TemplateEntry
 	workerOf []ids.WorkerID
 	prov     []Provenance
+	key      []int32
 	order    []int32
+	// taskIdx maps every flat task (stage-major) to its entry index.
+	taskIdx []int32
 
 	// prevByProv maps the predecessor's live provenances to their indexes,
 	// holes lists its tombstoned indexes in ascending order, and next is
@@ -143,8 +146,10 @@ type buildState struct {
 
 	objs     slab[ids.ObjectID]
 	wids     slab[ids.WorkerID] // backs the first element of every worker set
+	copies   []copyRec
 	holders  map[ids.LogicalID]holderState
 	preconds []Precond
+	pcKey    []int32 // per precondition: the access position of the read that made it
 	slots    int
 }
 
@@ -176,53 +181,130 @@ func (s *slab[T]) take(n int) []T {
 	return s.buf[lo : lo+n : lo+n]
 }
 
-// idxLedger mirrors flow.Ledger with entry indexes instead of command IDs.
-// Pass C keeps one per worker; per-worker ledgers are disjoint, which is
-// what makes the dependency pass shardable.
+// epoch is one write-delimited stretch of a physical object's accesses on
+// its worker: the entry that wrote it (-1, with key -1, for the stretch
+// before the template's first write) and the entries that read it since, in
+// program order. An object's epochs, in order, are its whole access history
+// within the template; the last one is its ledger effect.
+type epoch struct {
+	writer  int32
+	wkey    int32
+	readers []int32
+}
+
+// idxLedger mirrors flow.Ledger with entry indexes instead of command IDs,
+// and keeps every object's epochs rather than only the last. Pass C keeps
+// one per worker; per-worker ledgers are disjoint, which is what makes the
+// dependency pass shardable.
 type idxLedger struct {
-	orders map[ids.ObjectID]idxOrder
-	// ints backs the before sets and the first two readers of every order.
+	hist map[ids.ObjectID][]epoch
+	// ints backs the before sets and the first two readers of every epoch.
 	ints slab[int32]
+	eps  slab[epoch]
 }
 
-type idxOrder struct {
-	lastWriter int32 // -1: no in-template writer
-	readers    []int32
-}
-
-func (l *idxLedger) orderOf(o ids.ObjectID) idxOrder {
-	ord, ok := l.orders[o]
+// epochsOf returns o's epochs, starting them on first use.
+func (l *idxLedger) epochsOf(o ids.ObjectID) []epoch {
+	eps, ok := l.hist[o]
 	if !ok {
-		ord.lastWriter = -1
-		ord.readers = l.ints.take(2)[:0]
+		eps = l.eps.take(2)[:1]
+		eps[0] = epoch{writer: -1, wkey: -1, readers: l.ints.take(2)[:0]}
 	}
-	return ord
+	return eps
 }
 
 func (l *idxLedger) read(o ids.ObjectID, idx int32, deps []int32) []int32 {
-	ord := l.orderOf(o)
-	if ord.lastWriter >= 0 {
-		deps = appendUniqueIdx(deps, ord.lastWriter)
+	eps := l.epochsOf(o)
+	cur := &eps[len(eps)-1]
+	if cur.writer >= 0 {
+		deps = appendUniqueIdx(deps, cur.writer)
 	}
-	ord.readers = append(ord.readers, idx)
-	l.orders[o] = ord
+	cur.readers = append(cur.readers, idx)
+	l.hist[o] = eps
 	return deps
 }
 
-func (l *idxLedger) write(o ids.ObjectID, idx int32, deps []int32) []int32 {
-	ord := l.orderOf(o)
-	if ord.lastWriter >= 0 {
-		deps = appendUniqueIdx(deps, ord.lastWriter)
+func (l *idxLedger) write(o ids.ObjectID, idx, key int32, deps []int32) []int32 {
+	eps := l.epochsOf(o)
+	deps = writeDeps(eps[len(eps)-1], idx, deps)
+	l.hist[o] = append(eps, epoch{writer: idx, wkey: key, readers: l.ints.take(2)[:0]})
+	return deps
+}
+
+// writeDeps adds what a write by idx that ends epoch ep must follow: ep's
+// writer and its readers other than idx itself.
+func writeDeps(ep epoch, idx int32, deps []int32) []int32 {
+	if ep.writer >= 0 {
+		deps = appendUniqueIdx(deps, ep.writer)
 	}
-	for _, r := range ord.readers {
+	for _, r := range ep.readers {
 		if r != idx {
 			deps = appendUniqueIdx(deps, r)
 		}
 	}
-	ord.lastWriter = idx
-	ord.readers = ord.readers[:0]
-	l.orders[o] = ord
 	return deps
+}
+
+// packReaders moves one worker's ledger reader lists into one array:
+// instantiation walks all of them, so they should sit together rather than
+// between the before sets and older epochs they were built beside.
+func packReaders(les []LedgerEffect) {
+	n := 0
+	for i := range les {
+		n += len(les[i].Readers)
+	}
+	pack := make([]int32, 0, n)
+	for i := range les {
+		if rs := les[i].Readers; len(rs) > 0 {
+			pack = append(pack, rs...)
+			les[i].Readers = pack[len(pack)-len(rs) : len(pack) : len(pack)]
+		}
+	}
+}
+
+// packHolders does for the object effects' final holders what packReaders
+// does for reader lists.
+func packHolders(objs []ObjectEffect) {
+	n := 0
+	for i := range objs {
+		n += len(objs[i].FinalHolders)
+	}
+	pack := make([]ids.WorkerID, 0, n)
+	for i := range objs {
+		hs := objs[i].FinalHolders
+		pack = append(pack, hs...)
+		objs[i].FinalHolders = pack[len(pack)-len(hs) : len(pack) : len(pack)]
+	}
+}
+
+// plainHistory reports whether an object's epochs follow from its ledger
+// effect and the entry keys: it is only read, or written once before any
+// read.
+func plainHistory(eps []epoch) bool {
+	return len(eps) == 1 || len(eps) == 2 && len(eps[0].readers) == 0
+}
+
+// epochsOf returns the epochs of the object whose ledger effect is
+// Effects.Ledger[w][at].
+func (a *Assignment) epochsOf(w ids.WorkerID, at int) []epoch {
+	le := a.Effects.Ledger[w][at]
+	if eps, ok := a.history[w][le.Object]; ok {
+		return eps
+	}
+	if le.LastWriterIdx < 0 {
+		return []epoch{{writer: -1, wkey: -1, readers: le.Readers}}
+	}
+	return []epoch{{writer: -1, wkey: -1}, {writer: le.LastWriterIdx, wkey: a.key[le.LastWriterIdx], readers: le.Readers}}
+}
+
+// ledgerEffect is the LedgerEffect of an object with the given epochs.
+func ledgerEffect(o ids.ObjectID, eps []epoch) LedgerEffect {
+	last := eps[len(eps)-1]
+	le := LedgerEffect{Object: o, LastWriterIdx: last.writer}
+	if len(last.readers) > 0 {
+		le.Readers = last.readers
+	}
+	return le
 }
 
 func appendUniqueIdx(deps []int32, idx int32) []int32 {
@@ -341,14 +423,18 @@ func buildAssignment(id ids.TemplateID, inst Instances, place Placement, stages 
 		entries:  make([]command.TemplateEntry, n, n+room),
 		workerOf: make([]ids.WorkerID, n, n+room),
 		prov:     make([]Provenance, n, n+room),
+		key:      make([]int32, n, n+room),
 		order:    make([]int32, 0, live),
+		taskIdx:  make([]int32, total),
 		next:     int32(n),
 		holders:  make(map[ids.LogicalID]holderState, accesses/2),
 	}
 	b.objs.buf = make([]ids.ObjectID, 0, accesses+copies)
 	b.wids.buf = make([]ids.WorkerID, 0, accesses)
+	b.copies = make([]copyRec, 0, copies/2)
 	if prev != nil {
 		b.preconds = make([]Precond, 0, len(prev.Preconds))
+		b.pcKey = make([]int32, 0, len(prev.Preconds))
 		b.prevByProv = make(map[Provenance]int32, prev.live)
 		for i := range prev.Entries {
 			if prev.Entries[i].Kind != 0 {
@@ -358,6 +444,9 @@ func buildAssignment(id ids.TemplateID, inst Instances, place Placement, stages 
 			}
 		}
 	}
+	// pos numbers every access in program order (a task's reads, then its
+	// writes); entry keys derive from it (see copyKey).
+	pos := int32(0)
 	for si, spec := range stages {
 		slot := command.NoParamSlot
 		if len(spec.Params) > 0 {
@@ -366,12 +455,13 @@ func buildAssignment(id ids.TemplateID, inst Instances, place Placement, stages 
 		}
 		stageIdx := int32(si)
 		for t := 0; t < spec.Tasks; t++ {
-			p := &plans[offsets[si]+t]
+			flat := offsets[si] + t
+			p := &plans[flat]
 			w := p.worker
 			// First, materialize any copies the reads require so that copy
 			// entries precede the task entry.
-			for _, l := range p.reads {
-				b.ensureReadable(l, w, stageIdx)
+			for i, l := range p.reads {
+				b.ensureReadable(l, w, stageIdx, pos+int32(i))
 			}
 			readObjs := b.objs.take(len(p.reads))
 			for i, l := range p.reads {
@@ -388,24 +478,26 @@ func buildAssignment(id ids.TemplateID, inst Instances, place Placement, stages 
 				hs.holders = append(hs.holders[:0], w)
 				b.holders[l] = hs
 			}
+			pos += int32(len(p.reads) + len(p.writes))
 			prov := Provenance{Kind: provTask, Stage: stageIdx, Task: int32(t)}
+			b.taskIdx[flat] = b.indexFor(prov)
 			b.put(command.TemplateEntry{
-				Index:     b.indexFor(prov),
+				Index:     b.taskIdx[flat],
 				Kind:      command.Task,
 				Function:  spec.Fn,
 				Reads:     readObjs,
 				Writes:    writeObjs,
 				ParamSlot: slot,
 				Fixed:     spec.Params,
-			}, w, prov)
+			}, w, prov, taskKey(pos))
 		}
 	}
 	// Restoring copies: a precondition (l, w) whose logical object the
 	// template wrote must end with w holding the final version, so tight
 	// loops auto-validate (paper §4.2).
-	for _, pc := range b.preconds {
+	for i, pc := range b.preconds {
 		if hs := b.holders[pc.Logical]; hs.written() {
-			b.copyTo(pc.Logical, hs, pc.Worker, restoreStage)
+			b.copyTo(pc.Logical, hs, pc.Worker, restoreStage, restoreKey(pos, b.pcKey[i]))
 		}
 	}
 	// Trim trailing tombstones: the array ends at its last live entry.
@@ -413,7 +505,16 @@ func buildAssignment(id ids.TemplateID, inst Instances, place Placement, stages 
 	for n > 0 && b.entries[n-1].Kind == 0 {
 		n--
 	}
-	b.entries, b.workerOf, b.prov = b.entries[:n], b.workerOf[:n], b.prov[:n]
+	b.entries, b.workerOf, b.prov, b.key = b.entries[:n], b.workerOf[:n], b.prov[:n], b.key[:n]
+	var holes []int32
+	if len(b.order) < n {
+		holes = make([]int32, 0, n-len(b.order))
+		for i := range b.entries {
+			if b.entries[i].Kind == 0 {
+				holes = append(holes, int32(i))
+			}
+		}
+	}
 
 	// Per-worker entry lists in program order, carved from one array.
 	counts := make(map[ids.WorkerID]int)
@@ -440,13 +541,17 @@ func buildAssignment(id ids.TemplateID, inst Instances, place Placement, stages 
 	// entry's dependencies come from its home worker's index ledger only,
 	// so per-worker goroutines touch disjoint entries and ledgers. Each
 	// list is walked in program order, then sorted: PerWorker is ascending.
+	// The epochs the ledger effects do not tell stay with the assignment
+	// for Migrate.
 	ledgerEff := make([][]LedgerEffect, len(workers))
+	history := make([]map[ids.ObjectID][]epoch, len(workers))
 	shard(len(workers), par, func(lo, hi int) {
 		var deps []int32
 		for wi := lo; wi < hi; wi++ {
 			list := perWorker[workers[wi]]
-			led := idxLedger{orders: make(map[ids.ObjectID]idxOrder, len(list))}
-			led.ints.buf = make([]int32, 0, 4*len(list))
+			led := idxLedger{hist: make(map[ids.ObjectID][]epoch, len(list))}
+			led.ints.buf = make([]int32, 0, 6*len(list))
+			led.eps.buf = make([]epoch, 0, 2*len(list))
 			for _, idx := range list {
 				e := &b.entries[idx]
 				deps = deps[:0]
@@ -454,7 +559,7 @@ func buildAssignment(id ids.TemplateID, inst Instances, place Placement, stages 
 					deps = led.read(o, idx, deps)
 				}
 				for _, o := range e.Writes {
-					deps = led.write(o, idx, deps)
+					deps = led.write(o, idx, b.key[idx], deps)
 				}
 				if len(deps) > 0 {
 					e.BeforeIdx = led.ints.take(len(deps))
@@ -462,27 +567,41 @@ func buildAssignment(id ids.TemplateID, inst Instances, place Placement, stages 
 				}
 			}
 			slices.Sort(list)
-			objs := make([]ids.ObjectID, 0, len(led.orders))
-			for o := range led.orders {
+			objs := make([]ids.ObjectID, 0, len(led.hist))
+			for o := range led.hist {
 				objs = append(objs, o)
 			}
 			slices.Sort(objs)
 			les := make([]LedgerEffect, len(objs))
 			for i, o := range objs {
-				ord := led.orders[o]
-				les[i] = LedgerEffect{Object: o, LastWriterIdx: ord.lastWriter}
-				if len(ord.readers) > 0 {
-					les[i].Readers = ord.readers
+				eps := led.hist[o]
+				les[i] = ledgerEffect(o, eps)
+				if !plainHistory(eps) {
+					if history[wi] == nil {
+						history[wi] = make(map[ids.ObjectID][]epoch)
+					}
+					history[wi][o] = slices.Clone(eps) // out of the slab, which can go
 				}
 			}
+			packReaders(les)
 			ledgerEff[wi] = les
 		}
 	})
 
 	eff := Effects{Ledger: make(map[ids.WorkerID][]LedgerEffect, len(workers))}
+	hist := make(map[ids.WorkerID]map[ids.ObjectID][]epoch)
 	for wi, w := range workers {
 		eff.Ledger[w] = ledgerEff[wi]
+		if history[wi] != nil {
+			hist[w] = history[wi]
+		}
 	}
+	slices.SortFunc(b.copies, compareCopies)
+	pcOf := make([]pcRec, len(b.preconds))
+	for i, pc := range b.preconds {
+		pcOf[i] = pcRec{Logical: pc.Logical, Key: b.pcKey[i]}
+	}
+	slices.SortFunc(pcOf, comparePCs)
 	logicals := make([]ids.LogicalID, 0, len(b.holders))
 	for l, hs := range b.holders {
 		if hs.written() {
@@ -495,6 +614,7 @@ func buildAssignment(id ids.TemplateID, inst Instances, place Placement, stages 
 		hs := b.holders[l]
 		eff.Objects[i] = ObjectEffect{Logical: l, Bumps: hs.bumps, FinalHolders: hs.holders}
 	}
+	packHolders(eff.Objects)
 
 	return &Assignment{
 		ID:        id,
@@ -507,6 +627,13 @@ func buildAssignment(id ids.TemplateID, inst Instances, place Placement, stages 
 		Slots:     b.slots,
 		Installed: make(map[ids.WorkerID]bool),
 		live:      len(b.order),
+		key:       b.key,
+		taskIdx:   b.taskIdx,
+		holes:     holes,
+		pcKey:     b.pcKey,
+		history:   hist,
+		copyOf:    b.copies,
+		pcOf:      pcOf,
 	}, nil
 }
 
@@ -539,15 +666,27 @@ func shard(n, par int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// ensureReadable prepares logical object l for a read at worker w. If the
-// template has already written l, the template-current version must reach
-// w, so a copy pair is inserted when missing. Otherwise the read is an
-// entry read: it becomes a worker-template precondition — patches, not
-// cached copies, handle entry-time data movement (paper §2.4).
-func (b *buildState) ensureReadable(l ids.LogicalID, w ids.WorkerID, stage int32) {
+// Entry keys order a build's entries as pass B places them: a copy a read
+// at access position q requires is 4q (send) and 4q+1 (receive), a task
+// whose last access is at position q-1 is 4q-1, and a restoring copy for the
+// precondition made at position q, in a template of n accesses, is 4(n+q)
+// and 4(n+q)+1. Within one physical object, key order is program order; a
+// task's accesses share its key, reads before writes.
+func copyKey(q int32) int32       { return 4 * q }
+func recvKey(sendKey int32) int32 { return sendKey + 1 }
+func taskKey(next int32) int32    { return 4*next - 1 }
+func restoreKey(n, q int32) int32 { return 4 * (n + q) }
+
+// ensureReadable prepares logical object l for a read at worker w, the
+// access at position q. If the template has already written l, the
+// template-current version must reach w, so a copy pair is inserted when
+// missing. Otherwise the read is an entry read: it becomes a worker-template
+// precondition — patches, not cached copies, handle entry-time data
+// movement (paper §2.4).
+func (b *buildState) ensureReadable(l ids.LogicalID, w ids.WorkerID, stage, q int32) {
 	hs := b.holders[l]
 	if hs.written() {
-		b.copyTo(l, hs, w, stage)
+		b.copyTo(l, hs, w, stage, copyKey(q))
 		return
 	}
 	at, found := slices.BinarySearch(hs.readers, w)
@@ -560,46 +699,57 @@ func (b *buildState) ensureReadable(l ids.LogicalID, w ids.WorkerID, stage int32
 	hs.readers = slices.Insert(hs.readers, at, w)
 	b.holders[l] = hs
 	b.preconds = append(b.preconds, Precond{Logical: l, Worker: w, Object: b.inst.Instance(l, w)})
+	b.pcKey = append(b.pcKey, q)
 }
 
 // copyTo makes dst a holder of the template-current version of l (whose
 // state is hs), copying from the lowest-numbered holder if it is not one.
-func (b *buildState) copyTo(l ids.LogicalID, hs holderState, dst ids.WorkerID, stage int32) {
+func (b *buildState) copyTo(l ids.LogicalID, hs holderState, dst ids.WorkerID, stage, key int32) {
 	at, found := slices.BinarySearch(hs.holders, dst)
 	if found {
 		return
 	}
-	b.insertCopy(l, hs.holders[0], dst, stage)
+	send, recv := b.insertCopy(l, hs.holders[0], dst, stage, key)
+	b.copies = append(b.copies, copyRec{Logical: l, Send: send, Recv: recv, Key: key})
 	hs.holders = slices.Insert(hs.holders, at, dst)
 	b.holders[l] = hs
 }
 
 // insertCopy places a send/receive pair moving the template-current
-// version of l from src to dst. Before sets are filled by pass C.
-func (b *buildState) insertCopy(l ids.LogicalID, src, dst ids.WorkerID, stage int32) {
+// version of l from src to dst, the send at key and the receive at the key
+// after it, and returns their indexes. Before sets are filled by pass C.
+func (b *buildState) insertCopy(l ids.LogicalID, src, dst ids.WorkerID, stage, key int32) (send, recv int32) {
 	sendProv := Provenance{Kind: provSend, Stage: stage, Logical: l, From: src, To: dst}
 	recvProv := Provenance{Kind: provRecv, Stage: stage, Logical: l, To: dst}
-	sendIdx, recvIdx := b.indexFor(sendProv), b.indexFor(recvProv)
+	send, recv = b.indexFor(sendProv), b.indexFor(recvProv)
 	objs := b.objs.take(2)
 	objs[0], objs[1] = b.inst.Instance(l, src), b.inst.Instance(l, dst)
+	sendE, recvE := copyEntries(l, dst, send, recv, objs)
+	b.put(sendE, src, sendProv, key)
+	b.put(recvE, dst, recvProv, recvKey(key))
+	return send, recv
+}
 
-	b.put(command.TemplateEntry{
-		Index:     sendIdx,
+// copyEntries returns the send and receive entries of one copy of l to dst
+// at the given indexes; objs holds the source and destination instances.
+func copyEntries(l ids.LogicalID, dst ids.WorkerID, send, recv int32, objs []ids.ObjectID) (sendE, recvE command.TemplateEntry) {
+	sendE = command.TemplateEntry{
+		Index:     send,
 		Kind:      command.CopySend,
 		Reads:     objs[:1:1],
 		ParamSlot: command.NoParamSlot,
 		Logical:   l,
 		DstWorker: dst,
-		DstIdx:    recvIdx,
-	}, src, sendProv)
-
-	b.put(command.TemplateEntry{
-		Index:     recvIdx,
+		DstIdx:    recv,
+	}
+	recvE = command.TemplateEntry{
+		Index:     recv,
 		Kind:      command.CopyRecv,
-		Writes:    objs[1:],
+		Writes:    objs[1:2:2],
 		ParamSlot: command.NoParamSlot,
 		Logical:   l,
-	}, dst, recvProv)
+	}
+	return sendE, recvE
 }
 
 // indexFor picks the final index of the entry with provenance p: the
@@ -622,15 +772,17 @@ func (b *buildState) indexFor(p Provenance) int32 {
 
 // put writes an entry at its index. Indexes past the array are handed out
 // and placed in ascending order, so such an entry always lands at the end.
-func (b *buildState) put(e command.TemplateEntry, w ids.WorkerID, p Provenance) {
+func (b *buildState) put(e command.TemplateEntry, w ids.WorkerID, p Provenance, key int32) {
 	if int(e.Index) == len(b.entries) {
 		b.entries = append(b.entries, e)
 		b.workerOf = append(b.workerOf, w)
 		b.prov = append(b.prov, p)
+		b.key = append(b.key, key)
 	} else {
 		b.entries[e.Index] = e
 		b.workerOf[e.Index] = w
 		b.prov[e.Index] = p
+		b.key[e.Index] = key
 	}
 	b.order = append(b.order, e.Index)
 }

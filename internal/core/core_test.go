@@ -308,10 +308,20 @@ func TestBuildParallelMatchesSerial(t *testing.T) {
 }
 
 // TestAssignmentSizeLiveCount: Size must stay correct through edit and
-// tombstone churn without rescanning the entry array.
+// tombstone churn without rescanning the entry array: migrations that move
+// partitions away, back, and onto one worker until others empty.
 func TestAssignmentSizeLiveCount(t *testing.T) {
-	a, _, _ := buildLRAssignment(t, 4, 8, 4)
-	recount := func() int {
+	const workers, parts, fan = 4, 16, 4
+	place := lrPlacement(workers, parts, fan)
+	var alloc ids.ObjectIDs
+	dir := flow.NewDirectory(&alloc)
+	stages := lrLikeStages(parts, fan)
+	tmpl := &Template{ID: 1, Name: "t", Stages: stages}
+	a, err := BuildAssignment(1, dir, place, stages, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recount := func(a *Assignment) int {
 		n := 0
 		for i := range a.Entries {
 			if a.Entries[i].Kind != 0 {
@@ -320,36 +330,38 @@ func TestAssignmentSizeLiveCount(t *testing.T) {
 		}
 		return n
 	}
-	if a.Size() != recount() {
-		t.Fatalf("fresh build: Size=%d recount=%d", a.Size(), recount())
+	if a.Size() != recount(a) {
+		t.Fatalf("fresh build: Size=%d recount=%d", a.Size(), recount(a))
 	}
-
-	next := int32(len(a.Entries))
-	prov := map[int32]Provenance{}
-	// Churn: remove a window, re-add one removed entry at its old index,
-	// append fresh entries, double-remove, remove-missing, and overwrite a
-	// live index in place.
-	steps := []command.Edit{
-		{Remove: []int32{0, 1, 2, 3}},
-		{Add: []command.TemplateEntry{func() command.TemplateEntry {
-			e := a.Entries[5]
-			e.Index = 2
-			e.Kind = command.Task
-			return e
-		}()}},
-		{Add: []command.TemplateEntry{
-			{Index: next, Kind: command.Task},
-			{Index: next + 1, Kind: command.CopySend},
-		}},
-		{Remove: []int32{0, 0}},       // 0 already tombstoned
-		{Remove: []int32{next + 100}}, // out of range: ignored
-		{Remove: []int32{5}, Add: []command.TemplateEntry{{Index: 5, Kind: command.Task}}},
+	steps := []struct {
+		parts []int
+		dst   ids.WorkerID
+	}{
+		{[]int{0, 1, 2, 3}, 2},
+		{[]int{1}, 2},
+		{[]int{4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}, 1},
+		{[]int{0, 1, 2, 3}, 1}, // every partition on worker 1
+		{[]int{3, 7}, 4},
+		{[]int{3, 7, 9}, 3},
 	}
-	for i, e := range steps {
-		a.ApplyEdit(1, &e, prov)
-		if a.Size() != recount() {
-			t.Fatalf("step %d: Size=%d recount=%d", i, a.Size(), recount())
+	for i, st := range steps {
+		var moves []Move
+		for _, p := range st.parts {
+			place.Reassign(1, p, st.dst)
+			place.Reassign(3, p, st.dst)
+			moves = append(moves, Move{1, p}, Move{3, p})
 		}
+		next, _, err := tmpl.Migrate(1, dir, place, a, moves, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next.Size() != recount(next) {
+			t.Fatalf("step %d: Size=%d recount=%d", i, next.Size(), recount(next))
+		}
+		if a.Size() != recount(a) {
+			t.Fatalf("step %d changed its predecessor: Size=%d recount=%d", i, a.Size(), recount(a))
+		}
+		a = next
 	}
 }
 

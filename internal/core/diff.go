@@ -23,6 +23,13 @@ type DiffResult struct {
 	// Changed counts entries added plus removed — the size of the
 	// scheduling change, which the control-plane cost scales with.
 	Changed int
+	// Visited counts the entries and accessor records the path that made
+	// the result examined: every index for Diff, the moved tasks' cone for
+	// Migrate.
+	Visited int
+	// Rebuilt reports that Migrate could not edit exactly and fell back to
+	// Rebuild + Diff.
+	Rebuilt bool
 }
 
 // Diff computes the minimal per-worker edits transforming prev into next.
@@ -30,67 +37,72 @@ type DiffResult struct {
 // predecessor, so unchanged entries share indexes.
 func Diff(prev, next *Assignment) *DiffResult {
 	res := &DiffResult{Edits: make(map[ids.WorkerID]*command.Edit)}
-	max := len(next.Entries)
-	if len(prev.Entries) > max {
-		max = len(prev.Entries)
+	n := max(len(prev.Entries), len(next.Entries))
+	for i := 0; i < n; i++ {
+		res.compare(prev, next, int32(i))
 	}
-	editOf := func(w ids.WorkerID) *command.Edit {
-		e, ok := res.Edits[w]
-		if !ok {
-			e = &command.Edit{}
-			res.Edits[w] = e
-		}
-		return e
+	res.Visited = n
+	res.classifyWorkers(prev, next)
+	return res
+}
+
+// compare adds the edits index i needs to turn prev's entry there into
+// next's. Called in ascending index order, it keeps every worker's Remove
+// and Add lists ascending.
+func (res *DiffResult) compare(prev, next *Assignment, i int32) {
+	var oldE, newE *command.TemplateEntry
+	var oldW, newW ids.WorkerID
+	if int(i) < len(prev.Entries) && prev.Entries[i].Kind != 0 {
+		oldE = &prev.Entries[i]
+		oldW = prev.WorkerOf[i]
 	}
-	for i := 0; i < max; i++ {
-		var oldE, newE *command.TemplateEntry
-		var oldW, newW ids.WorkerID
-		if i < len(prev.Entries) && prev.Entries[i].Kind != 0 {
-			oldE = &prev.Entries[i]
-			oldW = prev.WorkerOf[i]
-		}
-		if i < len(next.Entries) && next.Entries[i].Kind != 0 {
-			newE = &next.Entries[i]
-			newW = next.WorkerOf[i]
-		}
-		switch {
-		case oldE == nil && newE == nil:
-		case oldE == nil:
-			editOf(newW).Add = append(editOf(newW).Add, *newE)
-			res.Changed++
-		case newE == nil:
-			editOf(oldW).Remove = append(editOf(oldW).Remove, int32(i))
-			res.Changed++
-		case oldW == newW && entriesEqual(oldE, newE):
-			// Unchanged.
-		default:
-			editOf(oldW).Remove = append(editOf(oldW).Remove, int32(i))
-			editOf(newW).Add = append(editOf(newW).Add, *newE)
-			res.Changed += 2
-		}
+	if int(i) < len(next.Entries) && next.Entries[i].Kind != 0 {
+		newE = &next.Entries[i]
+		newW = next.WorkerOf[i]
 	}
-	// Workers appearing in next but absent from prev need installs, not
-	// edits (they have no cached template to modify).
-	prevWorkers := make(map[ids.WorkerID]bool, len(prev.PerWorker))
-	for w, idxs := range prev.PerWorker {
-		if len(idxs) > 0 {
-			prevWorkers[w] = true
-		}
+	switch {
+	case oldE == nil && newE == nil:
+	case oldE == nil:
+		res.editOf(newW).Add = append(res.editOf(newW).Add, *newE)
+		res.Changed++
+	case newE == nil:
+		res.editOf(oldW).Remove = append(res.editOf(oldW).Remove, i)
+		res.Changed++
+	case oldW == newW && entriesEqual(oldE, newE):
+		// Unchanged.
+	default:
+		res.editOf(oldW).Remove = append(res.editOf(oldW).Remove, i)
+		res.editOf(newW).Add = append(res.editOf(newW).Add, *newE)
+		res.Changed += 2
 	}
+}
+
+func (res *DiffResult) editOf(w ids.WorkerID) *command.Edit {
+	e, ok := res.Edits[w]
+	if !ok {
+		e = &command.Edit{}
+		res.Edits[w] = e
+	}
+	return e
+}
+
+// classifyWorkers lists the workers next adds and the workers it empties.
+// Workers appearing in next but absent from prev need installs, not edits
+// (they have no cached template to modify).
+func (res *DiffResult) classifyWorkers(prev, next *Assignment) {
 	for w, idxs := range next.PerWorker {
-		if len(idxs) > 0 && !prevWorkers[w] {
+		if len(idxs) > 0 && len(prev.PerWorker[w]) == 0 {
 			res.NewWorkers = append(res.NewWorkers, w)
 			delete(res.Edits, w)
 		}
 	}
 	slices.Sort(res.NewWorkers)
-	for w := range prevWorkers {
-		if len(next.PerWorker[w]) == 0 {
+	for w, idxs := range prev.PerWorker {
+		if len(idxs) > 0 && len(next.PerWorker[w]) == 0 {
 			res.EmptiedWorkers = append(res.EmptiedWorkers, w)
 		}
 	}
 	slices.Sort(res.EmptiedWorkers)
-	return res
 }
 
 // entriesEqual reports whether two entries are semantically identical.
@@ -137,45 +149,4 @@ func sameIndexSet(a, b []int32) bool {
 		}
 	}
 	return true
-}
-
-// ApplyEdit applies one worker's edit to the assignment's controller-half
-// state (mirroring what the worker does to its installed template), so the
-// controller's view stays consistent when it chooses the edit path instead
-// of swapping whole assignments.
-func (a *Assignment) ApplyEdit(w ids.WorkerID, e *command.Edit, prov map[int32]Provenance) {
-	for _, idx := range e.Remove {
-		if int(idx) < len(a.Entries) {
-			if a.Entries[idx].Kind != 0 {
-				a.live--
-			}
-			a.Entries[idx] = command.TemplateEntry{}
-		}
-	}
-	for i := range e.Add {
-		ne := e.Add[i]
-		for int(ne.Index) >= len(a.Entries) {
-			a.Entries = append(a.Entries, command.TemplateEntry{})
-			a.WorkerOf = append(a.WorkerOf, ids.NoWorker)
-			a.Prov = append(a.Prov, Provenance{})
-		}
-		if a.Entries[ne.Index].Kind == 0 && ne.Kind != 0 {
-			a.live++
-		} else if a.Entries[ne.Index].Kind != 0 && ne.Kind == 0 {
-			a.live--
-		}
-		a.Entries[ne.Index] = ne
-		a.WorkerOf[ne.Index] = w
-		if p, ok := prov[ne.Index]; ok {
-			a.Prov[ne.Index] = p
-		}
-	}
-	// Rebuild the per-worker index lists.
-	perWorker := make(map[ids.WorkerID][]int32)
-	for i := range a.Entries {
-		if a.Entries[i].Kind != 0 {
-			perWorker[a.WorkerOf[i]] = append(perWorker[a.WorkerOf[i]], int32(i))
-		}
-	}
-	a.PerWorker = perWorker
 }

@@ -15,8 +15,10 @@
 //     preconditions and instantiation effects;
 //   - Validate/BuildPatch/PatchCache: dynamic control-flow support
 //     (paper §2.4, §4.2);
-//   - Rebalance: rebuilds an assignment under a new placement and emits
-//     minimal edits against the old one (paper §2.3, §4.3).
+//   - Template.Migrate: edits an assignment for moved partitions, touching
+//     only the moved tasks' cone, and returns the per-worker edits (paper
+//     §2.3, §4.3); Rebuild + Diff, its oracle, rebuild and compare the
+//     whole template.
 package core
 
 import (
@@ -128,20 +130,32 @@ func refPartitions(ref *proto.VarRef, place Placement, tasks, t int) ([]int, err
 // first written partition (write-local placement). Stages with no writes
 // anchor on their first read.
 func AnchorWorker(spec *proto.SubmitStage, place Placement, t int) (ids.WorkerID, error) {
-	anchor := func(ref *proto.VarRef) (ids.WorkerID, error) {
-		parts, err := refPartitions(ref, place, spec.Tasks, t)
-		if err != nil {
-			return ids.NoWorker, err
-		}
-		return place.WorkerOf(ref.Var, parts[0]), nil
+	mv, err := anchorOf(spec, place, t)
+	if err != nil {
+		return ids.NoWorker, err
 	}
+	return place.WorkerOf(mv.Var, mv.Partition), nil
+}
+
+// anchorOf returns the (variable, partition) pair whose owner task t runs
+// on. It does not depend on where partitions are placed.
+func anchorOf(spec *proto.SubmitStage, place Placement, t int) (Move, error) {
+	var ref *proto.VarRef
 	for i := range spec.Refs {
 		if spec.Refs[i].Write {
-			return anchor(&spec.Refs[i])
+			ref = &spec.Refs[i]
+			break
 		}
 	}
-	for i := range spec.Refs {
-		return anchor(&spec.Refs[i])
+	if ref == nil && len(spec.Refs) > 0 {
+		ref = &spec.Refs[0]
 	}
-	return ids.NoWorker, fmt.Errorf("stage %s has no variable references", spec.Stage)
+	if ref == nil {
+		return Move{}, fmt.Errorf("stage %s has no variable references", spec.Stage)
+	}
+	parts, err := refPartitions(ref, place, spec.Tasks, t)
+	if err != nil {
+		return Move{}, err
+	}
+	return Move{Var: ref.Var, Partition: parts[0]}, nil
 }

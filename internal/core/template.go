@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
+	"sync"
 
 	"nimbus/internal/command"
 	"nimbus/internal/flow"
@@ -27,6 +29,11 @@ type Template struct {
 	Assignments []*Assignment
 	// Active is the assignment new instantiations use.
 	Active *Assignment
+
+	// The cone index Migrate works from, built from Stages on first use.
+	coneOnce sync.Once
+	cone     *coneIndex
+	coneErr  error
 }
 
 // Assignment is one worker-template set for a Template: the controller
@@ -54,6 +61,53 @@ type Assignment struct {
 	// build and edit paths so Size is O(1) instead of an O(entries)
 	// tombstone scan.
 	live int
+
+	// What Migrate needs to edit the assignment instead of rebuilding it.
+	// Every assignment carries it, however it was made; all of it is
+	// immutable once the assignment is returned, like the entries.
+	//
+	// key is every entry's program-order key (see copyKey), taskIdx every
+	// flat task's entry index, holes the tombstoned indexes in ascending
+	// order, and pcKey the access position that made each precondition.
+	key     []int32
+	taskIdx []int32
+	holes   []int32
+	pcKey   []int32
+	// history holds, per worker, the epochs of the physical objects whose
+	// epochs do not follow from their ledger effect (see plainHistory).
+	// copyOf lists every copy pair and pcOf every precondition, both sorted
+	// by logical object, then key.
+	history map[ids.WorkerID]map[ids.ObjectID][]epoch
+	copyOf  []copyRec
+	pcOf    []pcRec
+}
+
+// copyRec is one copy pair of a logical object: its send and receive
+// indexes and the send's key.
+type copyRec struct {
+	Logical    ids.LogicalID
+	Send, Recv int32
+	Key        int32
+}
+
+// pcRec is one precondition's logical object and key.
+type pcRec struct {
+	Logical ids.LogicalID
+	Key     int32
+}
+
+func compareCopies(a, b copyRec) int {
+	if c := cmp.Compare(a.Logical, b.Logical); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Key, b.Key)
+}
+
+func comparePCs(a, b pcRec) int {
+	if c := cmp.Compare(a.Logical, b.Logical); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Key, b.Key)
 }
 
 // Size returns the number of live entries.
@@ -132,17 +186,10 @@ func (a *Assignment) ApplyEffects(base ids.CommandID, dir *flow.Directory, ledge
 				// Read-only object: keep the pre-instance writer, replace
 				// the reader set (older readers are ordered before the
 				// instance by the worker's block barrier).
-				led.SetState(le.Object, currentWriter(led, le.Object), readers)
+				led.SetState(le.Object, led.LastWriter(le.Object), readers)
 			}
 		}
 	}
-}
-
-// currentWriter reads the ledger's existing last writer for o.
-func currentWriter(led *flow.Ledger, o ids.ObjectID) ids.CommandID {
-	// flow.Ledger does not expose its state directly; SetState with the
-	// same writer is achieved via a read-modify helper.
-	return led.LastWriter(o)
 }
 
 // MaxIndex returns the highest entry index in use plus one (the ID-block
@@ -150,10 +197,6 @@ func currentWriter(led *flow.Ledger, o ids.ObjectID) ids.CommandID {
 func (a *Assignment) MaxIndex() int {
 	return len(a.Entries)
 }
-
-// NextTemplateOp describes what the controller must do to run an
-// assignment on a worker: nothing (installed), or a full install.
-type NextTemplateOp uint8
 
 // Rebuild constructs a fresh assignment for the template's stages under
 // the given placement, drawing object instances from inst (the live

@@ -31,7 +31,16 @@ type Snapshot struct {
 // its own view; the view is safe for concurrent use by the goroutines of
 // one build group.
 func (s *Snapshot) View() *BuildView {
-	return &BuildView{snap: s, overlay: make(map[instKey]ids.ObjectID)}
+	return &BuildView{snap: s, alloc: s.alloc, overlay: make(map[instKey]ids.ObjectID)}
+}
+
+// LiveView returns a build view whose base is the directory itself rather
+// than a snapshot of it: nothing is copied, but lookups read the live
+// table, so the view may be used only while nothing mutates the directory
+// — by a build group the event loop runs and waits for, as a migration
+// does. It commits like any view.
+func (d *Directory) LiveView() *BuildView {
+	return &BuildView{live: d, alloc: d.objectIDs, overlay: make(map[instKey]ids.ObjectID)}
 }
 
 type instKey struct {
@@ -46,7 +55,9 @@ type instKey struct {
 // use.
 type BuildView struct {
 	mu      sync.Mutex
-	snap    *Snapshot
+	snap    *Snapshot  // the base, or nil for a live view
+	live    *Directory // a live view's base
+	alloc   *ids.ObjectIDs
 	overlay map[instKey]ids.ObjectID
 }
 
@@ -56,7 +67,11 @@ type BuildView struct {
 // is immutable, so the common case — a pair the directory already tracks —
 // is lock-free; only overlay allocations take the mutex.
 func (v *BuildView) Instance(l ids.LogicalID, w ids.WorkerID) ids.ObjectID {
-	if m, ok := v.snap.base[l]; ok {
+	if v.live != nil {
+		if r := v.live.Lookup(l, w); r != nil {
+			return r.Object
+		}
+	} else if m, ok := v.snap.base[l]; ok {
 		if o, ok := m[w]; ok {
 			return o
 		}
@@ -67,7 +82,7 @@ func (v *BuildView) Instance(l ids.LogicalID, w ids.WorkerID) ids.ObjectID {
 	if o, ok := v.overlay[k]; ok {
 		return o
 	}
-	o := v.snap.alloc.Next()
+	o := v.alloc.Next()
 	v.overlay[k] = o
 	return o
 }
