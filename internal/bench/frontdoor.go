@@ -10,6 +10,7 @@ import (
 	"nimbus/internal/cluster"
 	"nimbus/internal/driver"
 	"nimbus/internal/fn"
+	"nimbus/internal/transport"
 )
 
 // FrontDoor measures the driver front door: a thundering herd of
@@ -30,7 +31,7 @@ func FrontDoor(s Scale) (*Table, error) {
 		Notes: []string{
 			"each session registers through the shared-connection gateway, runs one put+submit+barrier, and closes",
 			"a predicate loop on a dedicated connection runs across the herd; its p99 shows control-loop interference",
-			fmt.Sprintf("gateway capped at %d shared connections; 4 workers", driver.DefaultMaxConns),
+			fmt.Sprintf("gateway capped at %d shared connections; 4 workers", transport.DefaultMaxConns),
 		},
 	}
 	for _, n := range s.FrontDoorSessions {
@@ -51,7 +52,7 @@ func (s Scale) runFrontDoor(n int) ([]string, error) {
 		return nil, err
 	}
 	defer c.Stop()
-	gw := c.Gateway(driver.DefaultMaxConns)
+	gw := c.Gateway(transport.DefaultMaxConns)
 	defer gw.Close()
 
 	// The interference probe: a controller-evaluated predicate loop over a

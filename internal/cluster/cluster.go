@@ -202,22 +202,11 @@ func (c *Cluster) workerConfig() worker.Config {
 	}
 }
 
-// JoinWorker starts one more worker and tracks it in the cluster. Start
-// returns once the controller has admitted it; the worker's Ready channel
-// closes once it is active — at once, unless a live job warms it first
-// (every active template installed and compiled before it takes traffic).
-func (c *Cluster) JoinWorker() (*worker.Worker, error) {
-	w := worker.New(c.workerConfig())
-	if err := w.Start(); err != nil {
-		return nil, err
-	}
-	c.Workers = append(c.Workers, w)
-	return w, nil
-}
-
-// AddWorker starts one more worker and returns once it is active.
+// AddWorker starts one more worker, tracks it in the cluster and returns
+// once it is active: at once, unless a live job warms it first (every
+// active template installed and compiled before it takes traffic).
 func (c *Cluster) AddWorker() (*worker.Worker, error) {
-	w, err := c.JoinWorker()
+	w, err := c.startWorker()
 	if err != nil {
 		return nil, err
 	}
@@ -227,6 +216,18 @@ func (c *Cluster) AddWorker() (*worker.Worker, error) {
 	case <-w.Stopped():
 		return nil, fmt.Errorf("cluster: worker %s stopped before it became active", w.ID())
 	}
+}
+
+// startWorker starts one more worker and tracks it in the cluster. It
+// returns once the controller has admitted the worker; its Ready channel
+// closes once it is active.
+func (c *Cluster) startWorker() (*worker.Worker, error) {
+	w := worker.New(c.workerConfig())
+	if err := w.Start(); err != nil {
+		return nil, err
+	}
+	c.Workers = append(c.Workers, w)
+	return w, nil
 }
 
 // FleetSample adapts the controller's load snapshot to the autoscaler's
@@ -255,7 +256,7 @@ func (p *prov) Launch(n int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for i := 0; i < n; i++ {
-		if _, err := p.c.JoinWorker(); err != nil {
+		if _, err := p.c.startWorker(); err != nil {
 			return err
 		}
 	}
@@ -293,10 +294,10 @@ func (c *Cluster) Driver(name string) (*driver.Driver, error) {
 
 // Gateway builds a session multiplexer over the cluster transport: driver
 // sessions opened through it share at most conns connections to the
-// controller (0 = driver.DefaultMaxConns). Callers pass it as the
+// controller (0 = transport.DefaultMaxConns). Callers pass it as the
 // transport to driver.ConnectOpts.
-func (c *Cluster) Gateway(conns int) *driver.Mux {
-	return driver.NewMux(c.net, conns)
+func (c *Cluster) Gateway(conns int) *transport.Mux {
+	return transport.NewMux(c.net, conns)
 }
 
 // KillWorker abruptly stops worker i (0-based), simulating a failure the

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -515,4 +517,81 @@ func TestFailoverAfterRejectedOpKeepsJournalInLockstep(t *testing.T) {
 		t.Errorf("applied ops = %d, driver journaled %d", got, want)
 	}
 	d.Close()
+}
+
+// TestFailoverGatewaySessionStaysBoundPastReattachDeadline: a driver
+// session multiplexed over a gateway reattaches after failover as a
+// dedicated connection does, and stays bound to its job. The promoted
+// controller's reattach deadline expires only jobs whose driver never came
+// back, so the session keeps working past it.
+func TestFailoverGatewaySessionStaysBoundPastReattachDeadline(t *testing.T) {
+	leakcheck.Check(t)
+	const reattachDeadline = 300 * time.Millisecond
+	c := startTestCluster(t, Options{
+		Workers:          2,
+		LeaseTTL:         120 * time.Millisecond,
+		ReattachDeadline: reattachDeadline,
+	})
+	if _, err := c.StartStandby(); err != nil {
+		t.Fatal(err)
+	}
+	gw := c.Gateway(1)
+	defer gw.Close()
+	d, err := driver.ConnectOpts(context.Background(), gw, ControlAddr, driver.Opts{Name: "gateway-failover"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	x := d.MustVar("x", 1)
+	y := d.MustVar("y", 1)
+	// double runs one put, submit and get round trip, failing rather than
+	// hanging if the session lost its job.
+	double := func(seed float64) error {
+		done := make(chan error, 1)
+		go func() {
+			if err := d.PutFloats(x, 0, []float64{seed}); err != nil {
+				done <- err
+				return
+			}
+			if err := d.Submit(fnDouble, 1, nil, x.Read(), y.Write()); err != nil {
+				done <- err
+				return
+			}
+			got, err := d.GetFloats(y, 0)
+			if err == nil && (len(got) != 1 || got[0] != 2*seed) {
+				err = fmt.Errorf("double(%v) = %v", seed, got)
+			}
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(10 * time.Second):
+			return fmt.Errorf("double(%v) still blocked after 10s", seed)
+		}
+	}
+	if err := double(1); err != nil {
+		t.Fatal(err)
+	}
+
+	c.KillController()
+	promoted, err := c.AwaitPromotion(10 * time.Second)
+	if err != nil {
+		t.Fatalf("takeover: %v", err)
+	}
+	// The first request after the kill reattaches through the gateway.
+	if err := double(2); err != nil {
+		t.Fatalf("after failover: %v", err)
+	}
+	// Let the deadline, measured from the takeover, run out.
+	time.Sleep(3 * reattachDeadline)
+	if err := double(3); err != nil {
+		t.Fatalf("past the reattach deadline: %v", err)
+	}
+	if n := promoted.Stats.JobsExpired.Load(); n != 0 {
+		t.Errorf("the reattach deadline expired %d jobs, want 0: the gateway session reattached", n)
+	}
+	if got, want := promoted.JobApplied(d.Job()), d.OpsSent(); got != want {
+		t.Errorf("applied ops = %d, driver journaled %d", got, want)
+	}
 }

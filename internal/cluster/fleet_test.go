@@ -78,7 +78,7 @@ func TestFleetJoinWarmBeforeTraffic(t *testing.T) {
 		}
 	}
 
-	w, err := c.JoinWorker()
+	w, err := c.startWorker()
 	if err != nil {
 		t.Fatalf("join: %v", err)
 	}

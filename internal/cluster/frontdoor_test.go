@@ -14,6 +14,7 @@ import (
 	"nimbus/internal/controller"
 	"nimbus/internal/driver"
 	"nimbus/internal/proto"
+	"nimbus/internal/transport"
 )
 
 // pollStats spins on FrontDoorStats until cond holds. It deliberately does
@@ -208,56 +209,74 @@ func TestAdmissionQueueFullTypedReject(t *testing.T) {
 // TestAdmissionContextCancelWhileQueued: canceling the connect context
 // while the registration waits in the admission queue removes the queue
 // entry and releases the connection — no orphaned job state, no leaked
-// conn.
+// conn — whether the driver dialed a dedicated connection or a gateway
+// session, since both reach the controller as one kind of conn.
 func TestAdmissionContextCancelWhileQueued(t *testing.T) {
-	c := startTestCluster(t, Options{Workers: 1, MaxJobs: 1, AdmitQueue: 4})
+	for _, tc := range []struct {
+		name string
+		tr   func(t *testing.T, c *Cluster) transport.Transport
+	}{
+		{"dedicated", func(t *testing.T, c *Cluster) transport.Transport { return c.net }},
+		// One shared connection, so the abandoned session rides the
+		// holder's and the conn count returns exactly to the holder's.
+		{"gateway", func(t *testing.T, c *Cluster) transport.Transport {
+			gw := c.Gateway(1)
+			t.Cleanup(func() { gw.Close() })
+			return gw
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := startTestCluster(t, Options{Workers: 1, MaxJobs: 1, AdmitQueue: 4})
+			tr := tc.tr(t, c)
 
-	d1, err := c.Driver("holder")
-	if err != nil {
-		t.Fatalf("holder driver: %v", err)
+			d1, err := driver.Connect(tr, ControlAddr, "holder")
+			if err != nil {
+				t.Fatalf("holder driver: %v", err)
+			}
+			defer d1.Close()
+			base := pollStats(t, c, 5*time.Second, "holder tracked", func(s controller.FrontDoorStats) bool {
+				return s.Jobs == 1
+			})
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			queued := make(chan error, 1)
+			go func() {
+				d, err := driver.ConnectOpts(ctx, tr, ControlAddr, driver.Opts{Name: "canceled"})
+				if err == nil {
+					d.Close()
+				}
+				queued <- err
+			}()
+			pollStats(t, c, 5*time.Second, "registration to queue", func(s controller.FrontDoorStats) bool {
+				return s.QueueLen == 1
+			})
+
+			cancel()
+			select {
+			case err := <-queued:
+				if err == nil {
+					t.Fatal("canceled connect reported success")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("canceled connect still blocked after 5s")
+			}
+			// The queue entry drains and the abandoned conn is untracked; the
+			// surviving job is exactly the holder's.
+			pollStats(t, c, 5*time.Second, "canceled entry to drain", func(s controller.FrontDoorStats) bool {
+				return s.QueueLen == 0 && s.Conns == base.Conns && s.Jobs == 1
+			})
+
+			// The slot is genuinely free: ending the holder leaves zero jobs (a
+			// phantom admission of the canceled entry would strand one).
+			if err := d1.Close(); err != nil {
+				t.Fatalf("closing holder: %v", err)
+			}
+			pollStats(t, c, 5*time.Second, "all jobs to end", func(s controller.FrontDoorStats) bool {
+				return s.Jobs == 0
+			})
+		})
 	}
-	defer d1.Close()
-	base := pollStats(t, c, 5*time.Second, "holder tracked", func(s controller.FrontDoorStats) bool {
-		return s.Jobs == 1
-	})
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	queued := make(chan error, 1)
-	go func() {
-		d, err := driver.ConnectOpts(ctx, c.net, ControlAddr, driver.Opts{Name: "canceled"})
-		if err == nil {
-			d.Close()
-		}
-		queued <- err
-	}()
-	pollStats(t, c, 5*time.Second, "registration to queue", func(s controller.FrontDoorStats) bool {
-		return s.QueueLen == 1
-	})
-
-	cancel()
-	select {
-	case err := <-queued:
-		if err == nil {
-			t.Fatal("canceled connect reported success")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("canceled connect still blocked after 5s")
-	}
-	// The queue entry drains and the abandoned conn is untracked; the
-	// surviving job is exactly the holder's.
-	pollStats(t, c, 5*time.Second, "canceled entry to drain", func(s controller.FrontDoorStats) bool {
-		return s.QueueLen == 0 && s.Conns == base.Conns && s.Jobs == 1
-	})
-
-	// The slot is genuinely free: ending the holder leaves zero jobs (a
-	// phantom admission of the canceled entry would strand one).
-	if err := d1.Close(); err != nil {
-		t.Fatalf("closing holder: %v", err)
-	}
-	pollStats(t, c, 5*time.Second, "all jobs to end", func(s controller.FrontDoorStats) bool {
-		return s.Jobs == 0
-	})
 }
 
 // TestSessionMux10kJobs is the tentpole acceptance test: 10k concurrent
@@ -279,7 +298,7 @@ func TestSessionMux10kJobs(t *testing.T) {
 		// 10k sessions ending all log "job ended"; keep the hot path quiet.
 		Logf: func(string, ...any) {},
 	})
-	gw := c.Gateway(driver.DefaultMaxConns)
+	gw := c.Gateway(transport.DefaultMaxConns)
 	defer gw.Close()
 
 	drivers := make([]*driver.Driver, n)
@@ -313,11 +332,11 @@ func TestSessionMux10kJobs(t *testing.T) {
 	if s.GatewaySessions != n {
 		t.Errorf("gateway sessions = %d, want %d", s.GatewaySessions, n)
 	}
-	if got := gw.Conns(); got > driver.DefaultMaxConns {
-		t.Errorf("mux used %d conns, cap %d", got, driver.DefaultMaxConns)
+	if got := gw.Conns(); got > transport.DefaultMaxConns {
+		t.Errorf("mux used %d conns, cap %d", got, transport.DefaultMaxConns)
 	}
-	if s.GatewayConns > driver.DefaultMaxConns {
-		t.Errorf("controller tracks %d gateway conns, cap %d", s.GatewayConns, driver.DefaultMaxConns)
+	if s.GatewayConns > transport.DefaultMaxConns {
+		t.Errorf("controller tracks %d gateway conns, cap %d", s.GatewayConns, transport.DefaultMaxConns)
 	}
 
 	var failures atomic.Uint64
@@ -449,7 +468,7 @@ func TestSessionChaosIsolation(t *testing.T) {
 	// startVictims launches perSide sessions over vmux, each doing a
 	// round trip; errors are fine (their conn is under fault injection),
 	// wrong values are not.
-	startVictims := func(c *Cluster, vmux *driver.Mux, tally *victimTally) {
+	startVictims := func(c *Cluster, vmux *transport.Mux, tally *victimTally) {
 		for i := 0; i < perSide; i++ {
 			go func(i int) {
 				defer tally.done.Add(1)
@@ -480,7 +499,7 @@ func TestSessionChaosIsolation(t *testing.T) {
 		}
 	}
 
-	runNeighbors := func(t *testing.T, nmux *driver.Mux) {
+	runNeighbors := func(t *testing.T, nmux *transport.Mux) {
 		t.Helper()
 		var wg sync.WaitGroup
 		errs := make(chan error, perSide)
@@ -518,7 +537,7 @@ func TestSessionChaosIsolation(t *testing.T) {
 		// their shared conns; neighbors share nothing with them but the
 		// controller itself.
 		ch := chaos.New(c.Transport, 1)
-		vmux := driver.NewMux(ch, 2)
+		vmux := transport.NewMux(ch, 2)
 		defer vmux.Close()
 		nmux := c.Gateway(2)
 		defer nmux.Close()
@@ -547,7 +566,7 @@ func TestSessionChaosIsolation(t *testing.T) {
 			Dup:     0.05,
 			Reorder: 0.10,
 		})
-		vmux := driver.NewMux(ch, 2)
+		vmux := transport.NewMux(ch, 2)
 		defer vmux.Close()
 		nmux := c.Gateway(2)
 		defer nmux.Close()

@@ -231,16 +231,16 @@ type Controller struct {
 	chunkRx map[uint64]*fetchChunks
 
 	// dirty lists workers with staged messages awaiting the end-of-event
-	// coalesced flush.
-	dirty []*workerState
+	// coalesced flush; dirtyDrv lists driver connections with staged
+	// messages (a closed one may still owe its peer a SessionClose). A
+	// connection listed twice is harmless: its second Flush finds nothing.
+	dirty    []*workerState
+	dirtyDrv []transport.Conn
 
-	// Front door (frontdoor.go): gateway connections with per-session
-	// staging, the bounded admission queue, tenant fair-share aggregates
-	// (activeTW sums the weights of tenants with live jobs; dirty sets
-	// drive the diffed quota flush), per-tenant admission rate buckets,
-	// and the SLO latency rings.
-	gateways        map[transport.Conn]*gwConn
-	dirtyGws        []*gwConn
+	// Front door (frontdoor.go): the bounded admission queue, tenant
+	// fair-share aggregates (activeTW sums the weights of tenants with live
+	// jobs; dirty sets drive the diffed quota flush), per-tenant admission
+	// rate buckets, and the SLO latency rings.
 	admitQ          []*admitWait
 	tenants         map[string]*tenantState
 	activeTW        int
@@ -262,8 +262,8 @@ type Controller struct {
 	// attached (it caps the journal-truncation point drivers learn — a
 	// detached standby may still promote from its stale shadow), the
 	// lease epoch renewals carry, the rejoin roster a promoted controller
-	// waits on before takeover recovery, and the tracked connection set
-	// Kill tears down.
+	// waits on before takeover recovery, the tracked connection set Kill
+	// tears down, and the served gateway connections Stop closes.
 	repl         *replState
 	hadStandby   bool
 	epoch        uint64
@@ -279,6 +279,7 @@ type Controller struct {
 
 	connMu   sync.Mutex
 	conns    map[transport.Conn]struct{}
+	gateways map[*transport.MuxServer]struct{}
 	stopOnce sync.Once
 
 	// Stats is exported for benchmarks and tests.
@@ -292,14 +293,10 @@ type jobState struct {
 	name   string
 	weight int
 	conn   transport.Conn
-	// Front-door identity: the fair-share tenant, the admission-queue
-	// priority, and — for sessions multiplexed over a gateway connection
-	// — the gateway and session the job is bound to (conn is nil then;
-	// driver-bound sends stage through the gateway's coalescer).
+	// Front-door identity: the fair-share tenant and the admission-queue
+	// priority.
 	tenant   string
 	priority uint8
-	gw       *gwConn
-	sess     uint64
 	// dead marks a torn-down job so late build commits and stray events
 	// drop instead of resurrecting state.
 	dead bool
@@ -484,11 +481,6 @@ type cevent struct {
 	fn    func()
 	rerr  error
 	isDrv bool
-	// gw/sess stamp events demuxed from a gateway connection; the
-	// session → job resolution happens on the event loop, where the
-	// binding lives.
-	gw   *gwConn
-	sess uint64
 	// at is the decode instant of RegisterDriver messages, stamped off
 	// the event loop so admission latency includes time spent waiting in
 	// the event queue — the dominant term under a thundering herd.
@@ -523,8 +515,8 @@ func New(cfg Config) *Controller {
 		buildSem: make(chan struct{}, cfg.BuildParallelism),
 		buildPar: cfg.BuildParallelism,
 		conns:    make(map[transport.Conn]struct{}),
+		gateways: make(map[*transport.MuxServer]struct{}),
 
-		gateways:     make(map[transport.Conn]*gwConn),
 		tenants:      make(map[string]*tenantState),
 		dirtyTenants: make(map[*tenantState]struct{}),
 		rateBuckets:  make(map[string]*tokenBucket),
@@ -622,9 +614,6 @@ func (c *Controller) Stop() {
 				j.conn.Close()
 			}
 		}
-		for conn := range c.gateways {
-			conn.Close()
-		}
 		if c.repl != nil {
 			// A graceful stop must not trigger a takeover: the standby
 			// sees the Shutdown and stands down instead of waiting out
@@ -636,6 +625,13 @@ func (c *Controller) Stop() {
 	})
 	c.stopOnce.Do(func() { close(c.stopped) })
 	c.lis.Close()
+	// Gateways close last: a handshake serving one checks c.stopped under
+	// connMu, so none is left serving once this sweep has run.
+	c.connMu.Lock()
+	for g := range c.gateways {
+		g.Close()
+	}
+	c.connMu.Unlock()
 	c.wg.Wait()
 }
 
@@ -733,13 +729,15 @@ func (c *Controller) acceptLoop() {
 			return
 		}
 		c.wg.Add(1)
-		go c.handshake(conn)
+		go c.handshake(conn, false)
 	}
 }
 
-// handshake reads the first message of a new connection to decide whether
-// it is a worker or a driver, then hands the connection to the event loop.
-func (c *Controller) handshake(conn transport.Conn) {
+// handshake reads the first message of a new connection to decide what it
+// is, then hands the connection to the event loop — or, for a gateway,
+// serves it, running this same handshake on each of its sessions. A
+// session may open only as a driver.
+func (c *Controller) handshake(conn transport.Conn, session bool) {
 	defer c.wg.Done()
 	raw, err := conn.Recv()
 	if err != nil {
@@ -753,18 +751,60 @@ func (c *Controller) handshake(conn transport.Conn) {
 		conn.Close()
 		return
 	}
+	ok := false
 	switch msg.(type) {
-	case *proto.RegisterWorker, *proto.RegisterDriver, *proto.GatewayHello,
-		*proto.ReplAttach, *proto.DriverReattach:
-		c.trackConn(conn)
-		select {
-		case c.events <- cevent{kind: cevMsg, msg: msg, conn: conn, at: time.Now()}:
-		case <-c.stopped:
-			conn.Close()
-		}
-	default:
+	case *proto.RegisterDriver, *proto.DriverReattach:
+		ok = true
+	case *proto.RegisterWorker, *proto.ReplAttach, *proto.GatewayHello:
+		ok = !session
+	}
+	if !ok {
 		c.cfg.Logf("controller: unexpected handshake message %s", msg.Kind())
 		conn.Close()
+		return
+	}
+	c.trackConn(conn)
+	if _, ok := msg.(*proto.GatewayHello); ok {
+		c.serveGateway(conn)
+		return
+	}
+	select {
+	case c.events <- cevent{kind: cevMsg, msg: msg, conn: conn, at: time.Now()}:
+	case <-c.stopped:
+		conn.Close()
+	}
+}
+
+// serveGateway serves one gateway connection until it fails. Each session
+// it opens runs the same handshake, on the gateway's reader: the session's
+// first frame is already in its inbox, so the read cannot block, and the
+// event send holds up the reader as it would hold up a pump. A lost
+// gateway fails its sessions, and each ends like a dropped dedicated
+// connection.
+func (c *Controller) serveGateway(conn transport.Conn) {
+	g := transport.NewMuxServer(conn, func(s transport.Conn) {
+		c.wg.Add(1)
+		c.handshake(s, true)
+	})
+	c.connMu.Lock()
+	select {
+	case <-c.stopped:
+		c.connMu.Unlock()
+		conn.Close()
+		return
+	default:
+	}
+	c.gateways[g] = struct{}{}
+	c.connMu.Unlock()
+	err := g.Serve()
+	c.connMu.Lock()
+	delete(c.gateways, g)
+	c.connMu.Unlock()
+	c.untrackConn(conn)
+	select {
+	case <-c.stopped:
+	default:
+		c.cfg.Logf("controller: gateway connection lost: %v", err)
 	}
 }
 
@@ -774,23 +814,31 @@ var errPumpStopped = errors.New("pump stopped")
 
 // pump forwards a registered connection's messages into the event loop,
 // unpacking batch frames and recycling each frame buffer after decode.
-// Driver pumps stamp events with their job so every operation on the
-// connection is scoped to the job admitted at registration.
-func (c *Controller) pump(conn transport.Conn, from ids.WorkerID, job ids.JobID, isDriver bool) {
+// jobRef is nil for worker and standby connections. A driver's pump stamps
+// every event with the job jobRef holds, loaded per event: the binding may
+// not exist when the pump starts (the registration can sit in the
+// admission queue), and admitNow stores it before the ack goes out.
+func (c *Controller) pump(conn transport.Conn, from ids.WorkerID, jobRef *atomic.Uint32) {
 	defer c.wg.Done()
 	defer c.untrackConn(conn)
+	job := func() ids.JobID {
+		if jobRef == nil {
+			return ids.NoJob
+		}
+		return ids.JobID(jobRef.Load())
+	}
 	for {
 		raw, err := conn.Recv()
 		if err != nil {
 			select {
-			case c.events <- cevent{kind: cevConnClosed, from: from, job: job, isDrv: isDriver, rerr: err, conn: conn}:
+			case c.events <- cevent{kind: cevConnClosed, from: from, job: job(), isDrv: jobRef != nil, rerr: err, conn: conn}:
 			case <-c.stopped:
 			}
 			return
 		}
 		err = proto.ForEachMsg(raw, func(msg proto.Msg) error {
 			select {
-			case c.events <- cevent{kind: cevMsg, msg: msg, from: from, job: job, isDrv: isDriver}:
+			case c.events <- cevent{kind: cevMsg, msg: msg, from: from, job: job()}:
 				return nil
 			case <-c.stopped:
 				return errPumpStopped
@@ -848,13 +896,7 @@ func (c *Controller) handleMsg(ev cevent) {
 		c.fleetWarmAck(m)
 		return
 	case *proto.RegisterDriver:
-		c.registerDriver(m, ev.conn, ev.gw, ev.sess, ev.at)
-		return
-	case *proto.GatewayHello:
-		c.registerGateway(ev.conn)
-		return
-	case *proto.SessionClose:
-		c.handleSessionClose(ev.gw, m.Session)
+		c.registerDriver(m, ev.conn, ev.at)
 		return
 	case *proto.ReplAttach:
 		c.handleReplAttach(ev.conn)
@@ -863,7 +905,7 @@ func (c *Controller) handleMsg(ev cevent) {
 		c.handleReplAck(m)
 		return
 	case *proto.DriverReattach:
-		c.reattachDriver(m, ev.conn, ev.gw, ev.sess)
+		c.reattachDriver(m, ev.conn)
 		return
 	case *proto.Complete:
 		if j := c.jobs[m.Job]; j != nil {
@@ -902,15 +944,9 @@ func (c *Controller) handleMsg(ev cevent) {
 		return
 	}
 
-	job := ev.job
-	if ev.gw != nil {
-		// Gateway events resolve their job through the session binding;
-		// an unbound session means it was rejected or already torn down.
-		job = ev.gw.sessions[ev.sess]
-	}
-	j := c.jobs[job]
+	j := c.jobs[ev.job]
 	if j == nil {
-		c.cfg.Logf("controller: %s for unknown %s dropped", ev.msg.Kind(), job)
+		c.cfg.Logf("controller: %s for unknown %s dropped", ev.msg.Kind(), ev.job)
 		return
 	}
 	switch m := ev.msg.(type) {
@@ -968,7 +1004,7 @@ func (c *Controller) registerWorker(m *proto.RegisterWorker, conn transport.Conn
 	c.workers[id] = ws
 	c.sendWorker(ws, &proto.RegisterWorkerAck{Worker: id, Peers: c.peerMap(), Eager: c.cfg.Mode == ModeCentral})
 	c.wg.Add(1)
-	go c.pump(conn, id, ids.NoJob, false)
+	go c.pump(conn, id, nil)
 	// Jobs parked behind a takeover have no placement yet: the worker is
 	// part of the roster they will be recovered onto, not a join.
 	if m.Worker == ids.NoWorker && len(c.jobs) > 0 && !c.takeoverWait {
@@ -1056,16 +1092,8 @@ func (c *Controller) endJob(j *jobState, reason string) {
 			delete(c.chunkRx, seq)
 		}
 	}
-	if j.gw != nil {
-		// A multiplexed session: unbind it and tell the driver-side mux to
-		// retire the virtual channel. The shared connection lives on — its
-		// other sessions are not this job's business.
-		if j.gw.sessions[j.sess] == j.id {
-			delete(j.gw.sessions, j.sess)
-			c.stageGatewayTop(j.gw, &proto.SessionClose{Session: j.sess})
-		}
-	} else if j.conn != nil {
-		j.conn.Close()
+	if j.conn != nil {
+		c.closeDriver(j.conn)
 	}
 	// A freed job slot admits the head of the bounded admission queue.
 	c.drainAdmissions()
@@ -1133,10 +1161,16 @@ const parallelFlushMin = 4
 // disjoint state, so only the shared Stats counters (atomics) and the pools
 // (sync.Pool) are contended.
 func (c *Controller) flushSends() {
-	// Fair-share quota diffs stage worker messages, so they flush first;
-	// gateway frames are per-connection and flush independently.
+	// Fair-share quota diffs stage worker messages, so they flush first.
+	// Driver connections flush independently: all the sessions of one
+	// gateway share its stage, so the first Flush writes their one frame
+	// and the rest find nothing staged.
 	c.flushQuotas()
-	c.flushGateways()
+	for i, conn := range c.dirtyDrv {
+		c.flushDriver(conn)
+		c.dirtyDrv[i] = nil
+	}
+	c.dirtyDrv = c.dirtyDrv[:0]
 	if len(c.dirty) == 0 {
 		return
 	}
@@ -1189,39 +1223,58 @@ func (c *Controller) flushWorker(ws *workerState) {
 	}
 }
 
+// sendDriver stages m for j's driver; the end-of-event flush writes it.
+// A nil conn is a promoted job whose driver has not reattached yet: the
+// message is dropped, and the driver's reattach reconciliation (journal
+// resend + re-issued requests) recreates anything it missed.
 func (c *Controller) sendDriver(j *jobState, m proto.Msg) {
-	if j == nil || j.dead {
+	if j == nil || j.dead || j.conn == nil {
 		return
 	}
-	if j.gw != nil {
-		// A multiplexed session: stage under its session for the
-		// per-gateway coalesced flush.
-		c.stageGateway(j.gw, j.sess, m)
-		return
-	}
-	// A nil conn is a promoted job whose driver has not reattached yet:
-	// the message is dropped, and the driver's reattach reconciliation
-	// (journal resend + re-issued requests) recreates anything it missed.
-	if j.conn == nil {
-		return
-	}
+	c.sendConn(j.conn, m)
+}
+
+// sendConn stages m on a driver connection and marks it for the
+// end-of-event flush. A connection without a stage sends at once.
+func (c *Controller) sendConn(conn transport.Conn, m proto.Msg) {
 	buf := proto.MarshalAppend(proto.GetBuf(), m)
-	owned, err := transport.SendOwned(j.conn, buf)
-	if err != nil {
-		c.cfg.Logf("controller: send to %s driver failed: %v", j.id, err)
-	}
+	owned, err := transport.SendBuffered(conn, buf)
 	if !owned {
 		proto.PutBuf(buf)
 	}
+	if err != nil {
+		c.cfg.Logf("controller: send to driver failed: %v", err)
+	}
+	c.markDriverDirty(conn)
+}
+
+// markDriverDirty lists conn for the end-of-event flush, once per run of
+// sends to it.
+func (c *Controller) markDriverDirty(conn transport.Conn) {
+	if n := len(c.dirtyDrv); n == 0 || c.dirtyDrv[n-1] != conn {
+		c.dirtyDrv = append(c.dirtyDrv, conn)
+	}
+}
+
+// flushDriver writes out what is staged on a driver connection.
+func (c *Controller) flushDriver(conn transport.Conn) {
+	if err := transport.Flush(conn); err != nil && !errors.Is(err, transport.ErrClosed) {
+		c.cfg.Logf("controller: flush to driver failed: %v", err)
+	}
+}
+
+// closeDriver closes a driver connection after writing out what is staged
+// on it. Closing a gateway session stages a SessionClose in turn, which
+// the end-of-event flush writes.
+func (c *Controller) closeDriver(conn transport.Conn) {
+	c.flushDriver(conn)
+	conn.Close()
+	c.markDriverDirty(conn)
 }
 
 func (c *Controller) handleClosed(ev cevent) {
 	if c.repl != nil && ev.conn == c.repl.conn {
 		c.standbyLost(ev.rerr)
-		return
-	}
-	if gw := c.gateways[ev.conn]; gw != nil {
-		c.handleGatewayClosed(gw, ev.rerr)
 		return
 	}
 	if ev.isDrv {
@@ -1242,7 +1295,7 @@ func (c *Controller) handleClosed(ev cevent) {
 		}
 		// Only the job's current connection may end it: a reattach closes
 		// the stale connection, whose pump exit must not tear the job down.
-		if j := c.jobs[ev.job]; j != nil && (ev.conn == nil || ev.conn == j.conn) {
+		if j := c.jobs[ev.job]; j != nil && ev.conn == j.conn {
 			c.endJob(j, "driver disconnected")
 		}
 		return

@@ -1,17 +1,15 @@
 package controller
 
-// This file is the controller's driver front door: the gateway mux/demux
-// pump, the bounded admission queue, hierarchical (tenant → job) fair
-// share, per-tenant admission rate limits, and the SLO latency recorders.
+// This file is the controller's driver front door: gateway serving, the
+// bounded admission queue, hierarchical (tenant → job) fair share,
+// per-tenant admission rate limits, and the SLO latency recorders.
 //
 // Gateway connections. A connection whose handshake is GatewayHello
-// carries many driver sessions multiplexed by the driver-side Mux
-// (internal/driver/mux.go): each inbound frame is a batch of MuxData
-// envelopes, each envelope one session's frame. gatewayPump unpacks them
-// into per-session events; outbound driver messages for gateway sessions
-// are staged per session and coalesced — inner batch per session, outer
-// batch per connection — by flushGateway, so one event's fan-out to many
-// sessions of one gateway costs one transport frame.
+// carries many driver sessions; transport.MuxServer demuxes it and hands
+// each session to the handshake as an ordinary Conn, so past the handshake
+// the controller cannot tell a session from a dedicated connection. One
+// Flush on any session writes everything staged on its shared connection
+// as one frame, so the end-of-event flush costs one frame per gateway.
 //
 // Bounded admission. registerDriver no longer admits unconditionally:
 // past Config.MaxJobs, registrations wait in a priority-ordered bounded
@@ -27,7 +25,6 @@ package controller
 // O(workers) instead of O(jobs × workers) at scale.
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -43,38 +40,14 @@ import (
 // re-saturate the queue, short enough to keep rejected drivers live.
 const queueRetryAfter = 50 * time.Millisecond
 
-// gwConn is one gateway connection: the session → job bindings and the
-// per-session outbound staging the coalesced flush drains.
-type gwConn struct {
-	conn     transport.Conn
-	sessions map[uint64]ids.JobID
-	// pend stages outbound messages per session; order lists sessions
-	// with staged messages in first-staged order so the outer frame is
-	// deterministic. pendTop stages top-level (unenveloped) messages —
-	// SessionClose notices for the driver-side mux.
-	pend    map[uint64][]proto.Msg
-	order   []uint64
-	pendTop []proto.Msg
-	// dead marks a lost gateway so late staging drops instead of queuing
-	// for a connection whose pump already exited.
-	dead bool
-	// sendSeq/recvSeq are the per-direction envelope counters (see
-	// proto.MuxData.Seq): sendSeq is owned by the event loop's flush,
-	// recvSeq by the gateway pump goroutine.
-	sendSeq uint64
-	recvSeq uint64
-}
-
 // admitWait is one registration parked in the bounded admission queue
-// (or, transiently, one being admitted). Exactly one of conn/gw is set:
-// dedicated connections carry a jobRef their pump loads per event, since
-// the job binding does not exist until admission.
+// (or, transiently, one being admitted). jobRef is the job binding its
+// connection's pump loads per event, since the binding does not exist
+// until admission.
 type admitWait struct {
 	m      *proto.RegisterDriver
 	conn   transport.Conn
 	jobRef *atomic.Uint32
-	gw     *gwConn
-	sess   uint64
 	at     time.Time
 }
 
@@ -154,7 +127,8 @@ type FrontDoorStats struct {
 	// iteration latency (instantiation to predicate evaluation).
 	LoopIterP50 time.Duration
 	LoopIterP99 time.Duration
-	// GatewayConns / GatewaySessions gauge the mux fan-in.
+	// GatewayConns / GatewaySessions gauge the mux fan-in: served shared
+	// connections and the sessions open on them.
 	GatewayConns    int
 	GatewaySessions int
 	// Conns counts every tracked transport connection (workers, drivers,
@@ -172,278 +146,29 @@ func (c *Controller) FrontDoorStats() FrontDoorStats {
 		s.AdmissionP99 = c.admLat.quantile(0.99)
 		s.LoopIterP50 = c.loopLat.quantile(0.50)
 		s.LoopIterP99 = c.loopLat.quantile(0.99)
-		s.GatewayConns = len(c.gateways)
-		for _, gw := range c.gateways {
-			s.GatewaySessions += len(gw.sessions)
-		}
 	})
 	c.connMu.Lock()
 	s.Conns = len(c.conns)
+	s.GatewayConns = len(c.gateways)
+	for g := range c.gateways {
+		s.GatewaySessions += g.Sessions()
+	}
 	c.connMu.Unlock()
 	return s
 }
 
-// registerGateway admits one gateway connection and starts its demux
-// pump. Sessions arrive later as RegisterDriver messages inside MuxData
-// envelopes.
-func (c *Controller) registerGateway(conn transport.Conn) {
-	gw := &gwConn{
-		conn:     conn,
-		sessions: make(map[uint64]ids.JobID),
-		pend:     make(map[uint64][]proto.Msg),
-	}
-	c.gateways[conn] = gw
-	c.wg.Add(1)
-	go c.gatewayPump(gw)
-}
-
-// gatewayPump forwards one gateway connection's demuxed messages into the
-// event loop: each MuxData envelope's inner messages become events
-// stamped with the gateway and session (the session → job resolution
-// happens on the event loop, where the binding lives). Top-level
-// SessionClose notices route as ordinary events.
-func (c *Controller) gatewayPump(gw *gwConn) {
-	defer c.wg.Done()
-	defer c.untrackConn(gw.conn)
-	emit := func(ev cevent) error {
-		select {
-		case c.events <- ev:
-			return nil
-		case <-c.stopped:
-			return errPumpStopped
-		}
-	}
-	for {
-		raw, err := gw.conn.Recv()
-		if err != nil {
-			select {
-			case c.events <- cevent{kind: cevConnClosed, conn: gw.conn, rerr: err}:
-			case <-c.stopped:
-			}
-			return
-		}
-		err = proto.ForEachMsg(raw, func(m proto.Msg) error {
-			switch m := m.(type) {
-			case *proto.MuxData:
-				gw.recvSeq++
-				if m.Seq != gw.recvSeq {
-					return fmt.Errorf("gateway envelope seq %d, want %d: frame lost or reordered", m.Seq, gw.recvSeq)
-				}
-				return proto.ForEachMsg(m.Raw, func(inner proto.Msg) error {
-					ev := cevent{kind: cevMsg, msg: inner, gw: gw, sess: m.Session, isDrv: true}
-					if _, ok := inner.(*proto.RegisterDriver); ok {
-						ev.at = time.Now()
-					}
-					return emit(ev)
-				})
-			case *proto.SessionClose:
-				return emit(cevent{kind: cevMsg, msg: m, gw: gw, sess: m.Session, isDrv: true})
-			default:
-				c.cfg.Logf("controller: unexpected top-level %s on gateway connection", m.Kind())
-				return nil
-			}
-		})
-		proto.PutBuf(raw)
-		if errors.Is(err, errPumpStopped) {
-			return
-		}
-		if err != nil {
-			// A corrupt mux stream poisons every session riding it: close the
-			// connection so both sides fail those sessions and no more.
-			c.cfg.Logf("controller: bad gateway frame: %v", err)
-			gw.conn.Close()
-		}
-	}
-}
-
-// stageGateway stages one driver-bound message for a gateway session; the
-// end-of-event flush wraps each session's run into one inner batch.
-func (c *Controller) stageGateway(gw *gwConn, sess uint64, m proto.Msg) {
-	if gw.dead {
-		return
-	}
-	if len(gw.pend) == 0 && len(gw.pendTop) == 0 {
-		c.dirtyGws = append(c.dirtyGws, gw)
-	}
-	q, ok := gw.pend[sess]
-	if !ok {
-		gw.order = append(gw.order, sess)
-	}
-	gw.pend[sess] = append(q, m)
-}
-
-// stageGatewayTop stages one top-level (unenveloped) gateway message —
-// the SessionClose notices addressed to the driver-side mux itself.
-func (c *Controller) stageGatewayTop(gw *gwConn, m proto.Msg) {
-	if gw.dead {
-		return
-	}
-	if len(gw.pend) == 0 && len(gw.pendTop) == 0 {
-		c.dirtyGws = append(c.dirtyGws, gw)
-	}
-	gw.pendTop = append(gw.pendTop, m)
-}
-
-// flushGateways sends one coalesced frame per dirty gateway. Runs on the
-// event loop as part of the end-of-event flush.
-func (c *Controller) flushGateways() {
-	if len(c.dirtyGws) == 0 {
-		return
-	}
-	dirty := c.dirtyGws
-	c.dirtyGws = c.dirtyGws[:0]
-	for _, gw := range dirty {
-		c.flushGateway(gw)
-	}
-}
-
-// flushGateway packs each staged session's messages into one MuxData
-// envelope (inner batch), appends top-level notices, and sends the whole
-// thing as one outer batch frame.
-func (c *Controller) flushGateway(gw *gwConn) {
-	if len(gw.pend) == 0 && len(gw.pendTop) == 0 {
-		return
-	}
-	outer := make([]proto.Msg, 0, len(gw.order)+len(gw.pendTop))
-	inner := make([][]byte, 0, len(gw.order))
-	for _, sess := range gw.order {
-		msgs := gw.pend[sess]
-		if len(msgs) == 0 {
-			continue
-		}
-		raw := proto.AppendBatch(proto.GetBuf(), msgs)
-		inner = append(inner, raw)
-		gw.sendSeq++
-		outer = append(outer, &proto.MuxData{Session: sess, Seq: gw.sendSeq, Raw: raw})
-		delete(gw.pend, sess)
-	}
-	gw.order = gw.order[:0]
-	outer = append(outer, gw.pendTop...)
-	for i := range gw.pendTop {
-		gw.pendTop[i] = nil
-	}
-	gw.pendTop = gw.pendTop[:0]
-	if gw.dead || len(outer) == 0 {
-		for _, b := range inner {
-			proto.PutBuf(b)
-		}
-		return
-	}
-	buf := proto.AppendBatch(proto.GetBuf(), outer)
-	for _, b := range inner {
-		proto.PutBuf(b)
-	}
-	owned, err := transport.SendOwned(gw.conn, buf)
-	if !owned {
-		proto.PutBuf(buf)
-	}
-	if err != nil {
-		c.cfg.Logf("controller: gateway send failed: %v", err)
-	}
-}
-
-// handleSessionClose retires one gateway session: a bound job ends
-// exactly as a dedicated driver disconnect would end it; an unbound
-// session may still be waiting in the admission queue, in which case the
-// queue entry is dropped — the canceled driver must leave neither a
-// jobState nor a queue slot behind.
-func (c *Controller) handleSessionClose(gw *gwConn, sess uint64) {
-	if gw == nil {
-		return
-	}
-	if job, ok := gw.sessions[sess]; ok {
-		if j := c.jobs[job]; j != nil {
-			c.endJob(j, "session closed")
-		}
-		delete(gw.sessions, sess)
-		return
-	}
-	for i, w := range c.admitQ {
-		if w.gw == gw && w.sess == sess {
-			c.admitQ = append(c.admitQ[:i], c.admitQ[i+1:]...)
-			return
-		}
-	}
-}
-
-// handleGatewayClosed tears down a lost gateway connection: every bound
-// session's job ends (their drivers reattach through the mux if they
-// care), and queued admissions riding the connection are dropped.
-func (c *Controller) handleGatewayClosed(gw *gwConn, err error) {
-	delete(c.gateways, gw.conn)
-	gw.dead = true
-	keep := c.admitQ[:0]
-	for _, w := range c.admitQ {
-		if w.gw != gw {
-			keep = append(keep, w)
-		}
-	}
-	c.admitQ = keep
-	select {
-	case <-c.stopped:
-		return
-	default:
-	}
-	c.cfg.Logf("controller: gateway connection lost (%d sessions): %v", len(gw.sessions), err)
-	for _, job := range gw.sessions {
-		if j := c.jobs[job]; j != nil {
-			c.endJob(j, "gateway connection lost")
-		}
-	}
-	gw.sessions = make(map[uint64]ids.JobID)
-}
-
-// pumpRef is the driver pump for dedicated connections admitted through
-// the bounded front door: the job binding may not exist at pump start
-// (the registration can sit in the admission queue), so every event loads
-// it from jobRef, which admitNow stores before sending the ack. Starting
-// the pump before admission is what detects a driver that gives up —
-// closes or cancels — while queued.
-func (c *Controller) pumpRef(conn transport.Conn, jobRef *atomic.Uint32) {
-	defer c.wg.Done()
-	defer c.untrackConn(conn)
-	for {
-		raw, err := conn.Recv()
-		if err != nil {
-			select {
-			case c.events <- cevent{kind: cevConnClosed, job: ids.JobID(jobRef.Load()), isDrv: true, rerr: err, conn: conn}:
-			case <-c.stopped:
-			}
-			return
-		}
-		err = proto.ForEachMsg(raw, func(msg proto.Msg) error {
-			select {
-			case c.events <- cevent{kind: cevMsg, msg: msg, job: ids.JobID(jobRef.Load()), isDrv: true}:
-				return nil
-			case <-c.stopped:
-				return errPumpStopped
-			}
-		})
-		proto.PutBuf(raw)
-		if errors.Is(err, errPumpStopped) {
-			return
-		}
-		if err != nil {
-			c.cfg.Logf("controller: bad driver message: %v", err)
-		}
-	}
-}
-
 // registerDriver is the front door's admission path: rate-limit check,
 // then admit, queue, or reject against the MaxJobs/AdmitQueue bounds.
-// conn is the dedicated connection (nil for a gateway session); gw/sess
-// identify a gateway session (gw nil for a dedicated connection).
-func (c *Controller) registerDriver(m *proto.RegisterDriver, conn transport.Conn, gw *gwConn, sess uint64, at time.Time) {
+// The connection's pump starts first, so a driver that gives up while
+// queued — closes or cancels — is seen: its pump exit drops the entry.
+func (c *Controller) registerDriver(m *proto.RegisterDriver, conn transport.Conn, at time.Time) {
 	now := time.Now()
 	if at.IsZero() {
 		at = now
 	}
-	w := &admitWait{m: m, conn: conn, gw: gw, sess: sess, at: at}
-	if conn != nil {
-		w.jobRef = new(atomic.Uint32)
-		c.wg.Add(1)
-		go c.pumpRef(conn, w.jobRef)
-	}
+	w := &admitWait{m: m, conn: conn, jobRef: new(atomic.Uint32), at: at}
+	c.wg.Add(1)
+	go c.pump(conn, ids.NoWorker, w.jobRef)
 	if wait, limited := c.admitRateLimited(m.Tenant, now); limited {
 		c.rejectAdmission(w, proto.RejectRateLimited, wait,
 			fmt.Sprintf("tenant %q admission rate limit", m.Tenant))
@@ -486,22 +211,15 @@ func (c *Controller) admitNow(w *admitWait, now time.Time) {
 	j := c.newJobState(w.m.Name, w.m.Weight, w.conn)
 	j.tenant = w.m.Tenant
 	j.priority = w.m.Priority
-	j.gw = w.gw
-	j.sess = w.sess
 	c.jobs[j.id] = j
 	c.totalWeight += j.weight
 	c.adoptJobTenant(j)
 	c.Stats.JobsAdmitted.Add(1)
 	c.admLat.record(now.Sub(w.at))
 	c.replJobStart(j)
-	if w.gw != nil {
-		w.gw.sessions[w.sess] = j.id
-	}
-	if w.jobRef != nil {
-		// Store before the ack send: the pump loads the binding per event,
-		// and the driver's first op can only follow the ack.
-		w.jobRef.Store(uint32(j.id))
-	}
+	// Store before the ack send: the pump loads the binding per event, and
+	// the driver's first op can only follow the ack.
+	w.jobRef.Store(uint32(j.id))
 	c.sendDriver(j, &proto.RegisterDriverAck{Job: j.id})
 	// The newcomer's quota goes to every worker unconditionally; its
 	// class's other members are diffed by flushQuotas at end of event.
@@ -512,26 +230,17 @@ func (c *Controller) admitNow(w *admitWait, now time.Time) {
 	}
 }
 
-// rejectAdmission answers one registration with a typed AdmissionReject.
-// A dedicated connection is closed (its pump exit is inert: jobRef still
-// holds NoJob and no queue entry exists); a gateway session gets the
-// rejection enveloped, leaving the shared connection untouched.
+// rejectAdmission answers one registration with a typed AdmissionReject
+// and closes its connection; the pump exit is inert, since jobRef still
+// holds NoJob and no queue entry exists. A gateway session closes alone.
 func (c *Controller) rejectAdmission(w *admitWait, code uint8, retryAfter time.Duration, reason string) {
 	c.Stats.AdmissionsRejected.Add(1)
-	rej := &proto.AdmissionReject{
+	c.sendConn(w.conn, &proto.AdmissionReject{
 		Code:             code,
 		RetryAfterMillis: uint64(retryAfter / time.Millisecond),
 		Err:              reason,
-	}
-	if w.gw != nil {
-		c.stageGateway(w.gw, w.sess, rej)
-		return
-	}
-	buf := proto.MarshalAppend(proto.GetBuf(), rej)
-	if owned, _ := transport.SendOwned(w.conn, buf); !owned {
-		proto.PutBuf(buf)
-	}
-	w.conn.Close()
+	})
+	c.closeDriver(w.conn)
 }
 
 // drainAdmissions admits queued registrations into freed job slots.
@@ -549,7 +258,7 @@ func (c *Controller) drainAdmissions() {
 }
 
 // dropQueuedConn removes the admission-queue entry (if any) for a
-// dedicated connection that closed while waiting. Reports whether one was
+// connection that closed while waiting. Reports whether one was
 // found.
 func (c *Controller) dropQueuedConn(conn transport.Conn) bool {
 	for i, w := range c.admitQ {

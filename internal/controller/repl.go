@@ -86,7 +86,7 @@ func (c *Controller) handleReplAttach(conn transport.Conn) {
 	c.repl = r
 	c.wg.Add(2)
 	go c.leaseLoop(r)
-	go c.pump(conn, ids.NoWorker, ids.NoJob, false)
+	go c.pump(conn, ids.NoWorker, nil)
 }
 
 // leaseLoop renews the primary's leadership lease on the replication

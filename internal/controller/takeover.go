@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"nimbus/internal/core"
@@ -209,49 +210,29 @@ func (c *Controller) replayDef(j *jobState, m proto.Msg) {
 // controller. The ack carries the job's applied-op count: the driver
 // resends its journal suffix past it, which applies on top of the
 // takeover recovery through the op fence in program order.
-func (c *Controller) reattachDriver(m *proto.DriverReattach, conn transport.Conn, gw *gwConn, sess uint64) {
+func (c *Controller) reattachDriver(m *proto.DriverReattach, conn transport.Conn) {
 	j := c.jobs[m.Job]
 	if j == nil || j.dead {
 		// Unknown job: the job ended before the failover, or this is not
-		// the controller the driver thinks it is. Nack the session — for a
-		// gateway session the shared connection stays up for its neighbors.
-		nack := &proto.ReattachAck{Job: m.Job, Err: fmt.Sprintf("no such job %s", m.Job)}
-		if gw != nil {
-			c.stageGateway(gw, sess, nack)
-			c.stageGatewayTop(gw, &proto.SessionClose{Session: sess})
-			return
-		}
-		buf := proto.MarshalAppend(proto.GetBuf(), nack)
-		if owned, _ := transport.SendOwned(conn, buf); !owned {
-			proto.PutBuf(buf)
-		}
-		conn.Close()
+		// the controller the driver thinks it is. Nack and close the
+		// connection; a gateway session closes alone, leaving its shared
+		// connection up for its neighbors.
+		c.sendConn(conn, &proto.ReattachAck{Job: m.Job, Err: fmt.Sprintf("no such job %s", m.Job)})
+		c.closeDriver(conn)
 		c.untrackConn(conn)
 		return
 	}
-	// Unbind the stale attachment: a dedicated conn is closed, a gateway
-	// session binding removed. Its pump exit (or SessionClose) must not
-	// tear the job down, which the current-conn checks guarantee.
-	if j.gw != nil && j.gw.sessions[j.sess] == j.id {
-		delete(j.gw.sessions, j.sess)
-	}
+	// Close the stale attachment. Its pump exit must not tear the job
+	// down, which handleClosed's current-connection check guarantees.
 	if j.conn != nil {
-		j.conn.Close()
-	}
-	if gw != nil {
-		j.conn = nil
-		j.gw = gw
-		j.sess = sess
-		gw.sessions[sess] = j.id
-		c.sendDriver(j, &proto.ReattachAck{Job: j.id, Applied: j.applied, Ok: true})
-		return
+		c.closeDriver(j.conn)
 	}
 	j.conn = conn
-	j.gw = nil
-	j.sess = 0
+	ref := new(atomic.Uint32)
+	ref.Store(uint32(j.id))
 	c.sendDriver(j, &proto.ReattachAck{Job: j.id, Applied: j.applied, Ok: true})
 	c.wg.Add(1)
-	go c.pump(conn, ids.NoWorker, j.id, true)
+	go c.pump(conn, ids.NoWorker, ref)
 }
 
 // checkTakeoverEviction runs on the failure-detector tick of a promoted

@@ -225,8 +225,8 @@ func (e *RejectError) Is(target error) bool { return target == ErrAdmissionRejec
 
 // ConnectOpts is the full-surface connect: a deadline over the whole
 // connection handshake — dial plus admission — and the session parameters
-// in o. Pass a *Mux as tr to multiplex the session over a shared gateway
-// connection pool instead of a dedicated connection.
+// in o. Pass a *transport.Mux as tr to multiplex the session over a shared
+// gateway connection pool instead of a dedicated connection.
 //
 // v1's Connect blocked forever when the controller accepted the
 // connection but never acked admission; cancelling ctx closes the

@@ -1427,6 +1427,8 @@ func (m *MuxData) fields(c *wire.Coder) {
 // per-session equivalent of a dedicated connection closing. Either side
 // may send it; the controller tears the session's job down as if its
 // connection dropped, and the driver fails the session's pending futures.
+// The dialing side answers the gateway's close with its own, after which
+// the gateway forgets the session (transport/mux.go).
 type SessionClose struct {
 	Session uint64
 }
