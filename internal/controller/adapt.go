@@ -12,81 +12,242 @@ import (
 	"nimbus/internal/ids"
 )
 
-// This file implements dynamic scheduling: growing/shrinking the active
-// worker set (new worker-template sets, paper Figure 9) and migrating
+// This file implements dynamic scheduling: changing the worker set a job
+// runs on (new worker-template sets, paper Figure 9) and migrating
 // partitions between workers (template edits, paper Figure 10). Both are
 // invoked by the cluster harness through Controller.Do, playing the role
 // of the cluster resource manager in Figure 2.
 //
-// The worker set is shared by every admitted job, so SetActive retargets
-// every job's installed templates; Migrate moves partitions within one
-// job (variable IDs are per-job). Rebuilds run as parallel groups over a
-// shared directory-snapshot view per job (builds.go): validate and build
-// everything first, then commit atomically — an error in any template's
-// rebuild leaves the controller fully unchanged.
+// Every change of a job's worker set — SetActive, a drain, a join, a
+// recovery — goes through two functions: planSet picks the job's placement
+// on the new set and each template's assignment for it without touching
+// live state, and adoptSet saves what the job leaves on the outgoing set
+// and installs the plan. A set the job returns to comes back with the
+// placement it left with and the assignments edited for exactly that
+// placement (Figure 9's restore revalidates them instead of reinstalling);
+// round-robin is only for a set the job has never run on.
 
-// SetActive changes the set of workers the cluster runs on (call via Do).
-// All named workers must be registered and alive. Every job's variables
-// are repartitioned round-robin over the new set; every installed template
-// of every job switches to an assignment for the new placement — reusing a
-// cached one when this worker set has been active before (Figure 9's
-// restore path revalidates cached templates instead of reinstalling).
-// Templates are rebuilt in parallel and committed atomically across all
-// jobs: on error no placement or template state changes anywhere. Data
-// moves lazily via patches at the next instantiation.
-func (c *Controller) SetActive(workersWanted []ids.WorkerID) error {
-	if len(workersWanted) == 0 {
-		return fmt.Errorf("controller: cannot run with zero workers")
-	}
-	set := append([]ids.WorkerID(nil), workersWanted...)
-	sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
-	for _, id := range set {
-		ws := c.workers[id]
-		if ws == nil || !ws.alive {
-			return fmt.Errorf("controller: worker %s not available", id)
-		}
-	}
-	// Plan every job's retargets against the prospective placement before
-	// touching live state.
-	sig := workerSigOf(set)
-	jobs := c.jobList()
-	plansByJob := make([][]retargetPlan, len(jobs))
-	viewsByJob := make([]*flow.BuildView, len(jobs))
-	for i, j := range jobs {
-		plans, view := c.planRetargets(j, set, sig)
-		for k := range plans {
-			if plans[k].err != nil {
-				return fmt.Errorf("controller: retargeting %s %q: %w", j.id, plans[k].name, plans[k].err)
+// setRecord is what a job left on one worker set: its placement and each
+// template's assignment as they stood when it last ran there. The saved
+// assignments were built or edited for exactly the saved placement.
+type setRecord struct {
+	assign map[ids.VariableID][]ids.WorkerID
+	tmpls  map[string]*core.Assignment
+}
+
+// within reports whether the record places every partition on set
+// (sorted). A worker that rejoined under its prior ID is active without
+// being in any job's set, so a migration can place partitions outside it.
+func (r *setRecord) within(set []ids.WorkerID) bool {
+	for _, assign := range r.assign {
+		for _, w := range assign {
+			if _, ok := slices.BinarySearch(set, w); !ok {
+				return false
 			}
 		}
-		plansByJob[i], viewsByJob[i] = plans, view
 	}
-	// Commit.
-	c.active = set
-	for i, j := range jobs {
-		c.reassignAll(j)
-		c.commitRetargets(j, plansByJob[i], viewsByJob[i], sig)
-		j.autoValid = false
+	return true
+}
+
+// liveRecord captures the job's current placement and assignments. The
+// placement slices are shared with the live tables; adoptSet replaces
+// those, handing the old ones to the record.
+func (j *jobState) liveRecord() *setRecord {
+	rec := &setRecord{
+		assign: make(map[ids.VariableID][]ids.WorkerID, len(j.vars)),
+		tmpls:  make(map[string]*core.Assignment, len(j.templates)),
+	}
+	for id, vm := range j.vars {
+		rec.assign[id] = vm.assign
+	}
+	for name, t := range j.templates {
+		if t.Active != nil {
+			rec.tmpls[name] = t.Active
+		}
+	}
+	return rec
+}
+
+// setPlan is one job's planned move onto a worker set. view holds the
+// builds' instance allocations (nil when every assignment was restored).
+type setPlan struct {
+	j     *jobState
+	set   []ids.WorkerID
+	place *placeSnap
+	tmpls []tmplPlan
+	view  *flow.BuildView
+}
+
+// tmplPlan is one template's assignment on the planned set: restored from
+// the set's record, or built (a is nil when the build failed).
+type tmplPlan struct {
+	name  string
+	t     *core.Template
+	a     *core.Assignment
+	built bool
+	err   error
+}
+
+// err returns the plan's first template error.
+func (p *setPlan) err() error {
+	for i := range p.tmpls {
+		if tp := &p.tmpls[i]; tp.err != nil {
+			return fmt.Errorf("%s %q: %w", p.j.id, tp.name, tp.err)
+		}
 	}
 	return nil
 }
 
-// reassignAll recomputes one job's partition placement over the active
-// workers and bumps the job's placement epoch, staling any in-flight
-// build snapshot.
-func (c *Controller) reassignAll(j *jobState) {
-	for _, vm := range j.vars {
-		for p := range vm.assign {
-			vm.assign[p] = c.active[p%len(c.active)]
+// roundRobin places n partitions over a worker set: partition p on
+// set[p mod len(set)].
+func roundRobin(set []ids.WorkerID, n int) []ids.WorkerID {
+	assign := make([]ids.WorkerID, n)
+	for p := range assign {
+		assign[p] = set[p%len(set)]
+	}
+	return assign
+}
+
+// planSet plans one job's move onto a sorted worker set without changing
+// controller state. The placement is the job's own on that set — live if
+// it runs there, saved if it ran there before — or round-robin. Each
+// template keeps its assignment for that placement or is built against it,
+// in one parallel group over one snapshot view. Templates whose first
+// build is in flight are skipped: their commit sees the epoch move.
+func (c *Controller) planSet(j *jobState, set []ids.WorkerID) *setPlan {
+	sig := workerSigOf(set)
+	rec := j.sets[sig]
+	if sig == j.sig {
+		rec = j.liveRecord()
+	}
+	if rec != nil && !rec.within(set) {
+		rec = nil
+	}
+	p := &setPlan{j: j, set: set, place: &placeSnap{vars: make(map[ids.VariableID]placeVar, len(j.vars))}}
+	for id, vm := range j.vars {
+		var assign []ids.WorkerID
+		if rec != nil && len(rec.assign[id]) == vm.partitions {
+			assign = slices.Clone(rec.assign[id])
+		} else {
+			assign = roundRobin(set, vm.partitions)
+		}
+		p.place.vars[id] = placeVar{partitions: vm.partitions, logicals: vm.logicals, assign: assign}
+	}
+	for name, t := range j.templates {
+		if j.building[name] == nil {
+			p.tmpls = append(p.tmpls, tmplPlan{name: name, t: t})
+		}
+	}
+	sort.Slice(p.tmpls, func(a, b int) bool { return p.tmpls[a].name < p.tmpls[b].name })
+	var toBuild []int
+	for i := range p.tmpls {
+		if tp := &p.tmpls[i]; rec == nil || rec.tmpls[tp.name] == nil {
+			tp.built = true
+			toBuild = append(toBuild, i)
+		} else {
+			tp.a = rec.tmpls[tp.name]
+		}
+	}
+	if len(toBuild) == 0 {
+		return p
+	}
+	p.view = j.dir.Snapshot().View()
+	tids := make([]ids.TemplateID, len(toBuild))
+	for i := range tids {
+		tids[i] = ids.TemplateID(j.tmplIDs.Next())
+	}
+	c.groupBuild(len(toBuild), func(i, inner int) {
+		tp := &p.tmpls[toBuild[i]]
+		if tp.err = c.retargetFault(tp.name); tp.err == nil {
+			tp.a, tp.err = tp.t.RebuildPar(tids[i], p.view, p.place, nil, inner)
+		}
+	})
+	return p
+}
+
+// planAll plans every job's move onto a sorted worker set. The first
+// template that cannot be planned aborts it, with nothing changed.
+func (c *Controller) planAll(set []ids.WorkerID) ([]*setPlan, error) {
+	jobs := c.jobList()
+	plans := make([]*setPlan, len(jobs))
+	for i, j := range jobs {
+		plans[i] = c.planSet(j, set)
+		if err := plans[i].err(); err != nil {
+			return nil, err
+		}
+	}
+	return plans, nil
+}
+
+// adoptSet moves a job onto the worker set its plan was made for: the
+// outgoing set's record is saved, the planned placement and assignments
+// are installed, and the placement epoch moves, staling any in-flight
+// build snapshot. A template whose plan failed is left without an
+// assignment rather than with one for another placement; the next move
+// plans it again.
+func (c *Controller) adoptSet(p *setPlan) {
+	j := p.j
+	if p.view != nil {
+		if err := p.view.Commit(j.dir); err != nil {
+			// Unreachable: a plan is adopted in the loop turn that made
+			// it, or after the warm round's own commit of its view.
+			c.cfg.Logf("controller: %s worker-set commit conflict: %v", j.id, err)
+			return
+		}
+	}
+	if j.sig != "" {
+		if j.sets == nil {
+			j.sets = make(map[string]*setRecord)
+		}
+		j.sets[j.sig] = j.liveRecord()
+	}
+	j.sig = workerSigOf(p.set)
+	delete(j.sets, j.sig)
+	for id, vm := range j.vars {
+		if pv, ok := p.place.vars[id]; ok {
+			vm.assign = pv.assign
+		} else {
+			vm.assign = roundRobin(p.set, vm.partitions) // defined after the plan
 		}
 	}
 	j.placeEpoch++
-	clear(j.synced)
+	for i := range p.tmpls {
+		tp := &p.tmpls[i]
+		tp.t.Active = tp.a
+		if tp.built && tp.err == nil {
+			c.Stats.TemplatesBuilt.Add(1)
+		}
+	}
+	j.autoValid = false
 }
 
-// workerSig canonically names the active worker set for the assignment
-// caches.
-func (c *Controller) workerSig() string { return workerSigOf(c.active) }
+// SetActive changes the set of workers the cluster runs on (call via Do).
+// Every named worker must be alive and active: warming, draining and
+// decommissioned workers are refused. Every job moves onto the set through
+// planSet/adoptSet — round-robin only onto a set it has never run on — and
+// every plan is made before any is adopted: on error no placement or
+// template state changes anywhere. Data moves lazily via patches.
+func (c *Controller) SetActive(workersWanted []ids.WorkerID) error {
+	if len(workersWanted) == 0 {
+		return fmt.Errorf("controller: cannot run with zero workers")
+	}
+	set := slices.Clone(workersWanted)
+	slices.Sort(set)
+	for _, id := range set {
+		if ws := c.workers[id]; ws == nil || !ws.alive || ws.phase != phaseActive {
+			return fmt.Errorf("controller: worker %s not available", id)
+		}
+	}
+	plans, err := c.planAll(set)
+	if err != nil {
+		return fmt.Errorf("controller: retargeting %w", err)
+	}
+	c.active = set
+	for _, p := range plans {
+		c.adoptSet(p)
+	}
+	return nil
+}
 
 // workerSigOf canonically names a sorted worker set.
 func workerSigOf(set []ids.WorkerID) string {
@@ -95,41 +256,6 @@ func workerSigOf(set []ids.WorkerID) string {
 		fmt.Fprintf(&b, "%d,", uint32(w))
 	}
 	return b.String()
-}
-
-// retargetAll points every installed template of one job at an assignment
-// matching the current placement (recovery's rebuild step): cached
-// assignments when available, parallel fresh builds otherwise. Failures
-// are logged per template and do not block the others.
-func (c *Controller) retargetAll(j *jobState) {
-	sig := c.workerSig()
-	plans, view := c.planRetargets(j, c.active, sig)
-	for i := range plans {
-		if plans[i].err != nil {
-			c.cfg.Logf("controller: recovery rebuild of %s %q: %v", j.id, plans[i].name, plans[i].err)
-		}
-	}
-	c.commitRetargets(j, plans, view, sig)
-}
-
-// cacheActiveAssignments snapshots each of one job's templates' current
-// assignment under the current worker signature so SetActive can restore
-// it later. Called after template installation.
-func (c *Controller) cacheActiveAssignments(j *jobState) {
-	if j.assignCache == nil {
-		j.assignCache = make(map[string]map[string]*core.Assignment)
-	}
-	sig := c.workerSig()
-	for name, t := range j.templates {
-		bySig := j.assignCache[name]
-		if bySig == nil {
-			bySig = make(map[string]*core.Assignment)
-			j.assignCache[name] = bySig
-		}
-		if _, ok := bySig[sig]; !ok && t.Active != nil {
-			bySig[sig] = t.Active
-		}
-	}
 }
 
 // Migrate moves the given partitions of the given variables to worker dst
@@ -181,30 +307,25 @@ func (c *Controller) MigrateJob(job ids.JobID, vars []ids.VariableID, parts []in
 	// instances through a live view of the directory instead of a snapshot
 	// (a snapshot copies the whole instance table after every change).
 	type editPlan struct {
-		name  string
-		t     *core.Template
-		old   *core.Assignment
-		moves []core.Move
-		next  *core.Assignment
-		diff  *core.DiffResult
-		err   error
+		name string
+		t    *core.Template
+		old  *core.Assignment
+		next *core.Assignment
+		diff *core.DiffResult
+		err  error
 	}
 	var plans []editPlan
 	for name, t := range j.templates {
 		if t.Active == nil {
-			continue // build in flight; its commit rebuilds under the new placement
+			continue // build in flight (its commit rebuilds under the new placement) or failed
 		}
-		p := editPlan{name: name, t: t, old: t.Active}
-		if j.synced[name] == t.Active {
-			p.moves = moves
-		}
-		plans = append(plans, p)
+		plans = append(plans, editPlan{name: name, t: t, old: t.Active})
 	}
 	sort.Slice(plans, func(i, k int) bool { return plans[i].name < plans[k].name })
 	var view *flow.BuildView
 	if len(plans) > 0 {
 		view = j.dir.LiveView()
-		place := j.placementSnapshot(nil)
+		place := j.placementSnapshot()
 		for _, v := range vars {
 			for _, p := range parts {
 				place.vars[v].assign[p] = dst
@@ -216,7 +337,7 @@ func (c *Controller) MigrateJob(job ids.JobID, vars []ids.VariableID, parts []in
 				p.err = err
 				return
 			}
-			p.next, p.diff, p.err = p.t.Migrate(p.old.ID, view, place, p.old, p.moves, inner)
+			p.next, p.diff, p.err = p.t.Migrate(p.old.ID, view, place, p.old, moves, inner)
 		})
 		for i := range plans {
 			if plans[i].err != nil {
@@ -242,8 +363,7 @@ func (c *Controller) MigrateJob(job ids.JobID, vars []ids.VariableID, parts []in
 		if p.diff.Rebuilt {
 			c.Stats.MigrateRebuilds.Add(1)
 		}
-		c.stageEdits(j, p.name, p.t, p.old, p.next, p.diff)
-		j.synced[p.name] = p.next
+		c.stageEdits(j, p.t, p.old, p.next, p.diff)
 	}
 	c.Stats.MigrateNanos.Add(uint64(time.Since(start)))
 	j.autoValid = false
@@ -252,7 +372,7 @@ func (c *Controller) MigrateJob(job ids.JobID, vars []ids.VariableID, parts []in
 
 // stageEdits swaps an edited assignment in for its predecessor and stages
 // the per-worker deltas as edits riding the job's next instantiation.
-func (c *Controller) stageEdits(j *jobState, name string, t *core.Template, old, next *core.Assignment, diff *core.DiffResult) {
+func (c *Controller) stageEdits(j *jobState, t *core.Template, old, next *core.Assignment, diff *core.DiffResult) {
 	next.Installed = make(map[ids.WorkerID]bool, len(old.Installed))
 	for w, in := range old.Installed {
 		next.Installed[w] = in
@@ -269,18 +389,6 @@ func (c *Controller) stageEdits(j *jobState, name string, t *core.Template, old,
 	// Swap the assignment in place (same ID — workers keep their cache and
 	// receive only edits).
 	t.Active = next
-	for i, a := range t.Assignments {
-		if a == old {
-			t.Assignments[i] = next
-		}
-	}
-	if j.assignCache != nil {
-		for sig, a := range j.assignCache[name] {
-			if a == old {
-				j.assignCache[name][sig] = next
-			}
-		}
-	}
 	staged := j.pendingEdits[next.ID]
 	if staged == nil {
 		staged = make(map[ids.WorkerID][]editStaged)

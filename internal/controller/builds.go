@@ -2,7 +2,7 @@ package controller
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"nimbus/internal/core"
@@ -29,9 +29,9 @@ import (
 //     ops, instantiations) queue in arrival order behind it, preserving
 //     the driver's program order; heartbeats, completions, gets, barriers
 //     — and every other job's traffic — keep flowing through the loop.
-//   - SetActive / Migrate / recovery retarget every installed template of
-//     the affected job(s) in one parallel group build over a shared
-//     snapshot view, then commit atomically on the loop.
+//   - A worker-set change (planSet, adapt.go) and a migration rebuild or
+//     edit every installed template of the affected job(s) in one parallel
+//     group over a shared view, then commit atomically on the loop.
 
 // maxBuildRetries bounds revalidate-and-retry; after it the build runs
 // synchronously on the loop, which cannot be invalidated.
@@ -98,21 +98,11 @@ func (p *placeSnap) Partitions(v ids.VariableID) int {
 	return 0
 }
 
-// placementSnapshot copies one job's placement. With a non-nil override
-// the assignment is the round-robin layout over that worker set — the
-// placement SetActive would commit — without touching live state.
-func (j *jobState) placementSnapshot(override []ids.WorkerID) *placeSnap {
+// placementSnapshot copies one job's placement.
+func (j *jobState) placementSnapshot() *placeSnap {
 	vars := make(map[ids.VariableID]placeVar, len(j.vars))
 	for id, vm := range j.vars {
-		assign := make([]ids.WorkerID, vm.partitions)
-		if override != nil {
-			for p := range assign {
-				assign[p] = override[p%len(override)]
-			}
-		} else {
-			copy(assign, vm.assign)
-		}
-		vars[id] = placeVar{partitions: vm.partitions, logicals: vm.logicals, assign: assign}
+		vars[id] = placeVar{partitions: vm.partitions, logicals: vm.logicals, assign: slices.Clone(vm.assign)}
 	}
 	return &placeSnap{vars: vars}
 }
@@ -207,7 +197,7 @@ func (c *Controller) startTemplateBuild(j *jobState, name string, t *core.Templa
 // snapshotFor (re)stamps the job with the loop's current snapshot state.
 func (c *Controller) snapshotFor(job *buildJob) {
 	job.view = job.j.dir.Snapshot().View()
-	job.place = job.j.placementSnapshot(nil)
+	job.place = job.j.placementSnapshot()
 	job.placeEpoch = job.j.placeEpoch
 	job.dir = job.j.dir
 }
@@ -265,28 +255,17 @@ func (c *Controller) commitBuild(job *buildJob, a *core.Assignment, err error, n
 // active one and installs it.
 func (c *Controller) adoptAssignment(j *jobState, t *core.Template, a *core.Assignment) {
 	start := time.Now()
-	t.Assignments = append(t.Assignments, a)
 	t.Active = a
-	j.synced[t.Name] = a
 	c.Stats.TemplatesBuilt.Add(1)
 	c.installAssignment(j, t, a)
 	c.Stats.FinalizeNanos.Add(uint64(time.Since(start)))
-	c.cacheActiveAssignments(j)
 }
 
-// retryBuild re-snapshots and requeues a discarded build. If another path
-// (recovery's retarget) already produced an assignment for the current
-// worker set, that one is adopted instead; past the retry budget the build
-// runs synchronously on the loop, which cannot be invalidated.
+// retryBuild re-snapshots and requeues a discarded build; past the retry
+// budget the build runs synchronously on the loop, which cannot be
+// invalidated.
 func (c *Controller) retryBuild(job *buildJob) {
 	j := job.j
-	if bySig := j.assignCache[job.name]; bySig != nil {
-		if a, ok := bySig[c.workerSig()]; ok {
-			job.tmpl.Active = a
-			c.finishBuild(j, job.name)
-			return
-		}
-	}
 	job.retries++
 	if job.retries >= maxBuildRetries {
 		a, err := core.BuildAssignment(job.id, j.dir, j.placement(), job.tmpl.Stages, c.buildPar)
@@ -313,71 +292,6 @@ func (c *Controller) finishBuild(j *jobState, name string) {
 	c.Stats.BuildsInFlight.Add(-1)
 	c.drainOps(j)
 	c.resolveIfQuiet(j)
-}
-
-// retargetPlan is one template's planned outcome of a group retarget.
-type retargetPlan struct {
-	name   string
-	t      *core.Template
-	cached *core.Assignment // restore path: reuse a cached assignment
-	built  *core.Assignment // fresh build for the new placement
-	err    error
-}
-
-// planRetargets builds (in parallel, over one shared snapshot view) or
-// cache-restores an assignment per installed template of one job for the
-// worker set, without mutating any controller state. Templates whose build
-// is still in flight are skipped: their commit will revalidate against the
-// new placement and rebuild. The returned view holds the builds' instance
-// allocations, to be committed with commitRetargets.
-func (c *Controller) planRetargets(j *jobState, set []ids.WorkerID, sig string) ([]retargetPlan, *flow.BuildView) {
-	names := make([]string, 0, len(j.templates))
-	for name, t := range j.templates {
-		if t.Active == nil {
-			if _, inFlight := j.building[name]; inFlight {
-				continue // build in flight; its commit re-resolves
-			}
-			// No assignment and no build in flight: a promoted
-			// controller's replayed recording. Build its first
-			// assignment here like any other retarget.
-		}
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	var plans []retargetPlan
-	var toBuild []int
-	for _, name := range names {
-		p := retargetPlan{name: name, t: j.templates[name]}
-		if bySig := j.assignCache[name]; bySig != nil {
-			if a, ok := bySig[sig]; ok {
-				p.cached = a
-			}
-		}
-		if p.cached == nil {
-			toBuild = append(toBuild, len(plans))
-		}
-		plans = append(plans, p)
-	}
-	if len(toBuild) == 0 {
-		return plans, nil
-	}
-
-	view := j.dir.Snapshot().View()
-	place := j.placementSnapshot(set)
-	ivals := make([]ids.TemplateID, len(toBuild))
-	for i := range toBuild {
-		ivals[i] = ids.TemplateID(j.tmplIDs.Next())
-	}
-	c.groupBuild(len(toBuild), func(i, inner int) {
-		p := &plans[toBuild[i]]
-		if err := c.retargetFault(p.name); err != nil {
-			p.err = err
-			return
-		}
-		p.built, p.err = p.t.RebuildPar(ivals[i], view, place, nil, inner)
-	})
-	return plans, view
 }
 
 // groupBuild runs n independent build closures, splitting the build pool
@@ -419,44 +333,6 @@ func (c *Controller) retargetFault(name string) error {
 	return nil
 }
 
-// commitRetargets applies a planned group retarget to one job: adopt the
-// view's instance allocations and switch every successfully planned
-// template. Plans with errors are skipped (the caller decides whether that
-// aborts the whole operation; SetActive does, recovery logs and
-// continues).
-func (c *Controller) commitRetargets(j *jobState, plans []retargetPlan, view *flow.BuildView, sig string) {
-	if view != nil {
-		if err := view.Commit(j.dir); err != nil {
-			// Unreachable: the snapshot, builds and commit all happen
-			// within one event-loop call, so nothing can move underneath.
-			c.cfg.Logf("controller: %s retarget commit conflict: %v", j.id, err)
-			return
-		}
-	}
-	if j.assignCache == nil {
-		j.assignCache = make(map[string]map[string]*core.Assignment)
-	}
-	for i := range plans {
-		p := &plans[i]
-		switch {
-		case p.err != nil:
-		case p.cached != nil:
-			p.t.Active = p.cached
-		default:
-			p.t.Assignments = append(p.t.Assignments, p.built)
-			p.t.Active = p.built
-			j.synced[p.name] = p.built
-			bySig := j.assignCache[p.name]
-			if bySig == nil {
-				bySig = make(map[string]*core.Assignment)
-				j.assignCache[p.name] = bySig
-			}
-			bySig[sig] = p.built
-			c.Stats.TemplatesBuilt.Add(1)
-		}
-	}
-}
-
 // OutstandingCommands returns the number of dispatched-but-unfinished
 // data-plane commands and template instances across all jobs (call via
 // Do). Unlike barriers it does not count in-flight template builds, so
@@ -479,22 +355,11 @@ func (c *Controller) BuildQueueDepth() int {
 	return n
 }
 
-// InvalidateAssignmentCache drops every job's per-worker-set assignment
-// cache so the next retarget rebuilds every template (benchmarks and
+// InvalidateAssignmentCache drops every job's saved worker-set records, so
+// the next move onto another set rebuilds every template (benchmarks and
 // operational tooling use it to force the rebuild path; call via Do).
-// Non-active assignments are released too: without the cache they can
-// never be restored.
 func (c *Controller) InvalidateAssignmentCache() {
 	for _, j := range c.jobs {
-		j.assignCache = nil
-		for _, t := range j.templates {
-			// Fresh slice: re-truncating would keep the dropped assignments
-			// reachable through the old backing array.
-			if t.Active != nil {
-				t.Assignments = []*core.Assignment{t.Active}
-			} else {
-				t.Assignments = nil
-			}
-		}
+		j.sets = nil
 	}
 }

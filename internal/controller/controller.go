@@ -316,23 +316,19 @@ type jobState struct {
 	recording *recordingState
 	lastBlock ids.TemplateID
 	autoValid bool
-	// assignCache caches assignments per template name and worker-set
-	// signature so returning to a previous schedule reuses installed
-	// worker templates (Figure 9's restore path).
-	assignCache map[string]map[string]*core.Assignment
-	// synced maps each template name to the assignment known to match
-	// the job's placement: a fresh build or a migration's edit. A
-	// placement change clears it; an assignment restored from assignCache
-	// may match an older placement, so the next migration compares every
-	// anchor instead of trusting its list of moves.
-	synced     map[string]*core.Assignment
+	// sig names the worker set the job's placement was planned for, and
+	// sets holds what the job left on every other set it has run on, by
+	// signature (adapt.go): returning to a set restores its placement and
+	// the worker templates installed for it (Figure 9's restore path).
+	sig        string
+	sets       map[string]*setRecord
 	patchCache *core.PatchCache
 	// pendingEdits stages per-worker edits to attach to the next
 	// instantiation of each assignment.
 	pendingEdits map[ids.TemplateID]map[ids.WorkerID][]editStaged
 	// Off-loop builds: in-flight jobs by template name, the driver-op
 	// fence queue, and the placement epoch that stales snapshots (bumped
-	// by reassignment and migration).
+	// by worker-set changes and migration).
 	building   map[string]*buildJob
 	opq        []proto.Msg
 	placeEpoch uint64
@@ -542,7 +538,7 @@ func (c *Controller) newJobState(name string, weight int, conn transport.Conn) *
 		templates:    make(map[string]*core.Template),
 		patchCache:   core.NewPatchCache(),
 		pendingEdits: make(map[ids.TemplateID]map[ids.WorkerID][]editStaged),
-		synced:       make(map[string]*core.Assignment),
+		sig:          workerSigOf(c.active),
 		building:     make(map[string]*buildJob),
 		outstanding:  make(map[ids.CommandID]ids.WorkerID),
 		instances:    make(map[uint64]*instState),

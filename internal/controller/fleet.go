@@ -2,7 +2,7 @@ package controller
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"nimbus/internal/command"
@@ -23,8 +23,8 @@ import (
 // entered into placement and the fair-share allocator. With nothing to warm
 // (no live job, or jobs parked behind a takeover) registerWorker activates
 // it in the same turn. Drain is the reverse: the departing worker's
-// partitions retarget onto the survivors atomically (the SetActive/Migrate
-// machinery from the adaptation path), its latest data is eagerly flushed,
+// partitions move onto the survivors atomically (the planSet/adoptSet path
+// every worker-set change takes, adapt.go), its latest data is eagerly flushed,
 // and it is decommissioned only once its outstanding work reaches zero, so
 // a drain never fails a command.
 //
@@ -58,14 +58,12 @@ const (
 // the first instantiation instead, exactly like the SetActive grow path).
 const maxWarmRetries = 3
 
-// warmJob is one job's planned retarget for a joining worker.
+// warmJob is one job's planned move onto the set a worker joins, with
+// the job state the plan was made against.
 type warmJob struct {
-	id    ids.JobID
+	plan  *setPlan
 	epoch uint64
 	dir   *flow.Directory
-	sig   string
-	plans []retargetPlan
-	view  *flow.BuildView
 }
 
 // warmState tracks one joining worker's warm round.
@@ -154,49 +152,31 @@ func (c *Controller) FleetSample() FleetSample {
 	return s
 }
 
-// planWarm plans every live job's retarget onto the prospective set
-// (active + the warming worker), stages the joining worker's installs, and
-// sends the warm marker. A planning error aborts the join: warm plans are
-// all-fresh builds (the new ID has never been in any cached set), so an
-// error here is the same class SetActive refuses on.
+// planWarm plans every live job's move onto the prospective set (active +
+// the warming worker), stages the joining worker's installs, and sends the
+// warm marker. A planning error aborts the join: the new ID has never been
+// in any job's set, so every template was built, and a build error is the
+// same class SetActive refuses on.
 func (c *Controller) planWarm(ws *workerState) {
-	set := append(append([]ids.WorkerID(nil), c.active...), ws.id)
-	sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
-	sig := workerSigOf(set)
+	set := append(slices.Clone(c.active), ws.id)
+	slices.Sort(set)
+	plans, err := c.planAll(set)
+	if err != nil {
+		c.cfg.Logf("controller: warming %s: retargeting %v", ws.id, err)
+		c.dropWorker(ws)
+		return
+	}
 	warm := ws.warm
 	warm.jobs = warm.jobs[:0]
-	for _, j := range c.jobList() {
-		plans, view := c.planRetargets(j, set, sig)
-		for k := range plans {
-			if plans[k].err != nil {
-				c.cfg.Logf("controller: warming %s: retargeting %s %q: %v",
-					ws.id, j.id, plans[k].name, plans[k].err)
-				c.dropWorker(ws)
-				return
-			}
-		}
-		warm.jobs = append(warm.jobs, warmJob{
-			id: j.id, epoch: j.placeEpoch, dir: j.dir,
-			sig: sig, plans: plans, view: view,
-		})
+	for _, p := range plans {
+		warm.jobs = append(warm.jobs, warmJob{plan: p, epoch: p.j.placeEpoch, dir: p.j.dir})
 		// Stage the newcomer's installs now, ahead of the warm marker; the
 		// worker compiles each template as it lands.
-		for i := range plans {
-			a := plans[i].built
-			if a == nil {
-				a = plans[i].cached
-			}
-			if a == nil {
-				continue
-			}
-			for _, w := range a.Workers() {
-				if w != ws.id {
-					continue
-				}
-				msg := a.InstallMessage(ws.id, plans[i].name)
-				msg.Job = j.id
+		for i := range p.tmpls {
+			if a := p.tmpls[i].a; len(a.PerWorker[ws.id]) > 0 {
+				msg := a.InstallMessage(ws.id, p.tmpls[i].name)
+				msg.Job = p.j.id
 				c.sendWorker(ws, msg)
-				break
 			}
 		}
 	}
@@ -215,9 +195,10 @@ func (c *Controller) dropWorker(ws *workerState) {
 }
 
 // fleetWarmAck completes (or retries) a join. The worker has compiled
-// every install up to Seq; if placement is unchanged since the plan, the
-// planned retargets commit and the worker turns active. If anything moved
-// — a migration, another join, a recovery — the round re-plans, bounded by
+// every install up to Seq; if the jobs are as they were when planned, the
+// plans commit and the worker turns active. If anything moved — a
+// migration, another join, a recovery, a template build that finished (its
+// assignment is for the old placement) — the round re-plans, bounded by
 // maxWarmRetries, after which the join commits synchronously.
 func (c *Controller) fleetWarmAck(m *proto.FleetWarmAck) {
 	ws := c.workers[m.Worker]
@@ -226,13 +207,9 @@ func (c *Controller) fleetWarmAck(m *proto.FleetWarmAck) {
 	}
 	warm := ws.warm
 	fresh := true
-	for i := range warm.jobs {
-		wj := &warm.jobs[i]
-		j := c.jobs[wj.id]
-		if j == nil {
-			continue // job ended mid-warm; its plan is simply dropped
-		}
-		if j.placeEpoch != wj.epoch || j.dir != wj.dir {
+	for _, wj := range warm.jobs {
+		j := wj.plan.j
+		if !j.dead && (j.placeEpoch != wj.epoch || j.dir != wj.dir || len(j.templates)-len(j.building) != len(wj.plan.tmpls)) {
 			fresh = false
 			break
 		}
@@ -242,17 +219,16 @@ func (c *Controller) fleetWarmAck(m *proto.FleetWarmAck) {
 		// (the directory moved in a way the epoch check cannot see) demotes
 		// the round to stale. Partially adopted pairs are harmless — they
 		// are valid allocations for objects a re-plan introduces anyway.
-		for i := range warm.jobs {
-			wj := &warm.jobs[i]
-			j := c.jobs[wj.id]
-			if j == nil || wj.view == nil {
+		for _, wj := range warm.jobs {
+			p := wj.plan
+			if p.j.dead || p.view == nil {
 				continue
 			}
-			if err := wj.view.Commit(j.dir); err != nil {
+			if err := p.view.Commit(p.j.dir); err != nil {
 				fresh = false
 				break
 			}
-			wj.view = nil
+			p.view = nil
 		}
 	}
 	if !fresh {
@@ -264,39 +240,40 @@ func (c *Controller) fleetWarmAck(m *proto.FleetWarmAck) {
 		c.finishJoin(ws, nil)
 		return
 	}
-	planned := make(map[ids.JobID]*warmJob, len(warm.jobs))
-	for i := range warm.jobs {
-		planned[warm.jobs[i].id] = &warm.jobs[i]
-	}
-	c.finishJoin(ws, planned)
+	c.finishJoin(ws, warm.jobs)
 }
 
-// finishJoin enters a warmed worker into the active set and retargets
-// every job onto the grown placement. Jobs with a fresh plan adopt it (and
-// mark the pre-sent installs so the first instantiation sends none); jobs
-// without one — admitted mid-warm, or a stale round past its retries —
-// retarget synchronously like recovery does.
-func (c *Controller) finishJoin(ws *workerState, planned map[ids.JobID]*warmJob) {
+// finishJoin enters a warmed worker into the active set and moves every
+// job onto the grown set. Jobs with a fresh plan adopt it (and mark the
+// pre-sent installs so the first instantiation sends none); jobs without
+// one — admitted mid-warm, or a stale round past its retries — are planned
+// and adopted synchronously, and their installs ride the first
+// instantiation.
+func (c *Controller) finishJoin(ws *workerState, planned []warmJob) {
 	warm := ws.warm
 	ws.warm = nil
 	c.activateWorker(ws)
+	warmed := make(map[*jobState]*setPlan, len(planned))
+	for _, wj := range planned {
+		warmed[wj.plan.j] = wj.plan
+	}
 	for _, j := range c.jobList() {
-		c.reassignAll(j)
-		if wj := planned[j.id]; wj != nil {
-			c.commitRetargets(j, wj.plans, nil, wj.sig)
-			for i := range wj.plans {
-				a := wj.plans[i].built
-				if a == nil {
-					a = wj.plans[i].cached
-				}
-				if t := j.templates[wj.plans[i].name]; t != nil && a != nil && a.Installed != nil && a == t.Active {
-					a.Installed[ws.id] = true
-				}
+		p := warmed[j]
+		if p == nil {
+			p = c.planSet(j, c.active)
+			if err := p.err(); err != nil {
+				c.cfg.Logf("controller: %s joining %s: %v", j.id, ws.id, err)
 			}
-		} else {
-			c.retargetAll(j)
 		}
-		j.autoValid = false
+		c.adoptSet(p)
+		if warmed[j] == nil {
+			continue
+		}
+		for i := range p.tmpls {
+			if a := p.tmpls[i].a; len(a.PerWorker[ws.id]) > 0 {
+				a.Installed[ws.id] = true
+			}
+		}
 	}
 	c.Stats.WarmJoins.Add(1)
 	c.warmLat.record(time.Since(warm.start))
@@ -330,32 +307,20 @@ func (c *Controller) DrainWorker(id ids.WorkerID) error {
 			survivors = append(survivors, a)
 		}
 	}
-	// Plan every job against the shrunken placement before touching live
-	// state; an error anywhere leaves the fleet unchanged (SetActive's
-	// atomicity contract).
-	sig := workerSigOf(survivors)
-	jobs := c.jobList()
-	plansByJob := make([][]retargetPlan, len(jobs))
-	viewsByJob := make([]*flow.BuildView, len(jobs))
-	for i, j := range jobs {
-		plans, view := c.planRetargets(j, survivors, sig)
-		for k := range plans {
-			if plans[k].err != nil {
-				return fmt.Errorf("controller: draining %s: retargeting %s %q: %w",
-					id, j.id, plans[k].name, plans[k].err)
-			}
-		}
-		plansByJob[i], viewsByJob[i] = plans, view
+	// Plan every job against the survivors before touching live state; an
+	// error anywhere leaves the fleet unchanged (SetActive's atomicity
+	// contract).
+	plans, err := c.planAll(survivors)
+	if err != nil {
+		return fmt.Errorf("controller: draining %s: retargeting %w", id, err)
 	}
-	start := time.Now()
 	c.active = survivors
 	ws.phase = phaseDraining
-	ws.drainStart = start
+	ws.drainStart = time.Now()
 	c.draining[id] = struct{}{}
-	for i, j := range jobs {
-		c.reassignAll(j)
-		c.commitRetargets(j, plansByJob[i], viewsByJob[i], sig)
-		j.autoValid = false
+	for _, p := range plans {
+		c.adoptSet(p)
+		j := p.j
 		// Eagerly flush every logical object whose latest version lives on
 		// the departing worker to its new owner. RecordCopy updates the
 		// directory at schedule time, so nothing scheduled after this pass

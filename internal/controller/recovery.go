@@ -32,13 +32,8 @@ func (c *Controller) handleCheckpointReq(j *jobState, m *proto.CheckpointReq) {
 		}
 	}
 	j.ckpt.requested = append(j.ckpt.requested, m.Seq)
-	c.logOpBeforeCheckpoint()
 	c.resolveIfQuiet(j)
 }
-
-// logOpBeforeCheckpoint is a marker hook: checkpoint requests themselves
-// are not logged (a replay must not re-checkpoint).
-func (c *Controller) logOpBeforeCheckpoint() {}
 
 // beginCheckpoint runs at one job's quiesce point: every live latest
 // object of the job is saved to durable storage under the job's namespace.
@@ -192,6 +187,13 @@ func (c *Controller) failWorkerForJob(j *jobState, id ids.WorkerID) {
 	if j.ckpt.last == 0 {
 		c.cfg.Logf("controller: worker %s failed with no %s checkpoint; the job's data on it is lost", id, j.id)
 	}
+	c.haltJob(j)
+}
+
+// haltJob starts one job's recovery (a worker failure or a takeover):
+// every active worker flushes the job's queues and acks, and
+// finishRecovery reverts and replays once all have.
+func (c *Controller) haltJob(j *jobState) {
 	j.recovering = true
 	j.haltSeq++
 	j.haltPending = make(map[ids.WorkerID]bool)
@@ -255,12 +257,28 @@ func (c *Controller) finishRecovery(j *jobState) {
 		delete(c.fetches, seq)
 	}
 
-	// Fresh directory and ledgers; repartition over the survivors.
+	// Fresh directory and ledgers. Every assignment the job has names
+	// objects of the discarded directory — physical IDs the halted
+	// survivors may still hold stale state under — so none is restored:
+	// the job moves onto the survivors with the placement it has there (or
+	// round-robin) and every template is built afresh. The builds'
+	// instance allocations commit first; the loads below reuse them.
 	j.dir = flow.NewDirectory(&j.objIDs)
 	for _, wid := range c.active {
 		j.ledgers[wid] = flow.NewLedger(wid)
 	}
-	c.reassignAll(j)
+	for _, rec := range j.sets {
+		rec.tmpls = nil
+	}
+	for _, t := range j.templates {
+		t.Active = nil
+	}
+	clear(j.pendingEdits)
+	p := c.planSet(j, c.active)
+	if err := p.err(); err != nil {
+		c.cfg.Logf("controller: recovery rebuild of %v", err)
+	}
+	c.adoptSet(p)
 
 	// Reload checkpointed objects onto their new owners.
 	logicalOwner := j.logicalOwners()
@@ -286,12 +304,10 @@ func (c *Controller) finishRecovery(j *jobState) {
 	}
 	c.dispatchCommands(j, batches)
 
-	// Rebuild the job's template assignments for the new placement
-	// (parallel group build) and replay the operations since the
-	// checkpoint. Templates whose original build is still in flight are
-	// skipped here; those zombie builds fail revalidation at commit (the
-	// directory object changed) and resolve against the recovered state.
-	c.retargetAll(j)
+	// Replay the operations since the checkpoint. Templates whose first
+	// build was in flight were skipped by the plan; those zombie builds
+	// fail revalidation at commit (the directory object changed) and
+	// resolve against the recovered state.
 	j.lastBlock = ids.NoTemplate
 	j.autoValid = false
 	j.recovering = false

@@ -56,11 +56,10 @@ func (c *Controller) handleDefineVariable(j *jobState, m *proto.DefineVariable) 
 		name:       m.Name,
 		partitions: m.Partitions,
 		logicals:   make([]ids.LogicalID, m.Partitions),
-		assign:     make([]ids.WorkerID, m.Partitions),
+		assign:     roundRobin(c.active, m.Partitions),
 	}
-	for p := 0; p < m.Partitions; p++ {
+	for p := range vm.logicals {
 		vm.logicals[p] = j.logIDs.Next()
-		vm.assign[p] = c.active[p%len(c.active)]
 	}
 	j.vars[m.Var] = vm
 	c.logOp(j, m)
@@ -535,7 +534,7 @@ func (g *centralGraph) complete(done []ids.CommandID) {
 func (g *centralGraph) dispatchReady() {
 	for {
 		progressed := false
-		for id, n := range g.nodes {
+		for _, n := range g.nodes {
 			if !n.ready || n.dispatched {
 				continue
 			}
@@ -547,7 +546,6 @@ func (g *centralGraph) dispatchReady() {
 				Job:  g.j.id,
 				Cmds: []*command.Command{n.cmd},
 			})
-			_ = id
 		}
 		if !progressed {
 			return

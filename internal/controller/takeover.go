@@ -65,7 +65,6 @@ func (c *Controller) restoreJob(rj *proto.ReplJob) {
 		templates:    make(map[string]*core.Template),
 		patchCache:   core.NewPatchCache(),
 		pendingEdits: make(map[ids.TemplateID]map[ids.WorkerID][]editStaged),
-		synced:       make(map[string]*core.Assignment),
 		building:     make(map[string]*buildJob),
 		outstanding:  make(map[ids.CommandID]ids.WorkerID),
 		instances:    make(map[uint64]*instState),
@@ -166,25 +165,15 @@ func (c *Controller) beginTakeover(j *jobState) {
 	j.defs = nil
 	j.pendingTakeover = false
 
-	// Halt fan-out, exactly as a worker failure would: every surviving
-	// worker flushes the job's queues and acks; finishRecovery then
-	// reverts to the checkpoint and replays the oplog.
-	j.recovering = true
-	j.haltSeq++
-	j.haltPending = make(map[ids.WorkerID]bool)
-	for _, wid := range c.active {
-		j.haltPending[wid] = true
-		c.sendWorker(c.workers[wid], &proto.Halt{Job: j.id, Seq: j.haltSeq})
-	}
-	if len(j.haltPending) == 0 {
-		c.finishRecovery(j)
-	}
+	// Halt fan-out, exactly as a worker failure would: finishRecovery
+	// then reverts to the checkpoint and replays the oplog.
+	c.haltJob(j)
 }
 
 // replayDef re-applies one definition op on the promoted controller.
-// Completed templates are installed without a build: retargetAll inside
-// finishRecovery constructs their first assignment for the actual
-// placement, exactly like a post-failure rebuild.
+// Completed templates are installed without a build: finishRecovery's
+// planSet constructs their first assignment for the actual placement,
+// exactly like a post-failure rebuild.
 func (c *Controller) replayDef(j *jobState, m proto.Msg) {
 	switch op := m.(type) {
 	case *proto.DefineVariable:

@@ -81,9 +81,10 @@ func (c *Controller) handleInstantiateBlock(j *jobState, m *proto.InstantiateBlo
 	}
 	a := t.Active
 	if a == nil {
-		// Unreachable through the build fence (instantiations queue while
-		// the template's build is in flight), kept as a guard.
-		c.rejectOp(j, fmt.Sprintf("instantiate of template %q before its build finished", m.Name))
+		// Instantiations queue behind an in-flight build, so only a
+		// worker-set change that could not build the template leaves it
+		// without an assignment (adoptSet).
+		c.rejectOp(j, fmt.Sprintf("instantiate of template %q, which has no assignment for the current workers", m.Name))
 		return false
 	}
 	start := time.Now()

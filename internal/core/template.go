@@ -14,10 +14,11 @@ import (
 
 // Template is a controller template: the cached result of scheduling one
 // basic block (paper §2.2). It owns the recorded stage sequence (so
-// assignments can be rebuilt under new placements) and a cache of
-// assignments — per-placement worker-template sets. Workers cache multiple
-// worker templates, so a controller can move between several schedules by
-// invoking different assignments (paper §2.3).
+// assignments can be rebuilt under new placements) and the active
+// assignment — one per-placement worker-template set. Workers cache
+// multiple worker templates, so a controller can move between several
+// schedules by invoking different assignments (paper §2.3); the controller
+// keeps the inactive ones per worker set.
 type Template struct {
 	ID   ids.TemplateID
 	Name string
@@ -25,8 +26,6 @@ type Template struct {
 	Stages []*proto.SubmitStage
 	// TaskCount is the number of task commands (not copies) per instance.
 	TaskCount int
-	// Assignments caches every worker-template set generated so far.
-	Assignments []*Assignment
 	// Active is the assignment new instantiations use.
 	Active *Assignment
 
