@@ -300,6 +300,7 @@ func TestSessionMux10kJobs(t *testing.T) {
 	})
 	gw := c.Gateway(transport.DefaultMaxConns)
 	defer gw.Close()
+	before := runtime.NumGoroutine()
 
 	drivers := make([]*driver.Driver, n)
 	var wg sync.WaitGroup
@@ -337,6 +338,18 @@ func TestSessionMux10kJobs(t *testing.T) {
 	}
 	if s.GatewayConns > transport.DefaultMaxConns {
 		t.Errorf("controller tracks %d gateway conns, cap %d", s.GatewayConns, transport.DefaultMaxConns)
+	}
+	// A session costs no goroutine on either side: what the herd leaves
+	// running is per shared connection (the mux's reader and writer, the
+	// gateway's reader), not per session. The connect goroutines have
+	// delivered their results but may not have exited yet.
+	bound := 4 * transport.DefaultMaxConns
+	grown := runtime.NumGoroutine() - before
+	for settle := time.Now(); grown > bound && time.Since(settle) < 5*time.Second; grown = runtime.NumGoroutine() - before {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if grown > bound {
+		t.Errorf("%d sessions left %d more goroutines running, want at most %d", n, grown, bound)
 	}
 
 	var failures atomic.Uint64

@@ -107,15 +107,6 @@ func (j *jobState) placementSnapshot() *placeSnap {
 	return &placeSnap{vars: vars}
 }
 
-// post injects fn into the event loop without waiting for it to run
-// (build goroutines hand their results back through it).
-func (c *Controller) post(fn func()) {
-	select {
-	case c.events <- cevent{kind: cevDo, fn: fn}:
-	case <-c.stopped:
-	}
-}
-
 // driverOp routes one driver operation through its job's op fence: while
 // any of the job's off-loop builds or controller-evaluated loops is in
 // flight (or earlier operations are still queued behind one), operations
@@ -213,7 +204,7 @@ func (c *Controller) runBuild(job *buildJob) {
 	start := time.Now()
 	a, err := core.BuildAssignment(job.id, job.view, job.place, job.tmpl.Stages, c.buildPar)
 	nanos := uint64(time.Since(start))
-	c.post(func() { c.commitBuild(job, a, err, nanos) })
+	c.mbox.Put(cevent{kind: cevDo, fn: func() { c.commitBuild(job, a, err, nanos) }})
 }
 
 // commitBuild runs on the event loop when a background build finishes:

@@ -31,8 +31,11 @@
 //     reported back, with a configurable per-task scheduling cost. This is
 //     the paper's Spark-opt baseline.
 //
-// All controller state is confined to one event loop goroutine; external
-// callers inject work through Do.
+// All controller state is confined to one event loop goroutine. Connection
+// readers, gateway readers, build goroutines and the ticker post events to
+// its mailbox (internal/loop), and the loop handles everything posted while
+// it was busy as one run per wakeup; external callers inject work through
+// Do.
 package controller
 
 import (
@@ -48,6 +51,7 @@ import (
 	"nimbus/internal/core"
 	"nimbus/internal/flow"
 	"nimbus/internal/ids"
+	"nimbus/internal/loop"
 	"nimbus/internal/proto"
 	"nimbus/internal/transport"
 )
@@ -127,7 +131,7 @@ type Stats struct {
 	CopiesInserted atomic.Uint64
 	MsgsToWorkers  atomic.Uint64
 	// FramesToWorkers counts transport frames actually sent: the send
-	// coalescer packs all messages staged for a worker during one event
+	// coalescer packs all messages staged for a worker during one run
 	// into one frame, so FramesToWorkers <= MsgsToWorkers. In the
 	// steady state an InstantiateBlock fan-out is exactly one frame per
 	// participating worker.
@@ -183,6 +187,11 @@ type Stats struct {
 	// nothing to warm, or failures.
 	WarmJoins   atomic.Uint64
 	FleetDrains atomic.Uint64
+	// LoopWakeups counts event-loop turns (one mailbox take each) and
+	// LoopEvents the events they handled, so LoopEvents/LoopWakeups is the
+	// loop's run length.
+	LoopWakeups atomic.Uint64
+	LoopEvents  atomic.Uint64
 
 	ScheduleNanos    atomic.Uint64 // live per-task scheduling
 	RecordNanos      atomic.Uint64 // template recording (stage capture) time
@@ -201,10 +210,15 @@ type Stats struct {
 type Controller struct {
 	cfg Config
 
-	events  chan cevent
+	// mbox is where other goroutines post events; it closes after stopped.
+	mbox    *loop.Mailbox[cevent]
 	stopped chan struct{}
 	wg      sync.WaitGroup
 	lis     transport.Listener
+	// after holds work a handler deferred to the end of its event: a
+	// handler never posts to its own mailbox, which blocks it for good
+	// when the mailbox is full.
+	after []func()
 
 	// Cluster state (shared by all jobs).
 	workers    map[ids.WorkerID]*workerState
@@ -230,7 +244,7 @@ type Controller struct {
 	// same fetch sequence.
 	chunkRx map[uint64]*fetchChunks
 
-	// dirty lists workers with staged messages awaiting the end-of-event
+	// dirty lists workers with staged messages awaiting the end-of-run
 	// coalesced flush; dirtyDrv lists driver connections with staged
 	// messages (a closed one may still owe its peer a SessionClose). A
 	// connection listed twice is harmless: its second Flush finds nothing.
@@ -398,7 +412,7 @@ type workerState struct {
 	pending    int
 	warm       *warmState
 	drainStart time.Time
-	// outq stages messages for the coalesced per-event flush (event-loop
+	// outq stages messages for the coalesced per-run flush (event-loop
 	// confined between flushes; a flush goroutine owns it transiently).
 	outq []proto.Msg
 	// quotaSent caches the last slot quota sent per (tenant, job weight)
@@ -468,18 +482,20 @@ type ckptState struct {
 	failed string
 }
 
+// mailboxCap bounds the events waiting for the loop. Producers block at the
+// bound — that is the connection readers' back-pressure.
+const mailboxCap = 4096
+
 type cevent struct {
-	kind  ceventKind
-	msg   proto.Msg
-	from  ids.WorkerID
-	job   ids.JobID
-	conn  transport.Conn
-	fn    func()
-	rerr  error
-	isDrv bool
-	// at is the decode instant of RegisterDriver messages, stamped off
-	// the event loop so admission latency includes time spent waiting in
-	// the event queue — the dominant term under a thundering herd.
+	kind ceventKind
+	msg  proto.Msg
+	// src is the connection a message came from or that closed.
+	src  *source
+	fn   func()
+	rerr error
+	// at is the decode instant of a connection's hello, stamped off the
+	// event loop so admission latency includes time spent waiting in the
+	// mailbox — the dominant term under a thundering herd.
 	at time.Time
 }
 
@@ -502,7 +518,7 @@ func New(cfg Config) *Controller {
 	}
 	c := &Controller{
 		cfg:      cfg,
-		events:   make(chan cevent, 4096),
+		mbox:     loop.New[cevent](mailboxCap),
 		stopped:  make(chan struct{}),
 		workers:  make(map[ids.WorkerID]*workerState),
 		jobs:     make(map[ids.JobID]*jobState),
@@ -587,7 +603,7 @@ func (c *Controller) tickEvery() time.Duration {
 
 // Stop shuts the controller down: workers, every driver and an attached
 // standby receive Shutdown — so none of them treats this as a failure —
-// and every connection is closed so pump goroutines exit.
+// and then it stops as Kill does.
 func (c *Controller) Stop() {
 	c.Do(func() {
 		for _, ws := range c.workers {
@@ -619,16 +635,7 @@ func (c *Controller) Stop() {
 			c.repl = nil
 		}
 	})
-	c.stopOnce.Do(func() { close(c.stopped) })
-	c.lis.Close()
-	// Gateways close last: a handshake serving one checks c.stopped under
-	// connMu, so none is left serving once this sweep has run.
-	c.connMu.Lock()
-	for g := range c.gateways {
-		g.Close()
-	}
-	c.connMu.Unlock()
-	c.wg.Wait()
+	c.Kill()
 }
 
 // Kill terminates the controller abruptly: no shutdown handshake, no
@@ -637,17 +644,19 @@ func (c *Controller) Stop() {
 // production paths call Stop.
 func (c *Controller) Kill() {
 	c.stopOnce.Do(func() { close(c.stopped) })
+	c.mbox.Close()
 	if c.lis != nil {
 		c.lis.Close()
 	}
+	// Every reader returns once its connection closes: a gateway's, and
+	// one whose hello the stopping loop never handled. A connection tracked
+	// after this sweep finds the mailbox closed and closes itself; a
+	// gateway served after it finds c.stopped closed under connMu.
 	c.connMu.Lock()
-	conns := make([]transport.Conn, 0, len(c.conns))
-	for conn := range c.conns {
-		conns = append(conns, conn)
-	}
+	conns := c.conns
 	c.conns = nil
 	c.connMu.Unlock()
-	for _, conn := range conns {
+	for conn := range conns {
 		conn.Close()
 	}
 	c.wg.Wait()
@@ -664,17 +673,15 @@ func (c *Controller) trackConn(conn transport.Conn) {
 	c.connMu.Unlock()
 }
 
-// untrackConn forgets a tracked connection once it is done — its pump
-// exited, or its handshake was rejected without one — so reconnect churn
-// over a long-lived controller does not pin dead Conn objects. Once the
-// node is stopping it forgets nothing: a pump that quit on c.stopped left
-// its connection open, and Kill, which closes c.stopped before it collects
-// the registry, must still sever it or the peer never sees the crash.
+// untrackConn forgets a tracked connection once its reader exits, so
+// reconnect churn over a long-lived controller does not pin dead Conn
+// objects. Once the node is stopping it forgets nothing: a reader that quit
+// on the closed mailbox left its connection open, and Kill, which closes the
+// mailbox before it collects the registry, must still sever it or the peer
+// never sees the crash.
 func (c *Controller) untrackConn(conn transport.Conn) {
-	select {
-	case <-c.stopped:
+	if c.stopping() {
 		return
-	default:
 	}
 	c.connMu.Lock()
 	if c.conns != nil {
@@ -687,15 +694,24 @@ func (c *Controller) untrackConn(conn transport.Conn) {
 // ":0"-style TCP addresses).
 func (c *Controller) Addr() string { return c.lis.Addr() }
 
+// stopping reports whether Stop or Kill has begun.
+func (c *Controller) stopping() bool {
+	select {
+	case <-c.stopped:
+		return true
+	default:
+		return false
+	}
+}
+
 // Do injects fn into the controller's event loop and waits for it to run.
 // The cluster harness uses it for out-of-band operations (resource
-// manager events, migration requests, metric snapshots).
+// manager events, migration requests, metric snapshots). Once the
+// controller has stopped, fn may not run.
 func (c *Controller) Do(fn func()) {
 	done := make(chan struct{})
-	select {
-	case c.events <- cevent{kind: cevDo, fn: func() { fn(); close(done) }}:
+	if c.mbox.Put(cevent{kind: cevDo, fn: func() { fn(); close(done) }}) {
 		<-done
-	case <-c.stopped:
 	}
 }
 
@@ -706,9 +722,7 @@ func (c *Controller) tickLoop() {
 	for {
 		select {
 		case <-t.C:
-			select {
-			case c.events <- cevent{kind: cevTick}:
-			case <-c.stopped:
+			if !c.mbox.Put(cevent{kind: cevTick}) {
 				return
 			}
 		case <-c.stopped:
@@ -725,38 +739,39 @@ func (c *Controller) acceptLoop() {
 			return
 		}
 		c.wg.Add(1)
-		go c.handshake(conn, false)
+		go c.serve(conn)
 	}
 }
 
-// handshake reads the first message of a new connection to decide what it
-// is, then hands the connection to the event loop — or, for a gateway,
-// serves it, running this same handshake on each of its sessions. A
-// session may open only as a driver.
-func (c *Controller) handshake(conn transport.Conn, session bool) {
+// source is one connection feeding the loop: a dedicated connection read by
+// serve, or a gateway session its gateway's reader feeds (SessionSink). The
+// reader decodes and posts; only the loop binds and reads the binding.
+type source struct {
+	c    *Controller
+	conn transport.Conn
+	// session marks a gateway session, drv a driver's (set before posting).
+	session, drv bool
+	// from is the worker a worker connection registered as; job is the job
+	// a driver connection was admitted or reattached to (loop-confined).
+	from ids.WorkerID
+	job  ids.JobID
+	// evs is the reader's scratch for one frame (a gateway's is shared).
+	evs *[]cevent
+}
+
+// serve reads one accepted connection: a gateway is served as one, anything
+// else is read here until it closes, a frame at a time.
+func (c *Controller) serve(conn transport.Conn) {
 	defer c.wg.Done()
 	raw, err := conn.Recv()
 	if err != nil {
 		conn.Close()
 		return
 	}
-	msg, err := proto.Unmarshal(raw)
-	proto.PutBuf(raw)
-	if err != nil {
-		c.cfg.Logf("controller: bad handshake: %v", err)
-		conn.Close()
-		return
-	}
-	ok := false
-	switch msg.(type) {
-	case *proto.RegisterDriver, *proto.DriverReattach:
-		ok = true
-	case *proto.RegisterWorker, *proto.ReplAttach, *proto.GatewayHello:
-		ok = !session
-	}
-	if !ok {
-		c.cfg.Logf("controller: unexpected handshake message %s", msg.Kind())
-		conn.Close()
+	var evs []cevent
+	s := &source{c: c, conn: conn, evs: &evs}
+	msg := s.hello(raw)
+	if msg == nil {
 		return
 	}
 	c.trackConn(conn)
@@ -764,31 +779,103 @@ func (c *Controller) handshake(conn transport.Conn, session bool) {
 		c.serveGateway(conn)
 		return
 	}
-	select {
-	case c.events <- cevent{kind: cevMsg, msg: msg, conn: conn, at: time.Now()}:
-	case <-c.stopped:
+	defer c.untrackConn(conn)
+	if !s.open(msg) {
 		conn.Close()
+		return
+	}
+	for {
+		raw, err := conn.Recv()
+		if err != nil {
+			s.Closed(err)
+			return
+		}
+		if !s.post(raw) {
+			return
+		}
 	}
 }
 
-// serveGateway serves one gateway connection until it fails. Each session
-// it opens runs the same handshake, on the gateway's reader: the session's
-// first frame is already in its inbox, so the read cannot block, and the
-// event send holds up the reader as it would hold up a pump. A lost
-// gateway fails its sessions, and each ends like a dropped dedicated
-// connection.
+// hello checks a connection's first frame: one message a connection of
+// its kind may open with. A driver may register or reattach on either
+// kind; a worker, a standby or a gateway only on a dedicated connection.
+// Anything else closes the connection and returns nil.
+func (s *source) hello(raw []byte) proto.Msg {
+	msg, err := proto.Unmarshal(raw)
+	proto.PutBuf(raw)
+	if err != nil {
+		s.c.cfg.Logf("controller: bad handshake: %v", err)
+		s.conn.Close()
+		return nil
+	}
+	ok := false
+	switch msg.(type) {
+	case *proto.RegisterDriver, *proto.DriverReattach:
+		ok, s.drv = true, true
+	case *proto.RegisterWorker, *proto.ReplAttach, *proto.GatewayHello:
+		ok = !s.session
+	}
+	if !ok {
+		s.c.cfg.Logf("controller: unexpected handshake message %s", msg.Kind())
+		s.conn.Close()
+		return nil
+	}
+	return msg
+}
+
+// open posts a checked hello; false means the loop has stopped.
+func (s *source) open(msg proto.Msg) bool {
+	return s.c.mbox.Put(cevent{kind: cevMsg, msg: msg, src: s, at: time.Now()})
+}
+
+// post decodes one frame, posts its messages as one PutAll and recycles
+// the frame. It reports false once the loop has stopped.
+func (s *source) post(raw []byte) bool {
+	evs := *s.evs
+	err := proto.ForEachMsg(raw, func(msg proto.Msg) error {
+		evs = append(evs, cevent{kind: cevMsg, msg: msg, src: s})
+		return nil
+	})
+	proto.PutBuf(raw)
+	if err != nil {
+		s.c.cfg.Logf("controller: bad message: %v", err)
+	}
+	ok := s.c.mbox.PutAll(evs)
+	clear(evs) // the scratch pins no message between frames
+	*s.evs = evs[:0]
+	return ok
+}
+
+// Frame implements transport.SessionSink: a session's first frame is its
+// hello, which makes it a driver's or closes it, and the rest are posted
+// as a dedicated connection's are.
+func (s *source) Frame(raw []byte) {
+	if s.drv {
+		s.post(raw)
+	} else if msg := s.hello(raw); msg != nil {
+		s.open(msg)
+	}
+}
+
+// Closed implements transport.SessionSink, and ends a dedicated
+// connection's reader: the loop learns the connection is gone.
+func (s *source) Closed(err error) {
+	s.c.mbox.Put(cevent{kind: cevConnClosed, src: s, rerr: err})
+}
+
+// serveGateway serves one gateway connection until it fails. Its reader
+// feeds each session's source, so a session costs no goroutine, and a lost
+// gateway ends each session like a dropped dedicated connection.
 func (c *Controller) serveGateway(conn transport.Conn) {
-	g := transport.NewMuxServer(conn, func(s transport.Conn) {
-		c.wg.Add(1)
-		c.handshake(s, true)
+	var evs []cevent
+	g := transport.NewMuxServer(conn, func(s transport.Conn) transport.SessionSink {
+		return &source{c: c, conn: s, session: true, evs: &evs}
 	})
 	c.connMu.Lock()
-	select {
-	case <-c.stopped:
+	if c.stopping() {
 		c.connMu.Unlock()
 		conn.Close()
 		return
-	default:
 	}
 	c.gateways[g] = struct{}{}
 	c.connMu.Unlock()
@@ -797,111 +884,82 @@ func (c *Controller) serveGateway(conn transport.Conn) {
 	delete(c.gateways, g)
 	c.connMu.Unlock()
 	c.untrackConn(conn)
-	select {
-	case <-c.stopped:
-	default:
+	if !c.stopping() {
 		c.cfg.Logf("controller: gateway connection lost: %v", err)
 	}
 }
 
-// errPumpStopped aborts a frame iteration when the node shuts down
-// mid-batch.
-var errPumpStopped = errors.New("pump stopped")
-
-// pump forwards a registered connection's messages into the event loop,
-// unpacking batch frames and recycling each frame buffer after decode.
-// jobRef is nil for worker and standby connections. A driver's pump stamps
-// every event with the job jobRef holds, loaded per event: the binding may
-// not exist when the pump starts (the registration can sit in the
-// admission queue), and admitNow stores it before the ack goes out.
-func (c *Controller) pump(conn transport.Conn, from ids.WorkerID, jobRef *atomic.Uint32) {
-	defer c.wg.Done()
-	defer c.untrackConn(conn)
-	job := func() ids.JobID {
-		if jobRef == nil {
-			return ids.NoJob
-		}
-		return ids.JobID(jobRef.Load())
-	}
-	for {
-		raw, err := conn.Recv()
-		if err != nil {
-			select {
-			case c.events <- cevent{kind: cevConnClosed, from: from, job: job(), isDrv: jobRef != nil, rerr: err, conn: conn}:
-			case <-c.stopped:
-			}
-			return
-		}
-		err = proto.ForEachMsg(raw, func(msg proto.Msg) error {
-			select {
-			case c.events <- cevent{kind: cevMsg, msg: msg, from: from, job: job()}:
-				return nil
-			case <-c.stopped:
-				return errPumpStopped
-			}
-		})
-		proto.PutBuf(raw)
-		if errors.Is(err, errPumpStopped) {
-			return
-		}
-		if err != nil {
-			c.cfg.Logf("controller: bad message from %s: %v", from, err)
-		}
-	}
-}
-
+// run is the event loop: per wakeup it takes everything posted, handles it
+// in order, then checks drains and flushes once for the whole run.
 func (c *Controller) run() {
 	defer c.wg.Done()
+	var run []cevent
 	for {
-		select {
-		case ev := <-c.events:
-			switch ev.kind {
-			case cevMsg:
-				c.handleMsg(ev)
-			case cevConnClosed:
-				c.handleClosed(ev)
-			case cevDo:
-				ev.fn()
-			case cevTick:
-				c.checkHeartbeats()
-				c.checkTakeoverEviction()
-				c.checkReattachDeadline()
-			}
-			if len(c.draining) != 0 {
-				c.checkDrains()
-			}
-			// Everything one event staged goes out as one frame per
-			// worker before the next event is considered.
-			c.flushSends()
-		case <-c.stopped:
+		if run = c.mbox.Take(run, true); len(run) == 0 {
 			return
 		}
+		c.Stats.LoopWakeups.Add(1)
+		c.Stats.LoopEvents.Add(uint64(len(run)))
+		for i := range run {
+			c.handle(&run[i])
+			run[i] = cevent{} // a handled slot pins no payload
+		}
+		if len(c.draining) != 0 {
+			c.checkDrains()
+		}
+		// Everything the run staged goes out as one frame per worker
+		// before the next run is taken.
+		c.flushSends()
 	}
 }
 
-func (c *Controller) handleMsg(ev cevent) {
+// handle applies one event, then the work its handler deferred. Once the
+// controller is stopping only Do's run, so no caller waits forever.
+func (c *Controller) handle(ev *cevent) {
+	switch {
+	case ev.kind == cevDo:
+		ev.fn()
+	case c.stopping():
+		return
+	case ev.kind == cevMsg:
+		c.handleMsg(ev)
+	case ev.kind == cevConnClosed:
+		c.handleClosed(ev)
+	case ev.kind == cevTick:
+		c.checkHeartbeats()
+		c.checkTakeoverEviction()
+		c.checkReattachDeadline()
+	}
+	for len(c.after) > 0 {
+		fn := c.after[0]
+		c.after = c.after[1:]
+		fn()
+	}
+}
+
+func (c *Controller) handleMsg(ev *cevent) {
 	// Worker-originated and registration messages route themselves; every
 	// driver operation resolves its job from the connection that carried
 	// it. A nil job means the job was torn down while the message was in
 	// flight — drop it.
 	switch m := ev.msg.(type) {
 	case *proto.RegisterWorker:
-		c.registerWorker(m, ev.conn)
+		c.registerWorker(m, ev.src)
 		return
 	case *proto.FleetWarmAck:
 		c.fleetWarmAck(m)
 		return
 	case *proto.RegisterDriver:
-		c.registerDriver(m, ev.conn, ev.at)
+		c.registerDriver(m, ev.src, ev.at)
 		return
 	case *proto.ReplAttach:
-		c.handleReplAttach(ev.conn)
+		c.handleReplAttach(ev.src.conn)
 		return
 	case *proto.ReplAck:
 		c.handleReplAck(m)
 		return
 	case *proto.DriverReattach:
-		c.reattachDriver(m, ev.conn)
+		c.reattachDriver(m, ev.src)
 		return
 	case *proto.Complete:
 		if j := c.jobs[m.Job]; j != nil {
@@ -936,13 +994,13 @@ func (c *Controller) handleMsg(ev cevent) {
 		}
 		return
 	case *proto.ErrorMsg:
-		c.cfg.Logf("controller: error from %s: %s", ev.from, m.Text)
+		c.cfg.Logf("controller: error from %s: %s", ev.src.from, m.Text)
 		return
 	}
 
-	j := c.jobs[ev.job]
+	j := c.jobs[ev.src.job]
 	if j == nil {
-		c.cfg.Logf("controller: %s for unknown %s dropped", ev.msg.Kind(), ev.job)
+		c.cfg.Logf("controller: %s for unknown %s dropped", ev.msg.Kind(), ev.src.job)
 		return
 	}
 	switch m := ev.msg.(type) {
@@ -980,7 +1038,8 @@ func (c *Controller) handleMsg(ev cevent) {
 // turn's frame to the worker. A fresh worker joining while a job is live
 // takes the warm round first (fleet.go); every other worker enters the
 // active set in this turn.
-func (c *Controller) registerWorker(m *proto.RegisterWorker, conn transport.Conn) {
+func (c *Controller) registerWorker(m *proto.RegisterWorker, src *source) {
+	conn := src.conn
 	id := m.Worker
 	if id == ids.NoWorker {
 		c.nextWorker++
@@ -988,7 +1047,6 @@ func (c *Controller) registerWorker(m *proto.RegisterWorker, conn transport.Conn
 	} else if ws := c.workers[id]; ws != nil && ws.alive {
 		c.cfg.Logf("controller: reconnect for live %s rejected", id)
 		conn.Close()
-		c.untrackConn(conn)
 		return
 	} else if id > c.nextWorker {
 		c.nextWorker = id
@@ -998,9 +1056,8 @@ func (c *Controller) registerWorker(m *proto.RegisterWorker, conn transport.Conn
 		slots: m.Slots, alive: true, lastBeat: time.Now(),
 	}
 	c.workers[id] = ws
+	src.from = id
 	c.sendWorker(ws, &proto.RegisterWorkerAck{Worker: id, Peers: c.peerMap(), Eager: c.cfg.Mode == ModeCentral})
-	c.wg.Add(1)
-	go c.pump(conn, id, nil)
 	// Jobs parked behind a takeover have no placement yet: the worker is
 	// part of the roster they will be recovered onto, not a join.
 	if m.Worker == ids.NoWorker && len(c.jobs) > 0 && !c.takeoverWait {
@@ -1096,7 +1153,7 @@ func (c *Controller) endJob(j *jobState, reason string) {
 }
 
 // rebalanceSlots marks every tenant's fair-share quotas dirty; the
-// end-of-event flushQuotas recomputes and pushes only the (tenant, job
+// end-of-run flushQuotas recomputes and pushes only the (tenant, job
 // weight) classes whose share actually moved. The worker-side dispatcher
 // is work-conserving, so slots a tenant leaves idle are still usable by
 // others.
@@ -1130,8 +1187,8 @@ func (c *Controller) sendQuotas(ws *workerState) {
 	}
 }
 
-// sendWorker stages m for ws. Messages staged while handling one event are
-// coalesced into a single transport frame at the end-of-event flush, so an
+// sendWorker stages m for ws. Messages staged while handling one run are
+// coalesced into a single transport frame at the end-of-run flush, so an
 // InstantiateBlock fan-out (install + patch + instantiate per worker) costs
 // one frame — one syscall on TCP — per worker. The staged message must not
 // be mutated afterwards.
@@ -1152,7 +1209,7 @@ func (c *Controller) sendWorker(ws *workerState, m proto.Msg) {
 const parallelFlushMin = 4
 
 // flushSends encodes and sends one frame per dirty worker. It runs on the
-// event loop after every event (and explicitly in Stop, before connections
+// event loop after every run (and explicitly in Stop, before connections
 // close). Wide fan-outs encode in parallel: per-worker frames touch
 // disjoint state, so only the shared Stats counters (atomics) and the pools
 // (sync.Pool) are contended.
@@ -1219,7 +1276,7 @@ func (c *Controller) flushWorker(ws *workerState) {
 	}
 }
 
-// sendDriver stages m for j's driver; the end-of-event flush writes it.
+// sendDriver stages m for j's driver; the end-of-run flush writes it.
 // A nil conn is a promoted job whose driver has not reattached yet: the
 // message is dropped, and the driver's reattach reconciliation (journal
 // resend + re-issued requests) recreates anything it missed.
@@ -1231,7 +1288,7 @@ func (c *Controller) sendDriver(j *jobState, m proto.Msg) {
 }
 
 // sendConn stages m on a driver connection and marks it for the
-// end-of-event flush. A connection without a stage sends at once.
+// end-of-run flush. A connection without a stage sends at once.
 func (c *Controller) sendConn(conn transport.Conn, m proto.Msg) {
 	buf := proto.MarshalAppend(proto.GetBuf(), m)
 	owned, err := transport.SendBuffered(conn, buf)
@@ -1244,7 +1301,7 @@ func (c *Controller) sendConn(conn transport.Conn, m proto.Msg) {
 	c.markDriverDirty(conn)
 }
 
-// markDriverDirty lists conn for the end-of-event flush, once per run of
+// markDriverDirty lists conn for the end-of-run flush, once per run of
 // sends to it.
 func (c *Controller) markDriverDirty(conn transport.Conn) {
 	if n := len(c.dirtyDrv); n == 0 || c.dirtyDrv[n-1] != conn {
@@ -1261,55 +1318,36 @@ func (c *Controller) flushDriver(conn transport.Conn) {
 
 // closeDriver closes a driver connection after writing out what is staged
 // on it. Closing a gateway session stages a SessionClose in turn, which
-// the end-of-event flush writes.
+// the end-of-run flush writes.
 func (c *Controller) closeDriver(conn transport.Conn) {
 	c.flushDriver(conn)
 	conn.Close()
 	c.markDriverDirty(conn)
 }
 
-func (c *Controller) handleClosed(ev cevent) {
-	if c.repl != nil && ev.conn == c.repl.conn {
+func (c *Controller) handleClosed(ev *cevent) {
+	src := ev.src
+	if c.repl != nil && src.conn == c.repl.conn {
 		c.standbyLost(ev.rerr)
 		return
 	}
-	if ev.isDrv {
-		if ev.job == ids.NoJob {
-			// The connection closed before admission: drop its queue entry.
-			// If admission raced the close (the pump loaded the binding just
-			// before admitNow stored it), find the job by connection.
-			if c.dropQueuedConn(ev.conn) {
-				return
-			}
-			for _, j := range c.jobs {
-				if j.conn == ev.conn {
-					c.endJob(j, "driver disconnected")
-					return
-				}
-			}
-			return
-		}
+	if src.drv {
 		// Only the job's current connection may end it: a reattach closes
-		// the stale connection, whose pump exit must not tear the job down.
-		if j := c.jobs[ev.job]; j != nil && ev.conn == j.conn {
+		// the stale connection, whose end must not tear the job down. A
+		// connection closing before admission drops its queue entry.
+		if j := c.jobs[src.job]; j != nil && src.conn == j.conn {
 			c.endJob(j, "driver disconnected")
+		} else {
+			c.dropQueued(src)
 		}
 		return
 	}
-	ws := c.workers[ev.from]
-	if ws == nil || !ws.alive {
+	ws := c.workers[src.from]
+	if ws == nil || !ws.alive || c.fleetWorkerGone(ws) {
 		return
 	}
-	select {
-	case <-c.stopped:
-		return
-	default:
-	}
-	if c.fleetWorkerGone(ws) {
-		return
-	}
-	c.cfg.Logf("controller: worker %s connection lost: %v", ev.from, ev.rerr)
-	c.failWorker(ev.from)
+	c.cfg.Logf("controller: worker %s connection lost: %v", src.from, ev.rerr)
+	c.failWorker(src.from)
 }
 
 func (c *Controller) checkHeartbeats() {

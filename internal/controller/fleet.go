@@ -382,7 +382,7 @@ func (c *Controller) drainBusy(id ids.WorkerID) bool {
 }
 
 // checkDrains decommissions every draining worker that has gone quiet. It
-// runs after each event while drains are in flight (the len guard in the
+// runs after each run while drains are in flight (the len guard in the
 // event loop keeps the steady state free of it).
 func (c *Controller) checkDrains() {
 	for id := range c.draining {

@@ -5,11 +5,14 @@ package controller
 // per-tenant admission rate limits, and the SLO latency recorders.
 //
 // Gateway connections. A connection whose handshake is GatewayHello
-// carries many driver sessions; transport.MuxServer demuxes it and hands
-// each session to the handshake as an ordinary Conn, so past the handshake
-// the controller cannot tell a session from a dedicated connection. One
-// Flush on any session writes everything staged on its shared connection
-// as one frame, so the end-of-event flush costs one frame per gateway.
+// carries many driver sessions; transport.MuxServer demuxes it on its
+// reader and delivers each session's frames and end to the session's
+// source, which checks the hello and posts to the loop as a dedicated
+// connection's reader does, so past the handshake the loop cannot tell a
+// session from a dedicated connection, and a session costs no goroutine.
+// One Flush on any session writes everything staged on its shared
+// connection as one frame, so the end-of-run flush costs one frame per
+// gateway.
 //
 // Bounded admission. registerDriver no longer admits unconditionally:
 // past Config.MaxJobs, registrations wait in a priority-ordered bounded
@@ -27,12 +30,9 @@ package controller
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
-	"nimbus/internal/ids"
 	"nimbus/internal/proto"
-	"nimbus/internal/transport"
 )
 
 // queueRetryAfter is the retry-after hint attached to queue-full and
@@ -41,14 +41,11 @@ import (
 const queueRetryAfter = 50 * time.Millisecond
 
 // admitWait is one registration parked in the bounded admission queue
-// (or, transiently, one being admitted). jobRef is the job binding its
-// connection's pump loads per event, since the binding does not exist
-// until admission.
+// (or, transiently, one being admitted). Admission binds src to the job.
 type admitWait struct {
-	m      *proto.RegisterDriver
-	conn   transport.Conn
-	jobRef *atomic.Uint32
-	at     time.Time
+	m   *proto.RegisterDriver
+	src *source
+	at  time.Time
 }
 
 // tenantState aggregates one tenant's live jobs for hierarchical fair
@@ -159,16 +156,11 @@ func (c *Controller) FrontDoorStats() FrontDoorStats {
 
 // registerDriver is the front door's admission path: rate-limit check,
 // then admit, queue, or reject against the MaxJobs/AdmitQueue bounds.
-// The connection's pump starts first, so a driver that gives up while
-// queued — closes or cancels — is seen: its pump exit drops the entry.
-func (c *Controller) registerDriver(m *proto.RegisterDriver, conn transport.Conn, at time.Time) {
+// The connection is read from its hello on, so a driver that gives up
+// while queued — closes or cancels — is seen: its end drops the entry.
+func (c *Controller) registerDriver(m *proto.RegisterDriver, src *source, at time.Time) {
 	now := time.Now()
-	if at.IsZero() {
-		at = now
-	}
-	w := &admitWait{m: m, conn: conn, jobRef: new(atomic.Uint32), at: at}
-	c.wg.Add(1)
-	go c.pump(conn, ids.NoWorker, w.jobRef)
+	w := &admitWait{m: m, src: src, at: at}
 	if wait, limited := c.admitRateLimited(m.Tenant, now); limited {
 		c.rejectAdmission(w, proto.RejectRateLimited, wait,
 			fmt.Sprintf("tenant %q admission rate limit", m.Tenant))
@@ -208,7 +200,7 @@ func (c *Controller) enqueueAdmission(w *admitWait) {
 // admission instant; w.at is the arrival instant — their difference is
 // the admission latency the SLO quantiles track.
 func (c *Controller) admitNow(w *admitWait, now time.Time) {
-	j := c.newJobState(w.m.Name, w.m.Weight, w.conn)
+	j := c.newJobState(w.m.Name, w.m.Weight, w.src.conn)
 	j.tenant = w.m.Tenant
 	j.priority = w.m.Priority
 	c.jobs[j.id] = j
@@ -217,12 +209,10 @@ func (c *Controller) admitNow(w *admitWait, now time.Time) {
 	c.Stats.JobsAdmitted.Add(1)
 	c.admLat.record(now.Sub(w.at))
 	c.replJobStart(j)
-	// Store before the ack send: the pump loads the binding per event, and
-	// the driver's first op can only follow the ack.
-	w.jobRef.Store(uint32(j.id))
+	w.src.job = j.id
 	c.sendDriver(j, &proto.RegisterDriverAck{Job: j.id})
 	// The newcomer's quota goes to every worker unconditionally; its
-	// class's other members are diffed by flushQuotas at end of event.
+	// class's other members are diffed by flushQuotas at the end of the run.
 	for _, ws := range c.workers {
 		if ws.alive {
 			c.sendWorker(ws, &proto.JobQuota{Job: j.id, Slots: c.classShareFor(ws, j)})
@@ -231,16 +221,17 @@ func (c *Controller) admitNow(w *admitWait, now time.Time) {
 }
 
 // rejectAdmission answers one registration with a typed AdmissionReject
-// and closes its connection; the pump exit is inert, since jobRef still
-// holds NoJob and no queue entry exists. A gateway session closes alone.
+// and closes its connection; the connection's end is inert, since it is
+// bound to no job and no queue entry exists. A gateway session closes
+// alone.
 func (c *Controller) rejectAdmission(w *admitWait, code uint8, retryAfter time.Duration, reason string) {
 	c.Stats.AdmissionsRejected.Add(1)
-	c.sendConn(w.conn, &proto.AdmissionReject{
+	c.sendConn(w.src.conn, &proto.AdmissionReject{
 		Code:             code,
 		RetryAfterMillis: uint64(retryAfter / time.Millisecond),
 		Err:              reason,
 	})
-	c.closeDriver(w.conn)
+	c.closeDriver(w.src.conn)
 }
 
 // drainAdmissions admits queued registrations into freed job slots.
@@ -257,17 +248,15 @@ func (c *Controller) drainAdmissions() {
 	}
 }
 
-// dropQueuedConn removes the admission-queue entry (if any) for a
-// connection that closed while waiting. Reports whether one was
-// found.
-func (c *Controller) dropQueuedConn(conn transport.Conn) bool {
+// dropQueued removes the admission-queue entry (if any) of a connection
+// that closed while waiting.
+func (c *Controller) dropQueued(src *source) {
 	for i, w := range c.admitQ {
-		if w.conn == conn {
+		if w.src == src {
 			c.admitQ = append(c.admitQ[:i], c.admitQ[i+1:]...)
-			return true
+			return
 		}
 	}
-	return false
 }
 
 // rejectAllQueued empties the admission queue with the given code —

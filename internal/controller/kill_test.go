@@ -8,11 +8,11 @@ import (
 	"nimbus/internal/transport"
 )
 
-// TestKillSeversConnOfPumpThatQuit: Kill closes c.stopped before it
-// collects the connection registry, and a pump that sees c.stopped in that
-// window quits without closing its connection. Kill must still sever it,
-// or the worker on the other end never learns the controller died and a
-// promoted standby waits for it forever.
+// TestKillSeversConnOfPumpThatQuit: Kill closes c.stopped and the mailbox
+// before it collects the connection registry, and a connection reader
+// whose post fails in that window quits without closing its connection.
+// Kill must still sever it, or the worker on the other end never learns
+// the controller died and a promoted standby waits for it forever.
 func TestKillSeversConnOfPumpThatQuit(t *testing.T) {
 	mem := transport.NewMem(0)
 	c := New(Config{ControlAddr: "ctl", Transport: mem, Logf: func(string, ...any) {}})
@@ -31,9 +31,10 @@ func TestKillSeversConnOfPumpThatQuit(t *testing.T) {
 		t.Fatalf("registration ack: %v", err)
 	}
 
-	// Hold the window open: stop the node, then hand the pump frames until
-	// it picks c.stopped over forwarding (each has an even chance).
+	// Hold the window open: stop the node, then hand the reader a frame
+	// it cannot post.
 	c.stopOnce.Do(func() { close(c.stopped) })
+	c.mbox.Close()
 	beats := make([]proto.Msg, 64)
 	for i := range beats {
 		beats[i] = &proto.Heartbeat{Worker: 1}

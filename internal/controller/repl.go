@@ -79,14 +79,12 @@ func (c *Controller) handleReplAttach(conn transport.Conn) {
 	if err := r.send(snap); err != nil {
 		c.cfg.Logf("controller: standby snapshot send failed: %v", err)
 		conn.Close()
-		c.untrackConn(conn)
 		return
 	}
 	r.send(&proto.LeaseRenew{Epoch: c.epoch, TTLMillis: uint64(c.leaseTTL() / time.Millisecond)})
 	c.repl = r
-	c.wg.Add(2)
+	c.wg.Add(1)
 	go c.leaseLoop(r)
-	go c.pump(conn, ids.NoWorker, nil)
 }
 
 // leaseLoop renews the primary's leadership lease on the replication
@@ -320,10 +318,10 @@ func (c *Controller) handleReplAck(m *proto.ReplAck) {
 	}
 }
 
-// standbyLost tears down the replication stream. The drain is posted
-// rather than run inline: a send failure surfaces mid-logOp, inside a
-// driver-op handler whose remaining work (e.g. raising the build fence)
-// must finish before queued ops may dispatch.
+// standbyLost tears down the replication stream. The drain runs after the
+// current event rather than inline: a send failure surfaces mid-logOp,
+// inside a driver-op handler whose remaining work (e.g. raising the build
+// fence) must finish before queued ops may dispatch.
 func (c *Controller) standbyLost(err error) {
 	if c.repl == nil {
 		return
@@ -333,7 +331,7 @@ func (c *Controller) standbyLost(err error) {
 	c.repl.conn.Close()
 	c.repl = nil
 	c.standbyDownAt = time.Now()
-	c.post(func() {
+	c.after = append(c.after, func() {
 		for _, j := range c.jobList() {
 			c.drainOps(j)
 			c.resolveIfQuiet(j)

@@ -3,6 +3,7 @@ package controller
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -40,7 +41,13 @@ type Standby struct {
 	// ttl is the lease duration the primary last announced.
 	ttl time.Duration
 
-	shadow *shadowState
+	// shadow is the attach snapshot, kept current by apply and promoted as
+	// is; its ops stay raw (replay interprets them). jobs indexes its Jobs;
+	// recording marks jobs whose definition history ends inside an open
+	// template recording, so their SubmitStages join Defs too.
+	shadow    *proto.ReplSnapshot
+	jobs      map[ids.JobID]*proto.ReplJob
+	recording map[ids.JobID]bool
 
 	mu       sync.Mutex
 	promoted *Controller
@@ -50,36 +57,6 @@ type Standby struct {
 	stopOnce   sync.Once
 	done       chan struct{}
 	promotedCh chan struct{}
-}
-
-// shadowState mirrors the primary's replicated cluster state.
-type shadowState struct {
-	jobSeq     uint32
-	nextWorker uint32
-	workers    []ids.WorkerID
-	jobs       map[ids.JobID]*shadowJob
-	order      []ids.JobID // admission order, for a deterministic snapshot
-}
-
-// shadowJob mirrors one job. Defs and oplog hold raw marshaled ops: the
-// standby never interprets them beyond classification — interpretation is
-// the promoted controller's replay.
-type shadowJob struct {
-	name      string
-	weight    int
-	tenant    string
-	applied   uint64
-	ckpt      uint64
-	ckptCount uint64
-	manifest  []proto.ManifestEntry
-	defs      [][]byte
-	oplog     [][]byte
-	nextCmd   uint64
-	nextObj   uint64
-	// recording tracks whether the def history ends inside an open
-	// template recording, so streamed SubmitStages classify as definition
-	// history (they are part of the recording) in addition to the oplog.
-	recording bool
 }
 
 // NewStandby creates a standby for the primary at cfg.ControlAddr. The
@@ -155,33 +132,22 @@ func (s *Standby) Start() (retErr error) {
 }
 
 func (s *Standby) adoptSnapshot(snap *proto.ReplSnapshot) {
-	sh := &shadowState{
-		jobSeq:     snap.JobSeq,
-		nextWorker: snap.NextWorker,
-		workers:    append([]ids.WorkerID(nil), snap.Workers...),
-		jobs:       make(map[ids.JobID]*shadowJob, len(snap.Jobs)),
-	}
+	s.shadow = snap
+	s.jobs = make(map[ids.JobID]*proto.ReplJob, len(snap.Jobs))
+	s.recording = make(map[ids.JobID]bool)
 	for _, rj := range snap.Jobs {
-		sj := &shadowJob{
-			name: rj.Name, weight: rj.Weight, tenant: rj.Tenant, applied: rj.Applied,
-			ckpt: rj.Ckpt, ckptCount: rj.CkptCount,
-			manifest: rj.Manifest, defs: rj.Defs, oplog: rj.Oplog,
-			nextCmd: rj.NextCmd, nextObj: rj.NextObj,
-		}
+		s.jobs[rj.Job] = rj
 		// The def history ends inside a recording iff it has an unmatched
 		// TemplateStart (the primary appends TemplateEnd on completion).
 		for _, raw := range rj.Defs {
 			switch classify(raw) {
 			case proto.KindTemplateStart:
-				sj.recording = true
+				s.recording[rj.Job] = true
 			case proto.KindTemplateEnd:
-				sj.recording = false
+				delete(s.recording, rj.Job)
 			}
 		}
-		sh.jobs[rj.Job] = sj
-		sh.order = append(sh.order, rj.Job)
 	}
-	s.shadow = sh
 }
 
 func classify(raw []byte) proto.MsgKind {
@@ -219,9 +185,9 @@ func (s *Standby) watch() {
 				case msgs <- m:
 					return nil
 				case <-s.stopped:
-					return errPumpStopped
+					return transport.ErrClosed
 				case <-watchDone:
-					return errPumpStopped
+					return transport.ErrClosed
 				}
 			})
 			proto.PutBuf(raw)
@@ -280,8 +246,7 @@ func (s *Standby) watch() {
 // The bind deadline is generous relative to the lease: the deposed
 // primary's endpoint frees as its process tears down.
 func (s *Standby) promote() {
-	snap := s.snapshot()
-	c := NewFromReplica(s.cfg, snap, s.epoch+1)
+	c := NewFromReplica(s.cfg, s.shadow, s.epoch+1)
 	if err := c.StartTakeover(10*s.ttl, s.stopped); err != nil {
 		s.fail(err)
 		return
@@ -292,94 +257,67 @@ func (s *Standby) promote() {
 	close(s.promotedCh)
 }
 
-// snapshot re-materializes a ReplSnapshot from the shadow.
-func (s *Standby) snapshot() *proto.ReplSnapshot {
-	sh := s.shadow
-	snap := &proto.ReplSnapshot{
-		JobSeq:     sh.jobSeq,
-		NextWorker: sh.nextWorker,
-		Workers:    sh.workers,
-	}
-	for _, id := range sh.order {
-		sj := sh.jobs[id]
-		snap.Jobs = append(snap.Jobs, &proto.ReplJob{
-			Job: id, Name: sj.name, Weight: sj.weight, Tenant: sj.tenant, Applied: sj.applied,
-			Ckpt: sj.ckpt, CkptCount: sj.ckptCount, Manifest: sj.manifest,
-			Defs: sj.defs, Oplog: sj.oplog,
-			NextCmd: sj.nextCmd, NextObj: sj.nextObj,
-		})
-	}
-	return snap
-}
-
 // apply folds one replicated increment into the shadow and acks ops.
 func (s *Standby) apply(m proto.Msg) {
-	sh := s.shadow
 	switch v := m.(type) {
 	case *proto.ReplOp:
-		sj := sh.jobs[v.Job]
-		if sj == nil {
+		rj := s.jobs[v.Job]
+		if rj == nil {
 			return
 		}
-		sj.nextCmd = v.NextCmd
-		sj.nextObj = v.NextObj
+		rj.NextCmd = v.NextCmd
+		rj.NextObj = v.NextObj
 		if len(v.Raw) == 0 {
 			// Allocator sync (checkpoint saves, recovery replay) or a
 			// rejected driver op's applied bump: adopt the counters,
 			// nothing to append or ack. The applied adoption keeps the
 			// shadow's reattach reconciliation point in lockstep with the
 			// driver's journal, which counts rejected ops too.
-			if v.Index > sj.applied {
-				sj.applied = v.Index
-			}
+			rj.Applied = max(rj.Applied, v.Index)
 			return
 		}
 		switch classify(v.Raw) {
 		case proto.KindDefineVariable:
-			sj.defs = append(sj.defs, v.Raw)
+			rj.Defs = append(rj.Defs, v.Raw)
 		case proto.KindTemplateStart:
-			sj.defs = append(sj.defs, v.Raw)
-			sj.recording = true
+			rj.Defs = append(rj.Defs, v.Raw)
+			s.recording[v.Job] = true
 		case proto.KindTemplateEnd:
-			sj.defs = append(sj.defs, v.Raw)
-			sj.recording = false
+			rj.Defs = append(rj.Defs, v.Raw)
+			delete(s.recording, v.Job)
 		case proto.KindSubmitStage:
-			if sj.recording {
-				sj.defs = append(sj.defs, v.Raw)
+			if s.recording[v.Job] {
+				rj.Defs = append(rj.Defs, v.Raw)
 			}
 		}
 		// Every logged op joins the oplog mirror (definitions too: the
 		// primary logs them, and replayOp skips what recovery re-derives).
-		sj.oplog = append(sj.oplog, v.Raw)
-		sj.applied = v.Index
+		rj.Oplog = append(rj.Oplog, v.Raw)
+		rj.Applied = v.Index
 		s.ack(v.Job, v.Index)
 	case *proto.ReplCkpt:
-		sj := sh.jobs[v.Job]
-		if sj == nil {
+		rj := s.jobs[v.Job]
+		if rj == nil {
 			return
 		}
-		sj.ckpt = v.Ckpt
-		sj.ckptCount = v.Count
-		sj.manifest = v.Manifest
-		if v.Drop >= uint64(len(sj.oplog)) {
-			sj.oplog = nil
+		rj.Ckpt = v.Ckpt
+		rj.CkptCount = v.Count
+		rj.Manifest = v.Manifest
+		if v.Drop >= uint64(len(rj.Oplog)) {
+			rj.Oplog = nil
 		} else {
-			sj.oplog = append([][]byte(nil), sj.oplog[v.Drop:]...)
+			rj.Oplog = append([][]byte(nil), rj.Oplog[v.Drop:]...)
 		}
 	case *proto.ReplJobStart:
-		sj := &shadowJob{name: v.Name, weight: v.Weight, tenant: v.Tenant}
-		sh.jobs[v.Job] = sj
-		sh.order = append(sh.order, v.Job)
-		if seq := uint32(v.Job); seq > sh.jobSeq {
-			sh.jobSeq = seq
-		}
+		rj := &proto.ReplJob{Job: v.Job, Name: v.Name, Weight: v.Weight, Tenant: v.Tenant}
+		s.jobs[v.Job] = rj
+		s.shadow.Jobs = append(s.shadow.Jobs, rj)
+		s.shadow.JobSeq = max(s.shadow.JobSeq, uint32(v.Job))
 	case *proto.ReplJobEnd:
-		delete(sh.jobs, v.Job)
-		for i, id := range sh.order {
-			if id == v.Job {
-				sh.order = append(sh.order[:i], sh.order[i+1:]...)
-				break
-			}
+		if rj := s.jobs[v.Job]; rj != nil {
+			delete(s.jobs, v.Job)
+			delete(s.recording, v.Job)
+			s.shadow.Jobs = slices.DeleteFunc(s.shadow.Jobs, func(j *proto.ReplJob) bool { return j == rj })
 		}
 	default:
 		s.cfg.Logf("standby: unexpected stream message %s", m.Kind())

@@ -2,7 +2,6 @@ package controller
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"nimbus/internal/core"
@@ -199,7 +198,8 @@ func (c *Controller) replayDef(j *jobState, m proto.Msg) {
 // controller. The ack carries the job's applied-op count: the driver
 // resends its journal suffix past it, which applies on top of the
 // takeover recovery through the op fence in program order.
-func (c *Controller) reattachDriver(m *proto.DriverReattach, conn transport.Conn) {
+func (c *Controller) reattachDriver(m *proto.DriverReattach, src *source) {
+	conn := src.conn
 	j := c.jobs[m.Job]
 	if j == nil || j.dead {
 		// Unknown job: the job ended before the failover, or this is not
@@ -208,20 +208,16 @@ func (c *Controller) reattachDriver(m *proto.DriverReattach, conn transport.Conn
 		// connection up for its neighbors.
 		c.sendConn(conn, &proto.ReattachAck{Job: m.Job, Err: fmt.Sprintf("no such job %s", m.Job)})
 		c.closeDriver(conn)
-		c.untrackConn(conn)
 		return
 	}
-	// Close the stale attachment. Its pump exit must not tear the job
-	// down, which handleClosed's current-connection check guarantees.
+	// Close the stale attachment. Its end must not tear the job down,
+	// which handleClosed's current-connection check guarantees.
 	if j.conn != nil {
 		c.closeDriver(j.conn)
 	}
 	j.conn = conn
-	ref := new(atomic.Uint32)
-	ref.Store(uint32(j.id))
+	src.job = j.id
 	c.sendDriver(j, &proto.ReattachAck{Job: j.id, Applied: j.applied, Ok: true})
-	c.wg.Add(1)
-	go c.pump(conn, ids.NoWorker, ref)
 }
 
 // checkTakeoverEviction runs on the failure-detector tick of a promoted

@@ -7,8 +7,9 @@ package transport
 // instead of a dedicated wire: the first DefaultMaxConns sessions each open
 // a shared connection (introduced by a GatewayHello frame), later ones ride
 // the least-loaded live one. The serving half is MuxServer: it demuxes one
-// accepted shared connection and hands each new session ID to a callback as
-// a Conn. Between them every frame is a batch of MuxData{Session, Seq, Raw}
+// accepted shared connection on its reader, which delivers each session's
+// frames and end to the session's SessionSink: a served session costs no
+// goroutine. Between them every frame is a batch of MuxData{Session, Seq, Raw}
 // envelopes, where Raw is one session frame, plus top-level SessionClose
 // notices. Neither half reads Raw, so the protocol inside a session is
 // byte-identical to a dedicated connection's.
@@ -26,8 +27,9 @@ package transport
 // session on it with the sequence error, and no session anywhere else.
 //
 // Closing. A session closes from either side. Close sends SessionClose
-// unless the peer closed the session first; the peer's sessions then fail
-// their Recv with ErrClosed once the frames already delivered are read.
+// unless the peer closed the session first. A dialing-half session then
+// fails its Recv with ErrClosed once the frames already delivered are read;
+// a served session's sink is told, after its last frame.
 // The serving half remembers a session it closed until the dialing half
 // answers with its own SessionClose, so an envelope that crossed the close
 // in flight is dropped rather than taken for a new session.
@@ -51,7 +53,7 @@ type shared struct {
 	// accept is the serving half's callback for a new session ID. The
 	// dialing half has none: it opens sessions itself and never on the
 	// peer's word.
-	accept func(Conn)
+	accept func(Conn) SessionSink
 	// wake signals the dialing half's writer goroutine. The serving half
 	// has none; its Flush writes in the caller.
 	wake *sync.Cond
@@ -73,7 +75,7 @@ type shared struct {
 	recvSeq uint64
 }
 
-func newShared(conn Conn, accept func(Conn)) *shared {
+func newShared(conn Conn, accept func(Conn) SessionSink) *shared {
 	sh := &shared{conn: conn, accept: accept, sessions: make(map[uint64]*session)}
 	if accept != nil {
 		sh.closing = make(map[uint64]struct{})
@@ -183,22 +185,29 @@ func (sh *shared) writeLoop() {
 	}
 }
 
-// readLoop demuxes inbound frames until the connection fails, and returns
-// the error that failed it.
+// readLoop demuxes inbound frames until the connection fails, then ends
+// every session still open on it with the error that failed it.
 func (sh *shared) readLoop() error {
 	for {
 		raw, err := sh.conn.Recv()
 		if err != nil {
 			err = fmt.Errorf("transport: shared connection lost: %w", err)
-			sh.fail(err)
-			return err
+		} else {
+			err = proto.ForEachMsg(raw, sh.demux)
+			bufpool.Put(raw)
 		}
-		err = proto.ForEachMsg(raw, sh.demux)
-		bufpool.Put(raw)
-		if err != nil {
-			sh.fail(err)
-			return err
+		if err == nil {
+			continue
 		}
+		sh.fail(err)
+		sh.mu.Lock()
+		err, sessions := sh.dead, sh.sessions
+		sh.sessions = make(map[uint64]*session)
+		sh.mu.Unlock()
+		for _, s := range sessions {
+			s.end(err)
+		}
+		return err
 	}
 }
 
@@ -223,10 +232,10 @@ func (sh *shared) demux(m proto.Msg) error {
 		if s == nil {
 			return nil
 		}
-		s.push(m.Raw)
 		if opened {
-			sh.accept(s)
+			s.sink = sh.accept(s)
 		}
+		s.push(m.Raw)
 	case *proto.SessionClose:
 		sh.mu.Lock()
 		s := sh.sessions[m.Session]
@@ -236,7 +245,7 @@ func (sh *shared) demux(m proto.Msg) error {
 		if s == nil {
 			return nil
 		}
-		s.closeWith(ErrClosed)
+		s.end(ErrClosed)
 		if sh.accept == nil {
 			// Answer, so the serving half forgets the session.
 			if sh.stage(&proto.SessionClose{Session: m.Session}) == nil {
@@ -249,8 +258,9 @@ func (sh *shared) demux(m proto.Msg) error {
 	return nil
 }
 
-// fail marks the connection dead, closes the wire and fails every session
-// on it with err. Idempotent.
+// fail marks the connection dead and closes the wire. Idempotent. The
+// dialing half fails its sessions with err at once; the serving half's end
+// on the reader, which the closed wire stops.
 func (sh *shared) fail(err error) {
 	sh.mu.Lock()
 	if sh.dead != nil {
@@ -258,9 +268,11 @@ func (sh *shared) fail(err error) {
 		return
 	}
 	sh.dead = err
-	sessions, staged := sh.sessions, sh.staged
-	sh.sessions, sh.staged = make(map[uint64]*session), nil
+	staged := sh.staged
+	sh.staged = nil
+	var sessions map[uint64]*session
 	if sh.wake != nil {
+		sessions, sh.sessions = sh.sessions, make(map[uint64]*session)
 		sh.wake.Broadcast()
 	}
 	sh.mu.Unlock()
@@ -271,7 +283,7 @@ func (sh *shared) fail(err error) {
 	}
 	sh.conn.Close()
 	for _, s := range sessions {
-		s.closeWith(err)
+		s.end(err)
 	}
 }
 
@@ -281,6 +293,9 @@ func (sh *shared) fail(err error) {
 type session struct {
 	sh *shared
 	id uint64
+	// sink receives a served session's frames and end (reader-confined);
+	// a dialing-half session queues its frames for Recv instead.
+	sink SessionSink
 
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -334,7 +349,8 @@ func (s *session) stageOwned(b []byte) error {
 }
 
 // Recv blocks until a frame arrives or the session ends; frames delivered
-// before the end are read first.
+// before the end are read first. A served session's frames go to its sink,
+// so its Recv returns only the end.
 func (s *session) Recv() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -384,8 +400,12 @@ func (s *session) Close() error {
 	return nil
 }
 
-// push delivers one inbound frame.
+// push delivers one inbound frame to the sink or the inbox.
 func (s *session) push(b []byte) {
+	if s.sink != nil {
+		s.sink.Frame(b)
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.err != nil {
@@ -395,29 +415,46 @@ func (s *session) push(b []byte) {
 	s.cond.Signal()
 }
 
-// closeWith fails the session: Recv returns err once the inbox drains.
-func (s *session) closeWith(err error) {
+// end fails the session: Recv returns err once the inbox drains, and a
+// served session's sink is told, unless the session was closed here.
+func (s *session) end(err error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	closed := s.closed || s.err != nil
 	if s.err == nil {
 		s.err = err
 	}
 	s.cond.Broadcast()
+	s.mu.Unlock()
+	if s.sink != nil && !closed {
+		s.sink.Closed(err)
+	}
+}
+
+// SessionSink receives one served session's traffic on its shared
+// connection's reader, which reads nothing more until a call returns.
+type SessionSink interface {
+	// Frame delivers the session's next frame, in order; the sink owns raw.
+	Frame(raw []byte)
+	// Closed reports the session's end after its last frame: ErrClosed for
+	// the peer's SessionClose, else the shared connection's failure. It is
+	// called at most once, and not for a session closed on this side.
+	Closed(err error)
 }
 
 // MuxServer is the serving half of one shared connection.
 type MuxServer struct{ sh *shared }
 
 // NewMuxServer serves conn, a shared connection whose GatewayHello the
-// caller has already read. accept is called once per new session ID with
-// the session's Conn, its first frame already in the inbox. It runs on the
-// reader, so the connection reads nothing more until it returns.
-func NewMuxServer(conn Conn, accept func(Conn)) *MuxServer {
+// caller has already read. accept is called on the reader once per new
+// session ID, with the session's Conn, before its first frame; it returns
+// the sink for that session.
+func NewMuxServer(conn Conn, accept func(Conn) SessionSink) *MuxServer {
 	return &MuxServer{sh: newShared(conn, accept)}
 }
 
 // Serve demuxes the connection until it fails and returns the error that
-// failed it; every session on it has then failed with that error.
+// failed it; every session still open on it has then been reported closed
+// with that error.
 func (g *MuxServer) Serve() error { return g.sh.readLoop() }
 
 // Sessions reports the sessions open on the connection.

@@ -33,7 +33,68 @@ func (c *frameCounter) SendOwned(b []byte) error {
 // it rides.
 type served struct {
 	srv  *MuxServer
-	conn Conn
+	conn *servedConn
+}
+
+// servedConn is a served session the tests read like a dialing-half one:
+// its sink queues the frames and the end for Recv, counting the ends.
+type servedConn struct {
+	*session
+
+	mu     sync.Mutex
+	cond   sync.Cond
+	frames [][]byte
+	ended  error // the sink's Closed, or ErrClosed after a local Close
+	closes atomic.Int32
+}
+
+func newServedConn(s Conn) *servedConn {
+	c := &servedConn{session: s.(*session)}
+	c.cond.L = &c.mu
+	return c
+}
+
+func (c *servedConn) Frame(raw []byte) {
+	c.mu.Lock()
+	c.frames = append(c.frames, raw)
+	c.cond.Broadcast()
+	c.mu.Unlock()
+}
+
+func (c *servedConn) Closed(err error) {
+	c.closes.Add(1)
+	c.mu.Lock()
+	if c.ended == nil {
+		c.ended = err
+	}
+	c.cond.Broadcast()
+	c.mu.Unlock()
+}
+
+// Recv returns the next frame the sink received, or, once none is left,
+// the session's end.
+func (c *servedConn) Recv() ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for len(c.frames) == 0 && c.ended == nil {
+		c.cond.Wait()
+	}
+	if len(c.frames) == 0 {
+		return nil, c.ended
+	}
+	b := c.frames[0]
+	c.frames = c.frames[1:]
+	return b, nil
+}
+
+func (c *servedConn) Close() error {
+	c.mu.Lock()
+	if c.ended == nil {
+		c.ended = ErrClosed
+	}
+	c.cond.Broadcast()
+	c.mu.Unlock()
+	return c.session.Close()
 }
 
 // gateway serves shared connections on a Mem listener with no controller
@@ -88,7 +149,11 @@ func startGateway(t *testing.T) *gateway {
 			}
 			fc := &frameCounter{Conn: conn}
 			var srv *MuxServer
-			srv = NewMuxServer(fc, func(s Conn) { g.accepted <- served{srv, s} })
+			srv = NewMuxServer(fc, func(s Conn) SessionSink {
+				sc := newServedConn(s)
+				g.accepted <- served{srv, sc}
+				return sc
+			})
 			g.mu.Lock()
 			g.servers = append(g.servers, srv)
 			g.mu.Unlock()
@@ -428,6 +493,56 @@ func TestSessionLateEnvelopeAfterServerClose(t *testing.T) {
 	}
 	if got := recvMsgs(t, raw); len(got) != 1 || string(got[0].(*proto.MuxData).Raw) != "still here" {
 		t.Fatalf("neighbor reply = %v", got)
+	}
+}
+
+// TestSessionSinkOrderAndCloses: a served session's sink receives its
+// frames in order, interleaved with a neighbor's on the same shared
+// connection. A session the peer closes is reported closed once, one
+// closed here is never reported, and a shared-connection failure reports
+// each session still open exactly once, with the failure.
+func TestSessionSinkOrderAndCloses(t *testing.T) {
+	const k, frames = 3, 50
+	g := startGateway(t)
+	m := NewMux(g.mem, 1)
+	defer m.Close()
+	clients, servers := openSessions(t, g, m, k)
+
+	for i := 0; i < frames; i++ {
+		for s := 0; s < 2; s++ {
+			if err := clients[s].Send([]byte(fmt.Sprintf("%d-%d", s, i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for s := 0; s < 2; s++ {
+		for i := 0; i < frames; i++ {
+			if got, want := recvString(t, servers[s].conn), fmt.Sprintf("%d-%d", s, i); got != want {
+				t.Fatalf("session %d frame %d = %q, want %q", s, i, got, want)
+			}
+		}
+	}
+
+	clients[0].Close()
+	if _, err := servers[0].conn.Recv(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("peer-closed session ended with %v, want ErrClosed", err)
+	}
+	servers[1].conn.Close()
+	if err := Flush(servers[1].conn); err != nil {
+		t.Fatal(err)
+	}
+
+	m.Close() // the shared connection fails under session 2
+	if _, err := servers[2].conn.Recv(); err == nil || !strings.Contains(err.Error(), "shared connection lost") {
+		t.Fatalf("session on a failed shared connection ended with %v, want the failure", err)
+	}
+	waitFor(t, "the reader to report every open session", func() bool {
+		return servers[0].srv.Sessions() == 0
+	})
+	for i, want := range []int32{1, 0, 1} {
+		if got := servers[i].conn.closes.Load(); got != want {
+			t.Errorf("session %d reported closed %d times, want %d", i, got, want)
+		}
 	}
 }
 

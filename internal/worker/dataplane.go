@@ -258,7 +258,7 @@ func (pc *peerConn) release(n int64) {
 }
 
 func (pc *peerConn) postSpace() {
-	pc.w.mbox.put(event{kind: evPeerSpace, peer: pc})
+	pc.w.mbox.Put(event{kind: evPeerSpace, peer: pc})
 }
 
 // close shuts the queue to new sends. What it has admitted still leaves:

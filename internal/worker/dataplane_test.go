@@ -39,7 +39,7 @@ func newLoopWorker(t *testing.T, cfg Config) *Worker {
 // none arrives in time.
 func awaitEvent(t *testing.T, w *Worker) event {
 	t.Helper()
-	timeout := time.AfterFunc(10*time.Second, w.mbox.close)
+	timeout := time.AfterFunc(10*time.Second, w.mbox.Close)
 	defer timeout.Stop()
 	ev, ok := w.nextEvent(true)
 	if !ok {

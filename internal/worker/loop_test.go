@@ -159,7 +159,7 @@ func TestLoopWakesOncePerDrainedRun(t *testing.T) {
 		go func(p uint64) {
 			defer wg.Done()
 			for i := uint64(0); i < each; i++ {
-				if !w.mbox.put(event{kind: evCtrl, msg: &proto.FleetWarm{Seq: p<<32 | i}}) {
+				if !w.mbox.Put(event{kind: evCtrl, msg: &proto.FleetWarm{Seq: p<<32 | i}}) {
 					t.Error("put failed on a running worker")
 				}
 			}
@@ -230,114 +230,6 @@ func TestControlFrameIsOneRun(t *testing.T) {
 	}
 	if dw, de := w.Stats.LoopWakeups.Load()-wakeups, w.Stats.LoopEvents.Load()-events; dw != 1 || de != n {
 		t.Fatalf("a %d-message control frame cost %d wakeups for %d events, want 1 for %d", n, dw, de, n)
-	}
-}
-
-// putAll keeps its events' order, counts the bound in events — what does not
-// fit waits for the loop's next take — and reports stopped, posting nothing
-// more, once the worker has.
-func TestMailboxPutAllOrderBoundAndStop(t *testing.T) {
-	w := newLoopWorker(t, Config{ControlAddr: "c", DataAddr: "d"})
-	const over = 5
-	evs := make([]event, mailboxCap+over)
-	for i := range evs {
-		evs[i] = event{kind: evCtrl, msg: &proto.FleetWarm{Seq: uint64(i)}}
-	}
-	posted := make(chan bool, 1)
-	go func() { posted <- w.mbox.putAll(evs) }()
-	next := uint64(0)
-	for _, want := range []int{mailboxCap, over} {
-		run := w.mbox.take(nil, true)
-		if len(run) != want {
-			t.Fatalf("took a run of %d, want %d", len(run), want)
-		}
-		for _, ev := range run {
-			if seq := ev.msg.(*proto.FleetWarm).Seq; seq != next {
-				t.Fatalf("event %d taken where %d was due", seq, next)
-			}
-			next++
-		}
-	}
-	if !<-posted {
-		t.Fatal("putAll reported stopped on a running worker")
-	}
-
-	if !w.mbox.putAll(evs[:mailboxCap]) {
-		t.Fatal("putAll failed below the bound")
-	}
-	go func() { posted <- w.mbox.putAll(evs[mailboxCap:]) }()
-	awaitBlocked(t, w.mbox, 1)
-	w.finish(nil)
-	if <-posted {
-		t.Fatal("putAll blocked at the bound reported its events posted after the worker stopped")
-	}
-	if w.mbox.putAll(evs[:1]) {
-		t.Fatal("putAll succeeded on a stopped worker")
-	}
-}
-
-// awaitBlocked waits until n producers are blocked on the full mailbox.
-func awaitBlocked(t *testing.T, m *mailbox, n int) {
-	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		m.mu.Lock()
-		blocked := m.blocked
-		m.mu.Unlock()
-		if blocked == n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d of %d producers blocked on a full mailbox", blocked, n)
-		}
-	}
-}
-
-// A full mailbox blocks its producers — the data pumps' back-pressure —
-// until the loop takes a run, and a stopping worker turns every blocked and
-// every later put into "stopped".
-func TestMailboxFullBlocksThenStopUnblocks(t *testing.T) {
-	w := newLoopWorker(t, Config{ControlAddr: "c", DataAddr: "d"})
-	const extra = 3
-	fill := func() {
-		for i := 0; i < mailboxCap; i++ {
-			if !w.mbox.put(event{kind: evTick}) {
-				t.Fatal("put failed below the bound")
-			}
-		}
-	}
-	overflow := func() chan bool {
-		results := make(chan bool, extra)
-		for i := 0; i < extra; i++ {
-			go func() { results <- w.mbox.put(event{kind: evTick}) }()
-		}
-		awaitBlocked(t, w.mbox, extra)
-		return results
-	}
-
-	fill()
-	results := overflow()
-	if run := w.mbox.take(nil, true); len(run) != mailboxCap {
-		t.Fatalf("took a run of %d from a full mailbox, want %d", len(run), mailboxCap)
-	}
-	for i := 0; i < extra; i++ {
-		if !<-results {
-			t.Fatal("a producer unblocked by a take reported stopped")
-		}
-	}
-	if run := w.mbox.take(nil, true); len(run) != extra {
-		t.Fatalf("the unblocked producers posted %d events, want %d", len(run), extra)
-	}
-
-	fill()
-	results = overflow()
-	w.finish(nil)
-	for i := 0; i < extra; i++ {
-		if <-results {
-			t.Fatal("a producer blocked at stop reported its event posted")
-		}
-	}
-	if w.mbox.put(event{kind: evTick}) {
-		t.Fatal("put succeeded on a stopped worker")
 	}
 }
 
@@ -479,7 +371,7 @@ func TestHaltWithTasksOnExecutorsKeepsSlotInvariant(t *testing.T) {
 func pinnedEvent(w *Worker, collected chan struct{}) {
 	m := &proto.Heartbeat{Worker: 7} // handled as "unexpected", then dropped
 	runtime.SetFinalizer(m, func(*proto.Heartbeat) { close(collected) })
-	w.mbox.put(event{kind: evCtrl, msg: m})
+	w.mbox.Put(event{kind: evCtrl, msg: m})
 }
 
 // A handled run pins no payload: the loop zeroes each slot it has handled, so

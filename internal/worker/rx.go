@@ -99,7 +99,7 @@ func (rx *rxConn) post() bool {
 	copy(pays, rx.run)
 	clear(rx.run)
 	rx.run = rx.run[:0]
-	if rx.w.mbox.put(event{kind: evData, pays: pays}) {
+	if rx.w.mbox.Put(event{kind: evData, pays: pays}) {
 		return true
 	}
 	for _, ip := range pays {

@@ -418,7 +418,7 @@ func (w *Worker) runTask(pc *pcmd) {
 // postDone reports a command completion back to the event loop (from an
 // executor or a peer writer, never from the loop itself).
 func (w *Worker) postDone(pc *pcmd) {
-	w.mbox.put(event{kind: evDone, cmd: pc})
+	w.mbox.Put(event{kind: evDone, cmd: pc})
 }
 
 // execInline runs a non-task command synchronously on the event loop and

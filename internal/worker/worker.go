@@ -33,7 +33,7 @@
 // steady-state path performs no per-command allocation and no map inserts.
 //
 // All mutable state is confined to a single event loop goroutine. Executors,
-// connection pumps and timers post events to its mailbox (mailbox.go), and
+// connection pumps and timers post events to its mailbox (internal/loop), and
 // the loop handles everything posted while it was busy as one run per
 // wakeup. Tasks run on cfg.Slots persistent executor goroutines fed from one
 // work queue: a loop turn hands the tasks it started over under one lock, and
@@ -54,6 +54,7 @@ import (
 	"nimbus/internal/durable"
 	"nimbus/internal/fn"
 	"nimbus/internal/ids"
+	"nimbus/internal/loop"
 	"nimbus/internal/proto"
 	"nimbus/internal/stream"
 	"nimbus/internal/transport"
@@ -177,6 +178,10 @@ type Stats struct {
 	LoopEvents  atomic.Uint64
 }
 
+// mailboxCap bounds the events waiting for the loop. Producers block at the
+// bound — that is the data pumps' back-pressure.
+const mailboxCap = 1024
+
 // Worker is one Nimbus worker node.
 type Worker struct {
 	cfg   Config
@@ -186,7 +191,7 @@ type Worker struct {
 	ctrl transport.Conn
 	// mbox is where every other goroutine posts events for the loop; stopped
 	// closes (and mbox with it) when the loop finishes.
-	mbox    *mailbox
+	mbox    *loop.Mailbox[event]
 	stopped chan struct{}
 	stopErr error
 	wg      sync.WaitGroup
@@ -485,7 +490,7 @@ func New(cfg Config) *Worker {
 	}
 	return &Worker{
 		cfg:            cfg,
-		mbox:           newMailbox(),
+		mbox:           loop.New[event](mailboxCap),
 		work:           newWorkQueue(),
 		stopped:        make(chan struct{}),
 		readyCh:        make(chan struct{}),
@@ -657,7 +662,7 @@ func (w *Worker) Start() error {
 	// The rest of the reply goes into the live, draining event loop BEFORE
 	// the control pump starts, preserving controller message order.
 	for _, m := range reply[1:] {
-		w.mbox.put(event{kind: evCtrl, msg: m})
+		w.mbox.Put(event{kind: evCtrl, msg: m})
 	}
 	w.wg.Add(1)
 	go w.ctrlPump(ctrl)
@@ -754,7 +759,7 @@ func (w *Worker) Draining() bool { return w.drainFlag.Load() }
 
 // Stop shuts the worker down and waits for its goroutines.
 func (w *Worker) Stop() {
-	w.mbox.put(event{kind: evClosed})
+	w.mbox.Put(event{kind: evClosed})
 	w.wg.Wait()
 	w.removeSpillDir()
 }
@@ -824,7 +829,7 @@ func (w *Worker) ctrlPump(conn transport.Conn) {
 	for {
 		raw, err := conn.Recv()
 		if err != nil {
-			w.mbox.put(event{kind: evClosed, err: err})
+			w.mbox.Put(event{kind: evClosed, err: err})
 			return
 		}
 		err = proto.ForEachMsg(raw, collect)
@@ -832,7 +837,7 @@ func (w *Worker) ctrlPump(conn transport.Conn) {
 		if err != nil {
 			w.cfg.Logf("worker %s: bad control message: %v", w.id, err)
 		}
-		posted := w.mbox.putAll(evs)
+		posted := w.mbox.PutAll(evs)
 		clear(evs) // the scratch pins no message between frames
 		evs = evs[:0]
 		if !posted {
@@ -868,7 +873,7 @@ func (w *Worker) heartbeatLoop() {
 	for {
 		select {
 		case <-t.C:
-			if !w.mbox.put(event{kind: evTick}) {
+			if !w.mbox.Put(event{kind: evTick}) {
 				return
 			}
 		case <-w.stopped:
@@ -897,7 +902,7 @@ func (w *Worker) run(dl transport.Listener) {
 	// executors in one go. The two slices swap roles each turn.
 	var batch []event
 	for {
-		if batch = w.mbox.take(batch, true); len(batch) == 0 {
+		if batch = w.mbox.Take(batch, true); len(batch) == 0 {
 			return // only a test closes the mailbox under a running loop
 		}
 		w.Stats.LoopWakeups.Add(1)
@@ -962,7 +967,7 @@ func (w *Worker) handle(ev *event) (stop bool) {
 // none (or, waiting, that the mailbox closed).
 func (w *Worker) nextEvent(wait bool) (event, bool) {
 	if w.handPos == len(w.hand) {
-		w.hand = w.mbox.take(w.hand, wait)
+		w.hand = w.mbox.Take(w.hand, wait)
 		w.handPos = 0
 		if len(w.hand) == 0 {
 			return event{}, false
@@ -979,7 +984,7 @@ func (w *Worker) nextEvent(wait bool) (event, bool) {
 func (w *Worker) finish(err error) {
 	w.stopErr = err
 	close(w.stopped)
-	w.mbox.close()
+	w.mbox.Close()
 	w.work.close()
 	w.ctrl.Close()
 }
@@ -1019,7 +1024,7 @@ func (w *Worker) reconnectLoop() {
 				continue
 			}
 		}
-		if !w.mbox.put(event{kind: evReconn, msgs: reply, conn: conn}) {
+		if !w.mbox.Put(event{kind: evReconn, msgs: reply, conn: conn}) {
 			conn.Close()
 		}
 		return
