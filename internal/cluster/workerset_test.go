@@ -3,13 +3,18 @@ package cluster
 import (
 	"bytes"
 	"maps"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"nimbus/internal/chaos"
 	"nimbus/internal/command"
+	"nimbus/internal/controller"
 	"nimbus/internal/driver"
 	"nimbus/internal/ids"
+	"nimbus/internal/worker"
 )
 
 // setJob is a 64-partition block on a four-worker cluster: double every x
@@ -27,7 +32,18 @@ const setParts, setGroups = 64, 16
 
 func startSetJob(t *testing.T, opts Options, checkpoint bool) *setJob {
 	t.Helper()
-	c := startTestCluster(t, opts)
+	r := defineSetJob(t, startTestCluster(t, opts), checkpoint)
+	if err := r.d.Barrier(); err != nil { // the build runs off the loop
+		t.Fatal(err)
+	}
+	r.c.Controller.Do(func() { r.all = r.c.Controller.ActiveWorkers() })
+	return r
+}
+
+// defineSetJob opens the job's driver on c, puts x (and checkpoints it) and
+// records the block; the block's build may still be running off the loop.
+func defineSetJob(t *testing.T, c *Cluster, checkpoint bool) *setJob {
+	t.Helper()
 	d, err := c.Driver("test")
 	if err != nil {
 		t.Fatalf("driver: %v", err)
@@ -59,10 +75,6 @@ func startSetJob(t *testing.T, opts Options, checkpoint bool) *setJob {
 	if err := d.EndTemplate("blk"); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Barrier(); err != nil { // the build runs off the loop
-		t.Fatal(err)
-	}
-	c.Controller.Do(func() { r.all = c.Controller.ActiveWorkers() })
 	return r
 }
 
@@ -180,11 +192,12 @@ func (r *setJob) doublesPerWorker() map[ids.WorkerID]int {
 }
 
 // TestRecoveryOntoRestoredSet: a worker failure whose survivors are a set
-// the job has run on before recovers onto the placement the job left that
-// set with. Its templates are built afresh, once each: the saved ones name
-// physical objects of the directory recovery discards, which the halted
-// survivors may still hold stale state under. Results stay bit-identical
-// to an unmigrated run, and the next migration edits only what moved.
+// the job has run on before recovers onto the placement and templates the
+// job left that set with. Recovery rewinds the job's directory instead of
+// replacing it, so the saved assignments still name the survivors' objects:
+// nothing is built, the survivors install no template, results stay
+// bit-identical to an unmigrated run, and the next migration edits exactly
+// what the same move edited before the failure.
 func TestRecoveryOntoRestoredSet(t *testing.T) {
 	opts := Options{Workers: 4, HeartbeatEvery: 20 * time.Millisecond, HeartbeatTimeout: 150 * time.Millisecond}
 	r := startSetJob(t, opts, true)
@@ -209,6 +222,11 @@ func TestRecoveryOntoRestoredSet(t *testing.T) {
 	stats := &r.c.Controller.Stats
 	built := stats.TemplatesBuilt.Load()
 	recoveries := stats.Recoveries.Load()
+	survivors := r.c.Workers[:3]
+	seen := make([]uint64, len(survivors))
+	for i, w := range survivors {
+		seen[i] = w.Stats.TemplatesSeen.Load()
+	}
 	r.c.KillWorker(3) // the survivors are all[:3]
 	deadline := time.Now().Add(10 * time.Second)
 	for stats.Recoveries.Load() == recoveries {
@@ -219,17 +237,19 @@ func TestRecoveryOntoRestoredSet(t *testing.T) {
 	}
 	r.instantiate(t, 2)
 	r.barrier(t)
-	if got := stats.TemplatesBuilt.Load() - built; got != 1 {
-		t.Errorf("recovery built %d templates, want 1 (the block, for the new directory)", got)
+	if got := stats.TemplatesBuilt.Load() - built; got != 0 {
+		t.Errorf("recovery built %d templates, want 0 (the block saved with the set)", got)
+	}
+	for i, w := range survivors {
+		if got := w.Stats.TemplatesSeen.Load() - seen[i]; got != 0 {
+			t.Errorf("survivor %s installed %d templates across the recovery, want 0 (its cached ones are reused)", w.ID(), got)
+		}
 	}
 	if got := r.doublesPerWorker(); !maps.Equal(got, saved) {
 		t.Errorf("recovered placement runs x's doubling tasks as %v per worker, want %v (as the job left the set)", got, saved)
 	}
-	// A fresh build numbers its entries apart from the edited assignment
-	// it stands in for, so the same move may cost it fewer entries; undoing
-	// the earlier migrations would cost more.
-	if after := r.editsFor(t, []int{4}, all[2]); after == 0 || after > before {
-		t.Errorf("one-partition migration after the recovery sent %d edit entries, want 1..%d (as before it)", after, before)
+	if after := r.editsFor(t, []int{4}, all[2]); after != before {
+		t.Errorf("one-partition migration after the recovery sent %d edit entries, want %d (as before it)", after, before)
 	}
 	got := r.results(t)
 
@@ -241,6 +261,132 @@ func TestRecoveryOntoRestoredSet(t *testing.T) {
 			t.Fatalf("result %d differs from the unmigrated run: %x vs %x", i, got[i], want[i])
 		}
 	}
+}
+
+// matchesSteady fails the test unless r's results equal those of the same
+// number of instances run on a four-worker cluster without faults.
+func (r *setJob) matchesSteady(t *testing.T) {
+	t.Helper()
+	got := r.results(t)
+	steady := startSetJob(t, Options{Workers: 4}, false)
+	steady.instantiate(t, r.instances)
+	want := steady.results(t)
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("result %d differs from a run without faults: %x vs %x", i, got[i], want[i])
+		}
+	}
+}
+
+// TestRecoverDuringStalledFirstBuild: a worker fails while the block's first
+// build is stalled off the loop. Recovery completes without the block; the
+// build's commit sees the placement epoch moved, retries, and commits for
+// the survivors. Results stay bit-identical.
+func TestRecoverDuringStalledFirstBuild(t *testing.T) {
+	stalled, released := make(chan struct{}), make(chan struct{})
+	var stallOnce, releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(released) }) }
+	opts := Options{Workers: 4, Hooks: controller.Hooks{OnBuildStart: func(string) {
+		stallOnce.Do(func() { close(stalled); <-released })
+	}}}
+	c := startTestCluster(t, opts)
+	t.Cleanup(release) // before the cluster stops
+	stats := &c.Controller.Stats
+	r := defineSetJob(t, c, true)
+	<-stalled
+	retries, replayed := stats.BuildRetries.Load(), stats.OpsReplayed.Load()
+	c.KillWorker(3)
+	// The replay of the ops logged since the checkpoint (the block's
+	// recording among them) is recovery's last step.
+	deadline := time.Now().Add(10 * time.Second)
+	for stats.OpsReplayed.Load() == replayed {
+		if time.Now().After(deadline) {
+			t.Fatal("no recovery within 10s of the kill")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	release()
+	r.instantiate(t, 3)
+	r.barrier(t)
+	if got := stats.BuildRetries.Load() - retries; got == 0 {
+		t.Error("the stalled build committed without a retry after the recovery moved the placement")
+	}
+	var survivors []ids.WorkerID
+	c.Controller.Do(func() { survivors = c.Controller.ActiveWorkers() })
+	for w := range r.doublesPerWorker() {
+		if !slices.Contains(survivors, w) {
+			t.Errorf("the committed block runs tasks on %s, outside the survivors %v", w, survivors)
+		}
+	}
+	r.matchesSteady(t)
+}
+
+// TestRejoinAfterHeartbeatTimeoutRunsTasks: a worker declared failed by
+// heartbeat timeout — its control link partitioned, then healed — connects
+// again under its prior ID while the job is live. It joins through the warm
+// round, its stale objects of the job dropped: the next instances run tasks
+// on it, and results stay bit-identical to a run without faults.
+func TestRejoinAfterHeartbeatTimeoutRunsTasks(t *testing.T) {
+	detected, healed := make(chan struct{}), make(chan struct{})
+	var detectOnce, healOnce sync.Once
+	heal := func() { healOnce.Do(func() { close(healed) }) }
+	opts := Options{Workers: 3, HeartbeatEvery: 20 * time.Millisecond, HeartbeatTimeout: 150 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			t.Logf(format, args...)
+			// The detector logs on the loop before it closes the link: the
+			// link heals first, so the worker's next dial goes through.
+			if strings.Contains(format, "missed heartbeats") {
+				detectOnce.Do(func() { close(detected); <-healed })
+			}
+		}}
+	c := startTestCluster(t, opts)
+	t.Cleanup(heal) // before the cluster stops
+	// The partitioned worker dials through wires of its own.
+	link := chaos.New(c.Transport, 1)
+	cfg := c.workerConfig()
+	cfg.Transport = link
+	w := worker.New(cfg)
+	if err := w.Start(); err != nil {
+		t.Fatal(err)
+	}
+	c.Workers = append(c.Workers, w)
+	<-w.Ready()
+	r := defineSetJob(t, c, true)
+	r.instantiate(t, 2)
+	r.barrier(t)
+	held := w.StoreOf(r.d.Job()).Len()
+
+	link.Partition(ControlAddr)
+	select {
+	case <-detected:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the partitioned worker was not declared failed within 10s")
+	}
+	link.Heal(ControlAddr)
+	heal()
+	deadline := time.Now().Add(10 * time.Second)
+	for rejoined := false; !rejoined; {
+		if time.Now().After(deadline) {
+			t.Fatal("the worker did not rejoin within 10s of the heal")
+		}
+		time.Sleep(time.Millisecond)
+		c.Controller.Do(func() { rejoined = slices.Contains(c.Controller.ActiveWorkers(), w.ID()) })
+	}
+	if w.Stats.Reconnects.Load() == 0 {
+		t.Fatal("the worker is active without having reconnected")
+	}
+	ran := w.Stats.TasksRun.Load()
+	r.instantiate(t, 2)
+	r.barrier(t)
+	if w.Stats.TasksRun.Load() == ran {
+		t.Error("the rejoined worker ran no tasks in the next two instances")
+	}
+	// The same placement again, under new object IDs: what the worker held
+	// of the job before the partition must be gone.
+	if got := w.StoreOf(r.d.Job()).Len(); got > held {
+		t.Errorf("the rejoined worker holds %d objects of the job, %d before the partition: its stale objects survived", got, held)
+	}
+	r.matchesSteady(t)
 }
 
 // TestSetActiveRefusesInactiveWorkers: a worker set may name only active

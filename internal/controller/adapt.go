@@ -31,22 +31,9 @@ import (
 // template's assignment as they stood when it last ran there. The saved
 // assignments were built or edited for exactly the saved placement.
 type setRecord struct {
+	set    []ids.WorkerID
 	assign map[ids.VariableID][]ids.WorkerID
 	tmpls  map[string]*core.Assignment
-}
-
-// within reports whether the record places every partition on set
-// (sorted). A worker that rejoined under its prior ID is active without
-// being in any job's set, so a migration can place partitions outside it.
-func (r *setRecord) within(set []ids.WorkerID) bool {
-	for _, assign := range r.assign {
-		for _, w := range assign {
-			if _, ok := slices.BinarySearch(set, w); !ok {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // liveRecord captures the job's current placement and assignments. The
@@ -54,6 +41,7 @@ func (r *setRecord) within(set []ids.WorkerID) bool {
 // those, handing the old ones to the record.
 func (j *jobState) liveRecord() *setRecord {
 	rec := &setRecord{
+		set:    j.set,
 		assign: make(map[ids.VariableID][]ids.WorkerID, len(j.vars)),
 		tmpls:  make(map[string]*core.Assignment, len(j.templates)),
 	}
@@ -115,13 +103,9 @@ func roundRobin(set []ids.WorkerID, n int) []ids.WorkerID {
 // in one parallel group over one snapshot view. Templates whose first
 // build is in flight are skipped: their commit sees the epoch move.
 func (c *Controller) planSet(j *jobState, set []ids.WorkerID) *setPlan {
-	sig := workerSigOf(set)
-	rec := j.sets[sig]
-	if sig == j.sig {
+	rec := j.sets[workerSigOf(set)]
+	if slices.Equal(set, j.set) {
 		rec = j.liveRecord()
-	}
-	if rec != nil && !rec.within(set) {
-		rec = nil
 	}
 	p := &setPlan{j: j, set: set, place: &placeSnap{vars: make(map[ids.VariableID]placeVar, len(j.vars))}}
 	for id, vm := range j.vars {
@@ -195,14 +179,11 @@ func (c *Controller) adoptSet(p *setPlan) {
 			return
 		}
 	}
-	if j.sig != "" {
-		if j.sets == nil {
-			j.sets = make(map[string]*setRecord)
-		}
-		j.sets[j.sig] = j.liveRecord()
+	if len(j.set) > 0 {
+		j.sets[workerSigOf(j.set)] = j.liveRecord()
 	}
-	j.sig = workerSigOf(p.set)
-	delete(j.sets, j.sig)
+	j.set = slices.Clone(p.set)
+	delete(j.sets, workerSigOf(j.set))
 	for id, vm := range j.vars {
 		if pv, ok := p.place.vars[id]; ok {
 			vm.assign = pv.assign

@@ -59,7 +59,6 @@ type buildJob struct {
 	view       *flow.BuildView
 	place      *placeSnap
 	placeEpoch uint64
-	dir        *flow.Directory // directory identity at snapshot time
 	retries    int
 }
 
@@ -190,7 +189,6 @@ func (c *Controller) snapshotFor(job *buildJob) {
 	job.view = job.j.dir.Snapshot().View()
 	job.place = job.j.placementSnapshot()
 	job.placeEpoch = job.j.placeEpoch
-	job.dir = job.j.dir
 }
 
 // runBuild executes one build job off the loop and posts its result back.
@@ -229,11 +227,11 @@ func (c *Controller) commitBuild(job *buildJob, a *core.Assignment, err error, n
 		c.driverError(j, fmt.Sprintf("building template %q: %v", job.name, err))
 		return
 	}
-	// Revalidate: if placement changed, the directory was replaced
-	// (recovery), or the directory allocated conflicting instances while
-	// we built, the result describes a world that no longer exists —
-	// discard and retry against fresh state.
-	if job.placeEpoch != j.placeEpoch || job.dir != j.dir || job.view.Commit(j.dir) != nil {
+	// Revalidate: if placement changed (any worker-set change, recovery
+	// included, or a migration) or the directory allocated conflicting
+	// instances while we built, the result describes a world that no
+	// longer exists — discard and retry against fresh state.
+	if job.placeEpoch != j.placeEpoch || job.view.Commit(j.dir) != nil {
 		c.Stats.BuildRetries.Add(1)
 		c.retryBuild(job)
 		return
@@ -351,6 +349,6 @@ func (c *Controller) BuildQueueDepth() int {
 // operational tooling use it to force the rebuild path; call via Do).
 func (c *Controller) InvalidateAssignmentCache() {
 	for _, j := range c.jobs {
-		j.sets = nil
+		clear(j.sets)
 	}
 }

@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"log"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -330,11 +331,11 @@ type jobState struct {
 	recording *recordingState
 	lastBlock ids.TemplateID
 	autoValid bool
-	// sig names the worker set the job's placement was planned for, and
-	// sets holds what the job left on every other set it has run on, by
-	// signature (adapt.go): returning to a set restores its placement and
-	// the worker templates installed for it (Figure 9's restore path).
-	sig        string
+	// set is the worker set (sorted) the job's placement was planned for,
+	// and sets holds what the job left on every other set it has run on,
+	// by signature (adapt.go): returning to a set restores its placement
+	// and the worker templates installed for it (Figure 9's restore path).
+	set        []ids.WorkerID
 	sets       map[string]*setRecord
 	patchCache *core.PatchCache
 	// pendingEdits stages per-worker edits to attach to the next
@@ -538,23 +539,34 @@ func New(cfg Config) *Controller {
 }
 
 // newJobState admits one driver job, wiring up its isolated control-plane
-// machinery.
+// machinery on the active workers.
 func (c *Controller) newJobState(name string, weight int, conn transport.Conn) *jobState {
+	c.jobSeq++
+	j := c.newJob(ids.JobID(c.jobSeq), name, weight)
+	j.conn = conn
+	j.set = slices.Clone(c.active)
+	for _, wid := range c.active {
+		j.ledgers[wid] = flow.NewLedger(wid)
+	}
+	return j
+}
+
+// newJob builds one job's empty control-plane state: the only place a
+// job's directory is made, which then lives as long as the job.
+func (c *Controller) newJob(id ids.JobID, name string, weight int) *jobState {
 	if weight <= 0 {
 		weight = 1
 	}
-	c.jobSeq++
 	j := &jobState{
-		id:           ids.JobID(c.jobSeq),
+		id:           id,
 		name:         name,
 		weight:       weight,
-		conn:         conn,
 		vars:         make(map[ids.VariableID]*varMeta),
 		ledgers:      make(map[ids.WorkerID]*flow.Ledger),
 		templates:    make(map[string]*core.Template),
+		sets:         make(map[string]*setRecord),
 		patchCache:   core.NewPatchCache(),
 		pendingEdits: make(map[ids.TemplateID]map[ids.WorkerID][]editStaged),
-		sig:          workerSigOf(c.active),
 		building:     make(map[string]*buildJob),
 		outstanding:  make(map[ids.CommandID]ids.WorkerID),
 		instances:    make(map[uint64]*instState),
@@ -563,9 +575,6 @@ func (c *Controller) newJobState(name string, weight int, conn transport.Conn) *
 	j.dir = flow.NewDirectory(&j.objIDs)
 	j.central = newCentralGraph(c, j)
 	j.ckpt.manifest = make(map[ids.LogicalID]uint64)
-	for _, wid := range c.active {
-		j.ledgers[wid] = flow.NewLedger(wid)
-	}
 	return j
 }
 
@@ -1032,12 +1041,14 @@ func (c *Controller) handleMsg(ev *cevent) {
 
 // registerWorker is the controller half of every worker hello. A worker
 // presenting a prior ID (back after a controller switch or a dropped
-// connection) keeps it: the ID is its data-plane identity — peers address
-// fetches by it and a promoted directory rebinds the job state it still
-// holds. A fresh worker gets the next ID. The ack goes at the head of this
-// turn's frame to the worker. A fresh worker joining while a job is live
+// connection) keeps it: the ID is its data-plane identity, the one peers
+// address it by. A fresh worker gets the next ID. The ack goes at the head of this
+// turn's frame to the worker. A worker registering while a job is live
 // takes the warm round first (fleet.go); every other worker enters the
-// active set in this turn.
+// active set in this turn. Every live job recovered (or, after a takeover,
+// was restored) without a worker back under its prior ID, so what that
+// worker still holds of a job is stale: the job is ended there, and the
+// warm round starts it afresh.
 func (c *Controller) registerWorker(m *proto.RegisterWorker, src *source) {
 	conn := src.conn
 	id := m.Worker
@@ -1060,7 +1071,12 @@ func (c *Controller) registerWorker(m *proto.RegisterWorker, src *source) {
 	c.sendWorker(ws, &proto.RegisterWorkerAck{Worker: id, Peers: c.peerMap(), Eager: c.cfg.Mode == ModeCentral})
 	// Jobs parked behind a takeover have no placement yet: the worker is
 	// part of the roster they will be recovered onto, not a join.
-	if m.Worker == ids.NoWorker && len(c.jobs) > 0 && !c.takeoverWait {
+	if len(c.jobs) > 0 && !c.takeoverWait {
+		if m.Worker != ids.NoWorker {
+			for _, j := range c.jobList() {
+				c.sendWorker(ws, &proto.JobEnd{Job: j.id})
+			}
+		}
 		ws.phase = phaseWarming
 		ws.warm = &warmState{start: time.Now()}
 		c.planWarm(ws)

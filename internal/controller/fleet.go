@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"nimbus/internal/command"
-	"nimbus/internal/flow"
 	"nimbus/internal/ids"
 	"nimbus/internal/proto"
 )
@@ -17,8 +16,9 @@ import (
 //	hello → ack → warm → ready               (join while a job is live)
 //	drain → (retarget + eager flush) → decommission
 //
-// A fresh worker that registers while a job is live is admitted outside
-// the active set, warmed — every live job's retargeted templates are
+// A worker that registers while a job is live — fresh, or back under its
+// prior ID after every job recovered without it — is admitted outside the
+// active set, warmed — every live job's retargeted templates are
 // installed and compiled on it before it takes any traffic — and only then
 // entered into placement and the fair-share allocator. With nothing to warm
 // (no live job, or jobs parked behind a takeover) registerWorker activates
@@ -63,7 +63,6 @@ const maxWarmRetries = 3
 type warmJob struct {
 	plan  *setPlan
 	epoch uint64
-	dir   *flow.Directory
 }
 
 // warmState tracks one joining worker's warm round.
@@ -154,9 +153,9 @@ func (c *Controller) FleetSample() FleetSample {
 
 // planWarm plans every live job's move onto the prospective set (active +
 // the warming worker), stages the joining worker's installs, and sends the
-// warm marker. A planning error aborts the join: the new ID has never been
-// in any job's set, so every template was built, and a build error is the
-// same class SetActive refuses on.
+// warm marker. A planning error aborts the join: no job holds a saved
+// record naming the joining ID (recovery drops those), so every template
+// was built, and a build error is the same class SetActive refuses on.
 func (c *Controller) planWarm(ws *workerState) {
 	set := append(slices.Clone(c.active), ws.id)
 	slices.Sort(set)
@@ -169,7 +168,7 @@ func (c *Controller) planWarm(ws *workerState) {
 	warm := ws.warm
 	warm.jobs = warm.jobs[:0]
 	for _, p := range plans {
-		warm.jobs = append(warm.jobs, warmJob{plan: p, epoch: p.j.placeEpoch, dir: p.j.dir})
+		warm.jobs = append(warm.jobs, warmJob{plan: p, epoch: p.j.placeEpoch})
 		// Stage the newcomer's installs now, ahead of the warm marker; the
 		// worker compiles each template as it lands.
 		for i := range p.tmpls {
@@ -209,7 +208,7 @@ func (c *Controller) fleetWarmAck(m *proto.FleetWarmAck) {
 	fresh := true
 	for _, wj := range warm.jobs {
 		j := wj.plan.j
-		if !j.dead && (j.placeEpoch != wj.epoch || j.dir != wj.dir || len(j.templates)-len(j.building) != len(wj.plan.tmpls)) {
+		if !j.dead && (j.placeEpoch != wj.epoch || len(j.templates)-len(j.building) != len(wj.plan.tmpls)) {
 			fresh = false
 			break
 		}

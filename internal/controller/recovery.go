@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"slices"
 
 	"nimbus/internal/command"
 	"nimbus/internal/flow"
@@ -21,9 +22,11 @@ import (
 //	recovery: on worker failure, every job that was running recovers
 //	independently — halt its slice of every surviving worker (halts are
 //	job-scoped, so other jobs' in-flight arenas are untouched), flush the
-//	job's queues, revert to the job's checkpoint (reload objects onto the
-//	surviving workers), rebuild its template assignments for the new
-//	placement, and replay only that job's driver-operation log.
+//	job's queues and objects, rewind the job's directory to its
+//	checkpoint (reload objects onto the surviving workers), move the job
+//	onto the survivors as any worker-set change does (a set it ran on
+//	comes back with its templates), and replay only that job's
+//	driver-operation log.
 
 func (c *Controller) handleCheckpointReq(j *jobState, m *proto.CheckpointReq) {
 	for _, seq := range j.ckpt.requested {
@@ -146,8 +149,8 @@ func (c *Controller) abortCheckpoint(j *jobState) {
 
 // failWorker handles a worker failure: remove it from the shared pool,
 // then start an independent recovery for every admitted job (paper §4.4,
-// per tenant). Jobs that lose nothing still rebuild placement, because
-// their variables were spread over the failed worker too.
+// per tenant). Jobs that lose nothing still move onto the survivors,
+// because their variables were spread over the failed worker too.
 func (c *Controller) failWorker(id ids.WorkerID) {
 	ws := c.workers[id]
 	if ws == nil || !ws.alive {
@@ -257,28 +260,32 @@ func (c *Controller) finishRecovery(j *jobState) {
 		delete(c.fetches, seq)
 	}
 
-	// Fresh directory and ledgers. Every assignment the job has names
-	// objects of the discarded directory — physical IDs the halted
-	// survivors may still hold stale state under — so none is restored:
-	// the job moves onto the survivors with the placement it has there (or
-	// round-robin) and every template is built afresh. The builds'
-	// instance allocations commit first; the loads below reuse them.
-	j.dir = flow.NewDirectory(&j.objIDs)
+	// Rewind the directory over the survivors. Their halts cleared the
+	// job's objects, so every instance on them keeps its ID and holds
+	// nothing, and the job's saved and active assignments stay valid there:
+	// the job moves onto the survivors as SetActive would move it, and a
+	// set it ran on comes back without a rebuild. A record naming a worker
+	// outside the survivors goes, with the edits staged for its
+	// assignments — a restarted worker has neither its objects nor its
+	// cached templates. The loads below reuse the plan's instance
+	// allocations.
+	j.dir.Rewind(c.active)
 	for _, wid := range c.active {
 		j.ledgers[wid] = flow.NewLedger(wid)
 	}
-	for _, rec := range j.sets {
-		rec.tmpls = nil
-	}
-	for _, t := range j.templates {
-		t.Active = nil
-	}
-	clear(j.pendingEdits)
 	p := c.planSet(j, c.active)
 	if err := p.err(); err != nil {
 		c.cfg.Logf("controller: recovery rebuild of %v", err)
 	}
 	c.adoptSet(p)
+	for sig, rec := range j.sets {
+		if slices.ContainsFunc(rec.set, func(w ids.WorkerID) bool { return !slices.Contains(c.active, w) }) {
+			for _, a := range rec.tmpls {
+				delete(j.pendingEdits, a.ID)
+			}
+			delete(j.sets, sig)
+		}
+	}
 
 	// Reload checkpointed objects onto their new owners.
 	logicalOwner := j.logicalOwners()
@@ -305,9 +312,9 @@ func (c *Controller) finishRecovery(j *jobState) {
 	c.dispatchCommands(j, batches)
 
 	// Replay the operations since the checkpoint. Templates whose first
-	// build was in flight were skipped by the plan; those zombie builds
-	// fail revalidation at commit (the directory object changed) and
-	// resolve against the recovered state.
+	// build was in flight were skipped by the plan; those builds fail
+	// revalidation at commit (the placement epoch moved) and retry against
+	// the recovered state.
 	j.lastBlock = ids.NoTemplate
 	j.autoValid = false
 	j.recovering = false

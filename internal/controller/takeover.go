@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"nimbus/internal/core"
-	"nimbus/internal/flow"
 	"nimbus/internal/ids"
 	"nimbus/internal/proto"
 	"nimbus/internal/transport"
@@ -47,35 +45,15 @@ func NewFromReplica(cfg Config, snap *proto.ReplSnapshot, epoch uint64) *Control
 // shadow. Jobs keep their original IDs — drivers hold them. Variables,
 // templates and directory state are NOT rebuilt here: they come from the
 // definition replay and checkpoint revert in beginTakeover, once workers
-// are back. The allocators advance past the replicated high-water marks
-// first, before the directory captures the object allocator, so no ID a
-// surviving worker may still hold state under is ever re-issued.
+// are back. The allocators advance past the replicated high-water marks,
+// so no ID a surviving worker may still hold state under is ever
+// re-issued.
 func (c *Controller) restoreJob(rj *proto.ReplJob) {
-	weight := rj.Weight
-	if weight <= 0 {
-		weight = 1
-	}
-	j := &jobState{
-		id:           rj.Job,
-		name:         rj.Name,
-		weight:       weight,
-		vars:         make(map[ids.VariableID]*varMeta),
-		ledgers:      make(map[ids.WorkerID]*flow.Ledger),
-		templates:    make(map[string]*core.Template),
-		patchCache:   core.NewPatchCache(),
-		pendingEdits: make(map[ids.TemplateID]map[ids.WorkerID][]editStaged),
-		building:     make(map[string]*buildJob),
-		outstanding:  make(map[ids.CommandID]ids.WorkerID),
-		instances:    make(map[uint64]*instState),
-		wm:           newWMTracker(),
-	}
+	j := c.newJob(rj.Job, rj.Name, rj.Weight)
 	j.cmdIDs.AdvanceTo(rj.NextCmd)
 	j.objIDs.AdvanceTo(rj.NextObj)
-	j.dir = flow.NewDirectory(&j.objIDs)
-	j.central = newCentralGraph(c, j)
 	j.ckpt.last = rj.Ckpt
 	j.ckpt.count = rj.CkptCount
-	j.ckpt.manifest = make(map[ids.LogicalID]uint64, len(rj.Manifest))
 	for _, e := range rj.Manifest {
 		j.ckpt.manifest[e.Logical] = e.Version
 	}

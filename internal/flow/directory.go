@@ -16,6 +16,7 @@ package flow
 
 import (
 	"fmt"
+	"slices"
 
 	"nimbus/internal/ids"
 )
@@ -42,13 +43,11 @@ type entry struct {
 type Directory struct {
 	objectIDs *ids.ObjectIDs
 	entries   map[ids.LogicalID]*entry
-	// byObject maps physical instances back to their logical identity,
-	// serving driver Gets and checkpoint manifests.
-	byObject map[ids.ObjectID]*Replica
 	// snap caches the snapshot of the current instance table; any
-	// instance-table mutation (allocation, adoption, worker drop) drops
-	// it, so repeat snapshots between mutations are free. Version bumps
-	// deliberately do not: template builds read only the instance table.
+	// instance-table mutation (allocation, adoption, a dropped replica)
+	// drops it, so repeat snapshots between mutations are free. Version
+	// bumps deliberately do not: template builds read only the instance
+	// table.
 	snap *Snapshot
 }
 
@@ -58,7 +57,6 @@ func NewDirectory(alloc *ids.ObjectIDs) *Directory {
 	return &Directory{
 		objectIDs: alloc,
 		entries:   make(map[ids.LogicalID]*entry),
-		byObject:  make(map[ids.ObjectID]*Replica),
 	}
 }
 
@@ -83,7 +81,6 @@ func (d *Directory) Instance(l ids.LogicalID, w ids.WorkerID) ids.ObjectID {
 	// A brand-new replica holds no data yet; version 0 is stale unless the
 	// logical object has never been written (latest == 0).
 	e.replicas[w] = r
-	d.byObject[r.Object] = r
 	d.mutated()
 	return r.Object
 }
@@ -101,9 +98,7 @@ func (d *Directory) AdoptInstance(l ids.LogicalID, w ids.WorkerID, o ids.ObjectI
 		}
 		return
 	}
-	r := &Replica{Worker: w, Object: o}
-	e.replicas[w] = r
-	d.byObject[o] = r
+	e.replicas[w] = &Replica{Worker: w, Object: o}
 	d.mutated()
 }
 
@@ -137,11 +132,6 @@ func (d *Directory) Lookup(l ids.LogicalID, w ids.WorkerID) *Replica {
 		return e.replicas[w]
 	}
 	return nil
-}
-
-// LookupObject resolves a physical object ID to its replica record, or nil.
-func (d *Directory) LookupObject(o ids.ObjectID) *Replica {
-	return d.byObject[o]
 }
 
 // Latest returns the latest version number of l (0 if never written).
@@ -187,21 +177,6 @@ func (d *Directory) LatestHolder(l ids.LogicalID) ids.WorkerID {
 	return best
 }
 
-// Holders returns every worker holding the latest version of l.
-func (d *Directory) Holders(l ids.LogicalID) []ids.WorkerID {
-	e, ok := d.entries[l]
-	if !ok {
-		return nil
-	}
-	var out []ids.WorkerID
-	for w, r := range e.replicas {
-		if r.Version == e.latest {
-			out = append(out, w)
-		}
-	}
-	return out
-}
-
 // RecordWrite registers that worker w produced a new version of l and
 // returns the new version number. Every other replica becomes stale.
 func (d *Directory) RecordWrite(l ids.LogicalID, w ids.WorkerID) uint64 {
@@ -241,33 +216,37 @@ func (d *Directory) ApplyBlockEffect(l ids.LogicalID, bumps uint64, finalHolders
 	}
 }
 
-// ReplicasOf returns all replicas of l (any version).
-func (d *Directory) ReplicasOf(l ids.LogicalID) []*Replica {
-	e, ok := d.entries[l]
-	if !ok {
-		return nil
-	}
-	out := make([]*Replica, 0, len(e.replicas))
-	for _, r := range e.replicas {
-		out = append(out, r)
-	}
-	return out
-}
-
-// DropWorker removes every replica held by worker w (worker failure).
-// Logical objects whose only live replica was on w are left without a
-// latest holder; recovery reloads them from the checkpoint.
+// DropWorker removes every replica held by worker w (a decommissioned
+// worker, whose latest versions were flushed elsewhere first).
 func (d *Directory) DropWorker(w ids.WorkerID) {
-	dropped := false
 	for _, e := range d.entries {
-		if r, ok := e.replicas[w]; ok {
+		if _, ok := e.replicas[w]; ok {
 			delete(e.replicas, w)
-			delete(d.byObject, r.Object)
-			dropped = true
+			d.mutated()
 		}
 	}
-	if dropped {
-		d.mutated()
+}
+
+// Rewind returns the directory to the state of one that has never been
+// written, over the workers of set (sorted): every replica held outside set
+// is dropped, every other instance keeps its ID, and every latest and
+// replica version returns to 0. A recovery rewinds once the workers in set
+// have cleared the job's objects, so no replica can match a latest version
+// it does not hold.
+func (d *Directory) Rewind(set []ids.WorkerID) {
+	for l, e := range d.entries {
+		e.latest = 0
+		for w, r := range e.replicas {
+			if _, ok := slices.BinarySearch(set, w); ok {
+				r.Version = 0
+				continue
+			}
+			delete(e.replicas, w)
+			d.mutated()
+		}
+		if len(e.replicas) == 0 {
+			delete(d.entries, l)
+		}
 	}
 }
 

@@ -36,8 +36,8 @@ func TestDirectoryVersioning(t *testing.T) {
 	if !d.IsLatest(l, 2) {
 		t.Fatal("copy should make replica latest")
 	}
-	if hs := d.Holders(l); len(hs) != 2 {
-		t.Fatalf("holders = %v", hs)
+	if !d.IsLatest(l, 1) {
+		t.Fatal("copy should leave the source latest")
 	}
 	d.RecordWrite(l, 2)
 	if d.IsLatest(l, 1) {
@@ -65,15 +65,71 @@ func TestDirectoryDropWorker(t *testing.T) {
 	var alloc ids.ObjectIDs
 	d := NewDirectory(&alloc)
 	const l ids.LogicalID = 1
-	o := d.Instance(l, 1)
+	d.Instance(l, 1)
 	d.Instance(l, 2)
 	d.RecordWrite(l, 1)
 	d.DropWorker(1)
 	if d.LatestHolder(l) != ids.NoWorker {
 		t.Fatal("dropped worker still a holder")
 	}
-	if d.LookupObject(o) != nil {
+	if d.Lookup(l, 1) != nil {
 		t.Fatal("dropped replica still resolvable")
+	}
+}
+
+// TestDirectoryRewind: a rewound directory keeps the IDs of every instance
+// inside the set, forgets every replica outside it, and then reads as a
+// fresh directory does after the same block effects (a recovery's loads).
+func TestDirectoryRewind(t *testing.T) {
+	var alloc, freshAlloc ids.ObjectIDs
+	d, fresh := NewDirectory(&alloc), NewDirectory(&freshAlloc)
+	set := []ids.WorkerID{1, 2}
+	workers := []ids.WorkerID{1, 2, 3}
+	logicals := []ids.LogicalID{1, 2, 3, 4}
+	kept := make(map[[2]uint64]ids.ObjectID)
+	for _, l := range logicals {
+		for _, w := range workers {
+			o := d.Instance(l, w)
+			if w != 3 {
+				kept[[2]uint64{uint64(l), uint64(w)}] = o
+				fresh.Instance(l, w)
+			}
+		}
+	}
+	// Versions on every worker, the outside one latest for logical 3.
+	d.RecordWrite(1, 1)
+	d.RecordCopy(1, 2)
+	d.RecordWrite(2, 2)
+	d.RecordWrite(3, 3)
+	d.ApplyBlockEffect(4, 5, []ids.WorkerID{1, 3})
+
+	d.Rewind(set)
+	for _, l := range logicals {
+		for _, w := range set {
+			if got, want := d.Instance(l, w), kept[[2]uint64{uint64(l), uint64(w)}]; got != want {
+				t.Fatalf("%s on %s: instance %s after the rewind, want %s", l, w, got, want)
+			}
+		}
+		if d.Lookup(l, 3) != nil {
+			t.Fatalf("%s: replica outside the set survived the rewind", l)
+		}
+	}
+	for _, dir := range []*Directory{d, fresh} {
+		dir.ApplyBlockEffect(1, 7, []ids.WorkerID{2})
+		dir.ApplyBlockEffect(3, 2, []ids.WorkerID{1})
+	}
+	for _, l := range logicals {
+		if got, want := d.Latest(l), fresh.Latest(l); got != want {
+			t.Errorf("%s: Latest %d, fresh directory %d", l, got, want)
+		}
+		if got, want := d.LatestHolder(l), fresh.LatestHolder(l); got != want {
+			t.Errorf("%s: LatestHolder %s, fresh directory %s", l, got, want)
+		}
+		for _, w := range workers {
+			if got, want := d.IsLatest(l, w), fresh.IsLatest(l, w); got != want {
+				t.Errorf("%s on %s: IsLatest %v, fresh directory %v", l, w, got, want)
+			}
+		}
 	}
 }
 

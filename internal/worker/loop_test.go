@@ -2,6 +2,7 @@ package worker
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -361,6 +362,120 @@ func TestHaltWithTasksOnExecutorsKeepsSlotInvariant(t *testing.T) {
 		t.Fatalf("%d tasks in flight at once, Slots = %d", got, slots)
 	}
 	invariant("at rest")
+}
+
+// ctlStream splits every frame the worker sends on ctl into its messages,
+// in order, until the connection closes. The buffer holds what the worker
+// sends after the test stops reading, so the reader is not left blocked.
+func ctlStream(ctl transport.Conn) <-chan proto.Msg {
+	out := make(chan proto.Msg, 64)
+	go func() {
+		defer close(out)
+		for {
+			raw, err := ctl.Recv()
+			if err != nil {
+				return
+			}
+			_ = proto.ForEachMsg(raw, func(m proto.Msg) error {
+				out <- m
+				return nil
+			})
+		}
+	}()
+	return out
+}
+
+// A halt acks only once the job's flushed task has left its executor, and
+// the ack finds the job's objects cleared; only the latest of two halts is
+// acked, and another job's objects and running task are untouched.
+func TestHaltAcksAfterFlushedTasksLeave(t *testing.T) {
+	const fnGate1, fnGate2 = fn.FirstAppFunc, fn.FirstAppFunc + 1
+	gate1, gate2 := make(chan struct{}), make(chan struct{})
+	entered := make(chan struct{}, 2)
+	var returned atomic.Bool
+	reg := fn.NewRegistry()
+	reg.MustRegister(fnGate1, "test/gate1", func(*fn.Ctx) error {
+		entered <- struct{}{}
+		<-gate1
+		returned.Store(true)
+		return nil
+	})
+	reg.MustRegister(fnGate2, "test/gate2", func(*fn.Ctx) error {
+		entered <- struct{}{}
+		<-gate2
+		return nil
+	})
+	w, ctl := startedWorker(t, Config{Registry: reg, Slots: 2})
+	var open1, open2 sync.Once
+	release1 := func() { open1.Do(func() { close(gate1) }) }
+	release2 := func() { open2.Do(func() { close(gate2) }) }
+	t.Cleanup(func() { release1(); release2() }) // before the worker stops
+	msgs := ctlStream(ctl)
+	next := func(what string) proto.Msg {
+		t.Helper()
+		select {
+		case m, ok := <-msgs:
+			if !ok {
+				t.Fatalf("control connection closed waiting for %s", what)
+			}
+			return m
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no %s from the worker within 10 s", what)
+			return nil
+		}
+	}
+
+	for job, f := range map[ids.JobID]ids.FunctionID{1: fnGate1, 2: fnGate2} {
+		sendCtl(t, ctl, &proto.SpawnCommands{Job: job, Cmds: []*command.Command{
+			{ID: 1, Kind: command.Create, Writes: []ids.ObjectID{10}, Params: []byte{byte(job)}},
+			{ID: 2, Kind: command.Task, Function: f, Writes: []ids.ObjectID{11}},
+		}})
+	}
+	<-entered
+	<-entered
+	sendCtl(t, ctl, &proto.Halt{Job: 1, Seq: 1})
+	sendCtl(t, ctl, &proto.Halt{Job: 1, Seq: 2})
+	// The loop acks a FleetWarm at once: an ack of either halt sent at once
+	// would arrive before it.
+	sendCtl(t, ctl, &proto.FleetWarm{Seq: 1})
+	for {
+		m := next("FleetWarmAck")
+		if ack, ok := m.(*proto.HaltAck); ok {
+			t.Fatalf("halt %d acked while the job's task is still on an executor", ack.Seq)
+		}
+		if _, ok := m.(*proto.FleetWarmAck); ok {
+			break
+		}
+	}
+
+	release1()
+	var ack *proto.HaltAck
+	for ack == nil {
+		ack, _ = next("HaltAck").(*proto.HaltAck)
+	}
+	if !returned.Load() {
+		t.Fatal("halt acked before the gated function returned")
+	}
+	if ack.Job != 1 || ack.Seq != 2 {
+		t.Fatalf("ack = %+v, want job 1's halt 2 (the latest)", ack)
+	}
+	if n := w.StoreOf(1).Len(); n != 0 {
+		t.Fatalf("halted job's store holds %d objects after the ack, want 0", n)
+	}
+	if s := w.StoreOf(2); s.Len() != 2 || s.Get(10) == nil || s.Get(10).Data[0] != 2 {
+		t.Fatalf("the other job's store was touched: %d objects", s.Len())
+	}
+
+	release2()
+	for {
+		m := next("job 2's task completion")
+		if ack, ok := m.(*proto.HaltAck); ok {
+			t.Fatalf("a second ack, of halt %d", ack.Seq)
+		}
+		if c, ok := m.(*proto.Complete); ok && c.Job == 2 && slices.Contains(c.IDs, 2) {
+			return
+		}
+	}
 }
 
 // pinnedEvent posts one event whose message the test can watch being

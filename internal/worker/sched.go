@@ -608,6 +608,7 @@ func (w *Worker) handleDone(pc *pcmd) {
 		if pc.cmd.Kind == command.Task {
 			w.freeSlots++
 			js.running--
+			w.finishHalt(js)
 			w.dispatch()
 		}
 		return

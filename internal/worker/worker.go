@@ -340,6 +340,9 @@ type jstate struct {
 	// on executors.
 	quota   atomic.Int32
 	running int
+	// haltAck is the ack of the job's latest halt, held until the job's
+	// flushed tasks have left the executors (finishHalt).
+	haltAck *proto.HaltAck
 }
 
 // doneRange summarizes one completed template/patch instance: command id
@@ -508,11 +511,14 @@ func New(cfg Config) *Worker {
 }
 
 // job returns the namespace for one job, creating it on first use (event
-// loop only).
+// loop only). A job the controller ended here and sends work for again — a
+// worker back under its prior ID starts every live job afresh — loses its
+// tombstone.
 func (w *Worker) job(id ids.JobID) *jstate {
 	if js, ok := w.jobs[id]; ok {
 		return js
 	}
+	delete(w.deadJobs, id)
 	js := &jstate{
 		id:        id,
 		store:     datastore.New(),
@@ -539,17 +545,10 @@ func (w *Worker) dropJob(id ids.JobID) {
 	if !ok {
 		return
 	}
-	js.haltEpoch++
-	js.halted = true
-	js.runnable.reset()
 	// The namespace is going away entirely; disk-backed state must not
-	// outlive it. Undelivered spilled payloads and spilled store objects
-	// both hold files.
-	for _, ip := range js.payloads {
-		if ip.spill != nil {
-			ip.spill.Remove()
-		}
-	}
+	// outlive it. Undelivered spilled payloads (flush) and spilled store
+	// objects (Clear) both hold files.
+	w.flush(js)
 	js.store.Clear()
 	w.deadJobs[id] = struct{}{}
 	// Bound the tombstone map under sustained job churn: JobIDs are
@@ -1211,12 +1210,24 @@ func (w *Worker) newBatchUnit(js *jstate, cmds []*command.Command, barrier bool)
 }
 
 // halt implements the recovery protocol (paper §4.4) for one job:
-// terminate the job's ongoing work, flush its queues, acknowledge. Other
-// jobs' arenas, payloads and barriers are untouched — that containment is
-// the point of job-scoped halts.
+// terminate the job's ongoing work, flush its queues, and — once its
+// flushed tasks have left the executors — clear its objects and
+// acknowledge (finishHalt). Other jobs' arenas, payloads, objects and
+// barriers are untouched — that containment is the point of job-scoped
+// halts.
 func (w *Worker) halt(js *jstate, m *proto.Halt) {
+	w.flush(js)
+	js.haltAck = &proto.HaltAck{Job: js.id, Seq: m.Seq, Worker: w.id}
+	w.finishHalt(js)
+}
+
+// flush discards one job's queued and in-flight work, for a halt or the
+// job's end. Tasks already on the executors drain through the stale-epoch
+// path.
+func (w *Worker) flush(js *jstate) {
 	js.haltEpoch++
 	js.halted = true
+	js.haltAck = nil
 	// Completions recorded inside flushed in-flight arenas must survive
 	// the flush (the map-based path kept them in the done map): sweep
 	// them into the done map before dropping the arenas. Queued units
@@ -1259,7 +1270,19 @@ func (w *Worker) halt(js *jstate, m *proto.Halt) {
 	for i := range js.arrRing {
 		js.arrRing[i] = false
 	}
-	_ = w.sendCtrl(&proto.HaltAck{Job: js.id, Seq: m.Seq, Worker: w.id})
+}
+
+// finishHalt completes a job's pending halt once none of its flushed tasks
+// is left on the executors: the job's objects are cleared — the recovery
+// reloads what it needs into the same object IDs — and only then is the
+// latest halt acked. Until then a flushed task may still write the store.
+func (w *Worker) finishHalt(js *jstate) {
+	if js.haltAck == nil || js.running > 0 {
+		return
+	}
+	js.store.Clear()
+	_ = w.sendCtrl(js.haltAck)
+	js.haltAck = nil
 }
 
 func (w *Worker) fetchObject(m *proto.FetchObject) {
