@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -89,13 +91,45 @@ func TestKillControllerMidKmeansStandbyFinishes(t *testing.T) {
 	}
 	refD.Close()
 
-	// Failover cluster: short lease, hot standby attached.
+	// Failover cluster: short lease, hot standby attached. The assign task
+	// after three iterations' worth (kmeansFailoverCfg has 6 partitions)
+	// blocks on its worker until the primary is dead and that worker runs
+	// on its own, so work is in flight across the outage.
+	const gateAt = 3*6 + 1
+	var calls atomic.Int32
+	blocked, release := make(chan ids.WorkerID, 1), make(chan struct{})
+	var releaseOnce sync.Once
 	reg := testRegistry(t)
-	kmeans.Register(reg)
+	kreg := fn.NewRegistry()
+	kmeans.Register(kreg)
+	for _, id := range []ids.FunctionID{kmeans.FnGenPoints, kmeans.FnAssign, kmeans.FnReduceSums, kmeans.FnUpdateCentroids} {
+		f := kreg.Lookup(id)
+		if id == kmeans.FnAssign {
+			assign := f
+			f = func(call *fn.Ctx) error {
+				if calls.Add(1) == gateAt {
+					blocked <- call.Worker
+					<-release
+				}
+				return assign(call)
+			}
+		}
+		reg.MustRegister(id, kreg.Name(id), f)
+	}
+	autonomous := make(chan ids.WorkerID, 16)
 	c := startTestCluster(t, Options{
 		Workers: 3, Slots: 2, Registry: reg,
 		LeaseTTL: 150 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			if strings.Contains(format, "running autonomously") {
+				select {
+				case autonomous <- args[0].(ids.WorkerID):
+				default:
+				}
+			}
+		},
 	})
+	t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) }) // before the cluster stops
 	if _, err := c.StartStandby(); err != nil {
 		t.Fatalf("standby: %v", err)
 	}
@@ -111,22 +145,21 @@ func TestKillControllerMidKmeansStandbyFinishes(t *testing.T) {
 		resCh <- progRes{cents, d, err}
 	}()
 
-	// Kill the primary mid-run: wait until the cluster is well into the
-	// iteration loop, then strike right after a fresh activation so work
-	// is in flight on the workers.
-	deadline := time.Now().Add(10 * time.Second)
-	minAct := uint64(30)
-	if floor := uint64(3 * len(c.Workers)); minAct < floor {
-		minAct = floor
-	}
-	for totalActivations(c) < minAct && time.Now().Before(deadline) {
-		time.Sleep(200 * time.Microsecond)
-	}
-	base := totalActivations(c)
-	for totalActivations(c) == base && time.Now().Before(deadline) {
-		time.Sleep(100 * time.Microsecond)
+	var holder ids.WorkerID
+	select {
+	case holder = <-blocked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no assign task reached the gate within 10s")
 	}
 	c.KillController()
+	for w := ids.NoWorker; w != holder; {
+		select {
+		case w = <-autonomous:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s holding the blocked task did not notice the dead primary within 10s", holder)
+		}
+	}
+	releaseOnce.Do(func() { close(release) })
 
 	promoted, err := c.AwaitPromotion(10 * time.Second)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"nimbus/internal/controller"
 	"nimbus/internal/driver"
 	"nimbus/internal/ids"
+	"nimbus/internal/transport"
 	"nimbus/internal/worker"
 )
 
@@ -387,6 +388,90 @@ func TestRejoinAfterHeartbeatTimeoutRunsTasks(t *testing.T) {
 		t.Errorf("the rejoined worker holds %d objects of the job, %d before the partition: its stale objects survived", got, held)
 	}
 	r.matchesSteady(t)
+}
+
+// TestRejoinAfterLostReconnectHello: the case
+// TestRejoinAfterHeartbeatTimeoutRunsTasks steers clear of. The controller
+// closes a partitioned worker's link, and the worker's reconnect hello is
+// lost in the partition, which heals only after. The unanswered hello times
+// out and the worker dials again: it rejoins, runs tasks in the next two
+// instances, and results stay bit-identical to a run without faults.
+func TestRejoinAfterLostReconnectHello(t *testing.T) {
+	c := startTestCluster(t, Options{Workers: 3, HeartbeatEvery: 20 * time.Millisecond, HeartbeatTimeout: 150 * time.Millisecond})
+	// The partitioned worker dials through wires of its own, and the tap
+	// reports each control connection's first send: its hello.
+	link := chaos.New(c.Transport, 1)
+	tap := &helloTap{Transport: link, sent: make(chan struct{}, 1)}
+	cfg := c.workerConfig()
+	cfg.Transport = tap
+	w := worker.New(cfg)
+	if err := w.Start(); err != nil {
+		t.Fatal(err)
+	}
+	c.Workers = append(c.Workers, w)
+	<-w.Ready()
+	<-tap.sent // the admission hello
+	r := defineSetJob(t, c, true)
+	r.instantiate(t, 2)
+	r.barrier(t)
+
+	link.Partition(ControlAddr)
+	select {
+	case <-tap.sent:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the partitioned worker sent no reconnect hello within 10s")
+	}
+	link.Heal(ControlAddr)
+	deadline := time.Now().Add(10 * time.Second)
+	for rejoined := false; !rejoined; {
+		if time.Now().After(deadline) {
+			t.Fatal("the worker did not rejoin within 10s of the heal")
+		}
+		time.Sleep(time.Millisecond)
+		c.Controller.Do(func() { rejoined = slices.Contains(c.Controller.ActiveWorkers(), w.ID()) })
+	}
+	if w.Stats.Reconnects.Load() == 0 {
+		t.Fatal("the worker is active without having reconnected")
+	}
+	ran := w.Stats.TasksRun.Load()
+	r.instantiate(t, 2)
+	r.barrier(t)
+	if w.Stats.TasksRun.Load() == ran {
+		t.Error("the rejoined worker ran no tasks in the next two instances")
+	}
+	r.matchesSteady(t)
+}
+
+// helloTap is a worker's transport that reports on sent the first frame
+// each control connection sends, which is the worker's hello.
+type helloTap struct {
+	transport.Transport
+	sent chan struct{}
+}
+
+func (h *helloTap) Dial(addr string) (transport.Conn, error) {
+	conn, err := h.Transport.Dial(addr)
+	if err != nil || addr != ControlAddr {
+		return conn, err
+	}
+	return &tapConn{Conn: conn, sent: h.sent}, nil
+}
+
+type tapConn struct {
+	transport.Conn
+	sent chan struct{}
+	once sync.Once
+}
+
+func (c *tapConn) Send(b []byte) error {
+	err := c.Conn.Send(b)
+	c.once.Do(func() {
+		select {
+		case c.sent <- struct{}{}:
+		default:
+		}
+	})
+	return err
 }
 
 // TestSetActiveRefusesInactiveWorkers: a worker set may name only active

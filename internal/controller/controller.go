@@ -657,10 +657,9 @@ func (c *Controller) Kill() {
 	if c.lis != nil {
 		c.lis.Close()
 	}
-	// Every reader returns once its connection closes: a gateway's, and
-	// one whose hello the stopping loop never handled. A connection tracked
-	// after this sweep finds the mailbox closed and closes itself; a
-	// gateway served after it finds c.stopped closed under connMu.
+	// Every reader returns once its connection closes: a gateway's, one
+	// still waiting for its hello, and one whose hello the stopping loop
+	// never handled. A connection accepted after this sweep is refused.
 	c.connMu.Lock()
 	conns := c.conns
 	c.conns = nil
@@ -671,15 +670,18 @@ func (c *Controller) Kill() {
 	c.wg.Wait()
 }
 
-// trackConn records a handshaken connection so Kill can sever it. The
+// trackConn records an accepted connection so Kill can sever it; false
+// means Kill has already swept the registry, and the caller closes it. The
 // event-loop-confined worker/job tables cannot be read from Kill's
 // goroutine, hence the separate mutex-protected registry.
-func (c *Controller) trackConn(conn transport.Conn) {
+func (c *Controller) trackConn(conn transport.Conn) bool {
 	c.connMu.Lock()
-	if c.conns != nil {
-		c.conns[conn] = struct{}{}
+	defer c.connMu.Unlock()
+	if c.conns == nil {
+		return false
 	}
-	c.connMu.Unlock()
+	c.conns[conn] = struct{}{}
+	return true
 }
 
 // untrackConn forgets a tracked connection once its reader exits, so
@@ -769,10 +771,26 @@ type source struct {
 }
 
 // serve reads one accepted connection: a gateway is served as one, anything
-// else is read here until it closes, a frame at a time.
+// else is read here until it closes, a frame at a time. The connection is
+// tracked from the start, so Kill closes it even while its hello is
+// awaited, and a client that sends no hello within transport.HelloTimeout
+// is dropped.
 func (c *Controller) serve(conn transport.Conn) {
 	defer c.wg.Done()
+	if !c.trackConn(conn) {
+		conn.Close()
+		return
+	}
+	defer c.untrackConn(conn)
+	timer := time.AfterFunc(transport.HelloTimeout, func() { conn.Close() })
 	raw, err := conn.Recv()
+	if !timer.Stop() {
+		c.cfg.Logf("controller: no hello within %v", transport.HelloTimeout)
+		if err == nil {
+			proto.PutBuf(raw) // raced the timer, which closed conn
+		}
+		return
+	}
 	if err != nil {
 		conn.Close()
 		return
@@ -783,12 +801,10 @@ func (c *Controller) serve(conn transport.Conn) {
 	if msg == nil {
 		return
 	}
-	c.trackConn(conn)
 	if _, ok := msg.(*proto.GatewayHello); ok {
 		c.serveGateway(conn)
 		return
 	}
-	defer c.untrackConn(conn)
 	if !s.open(msg) {
 		conn.Close()
 		return
@@ -881,18 +897,12 @@ func (c *Controller) serveGateway(conn transport.Conn) {
 		return &source{c: c, conn: s, session: true, evs: &evs}
 	})
 	c.connMu.Lock()
-	if c.stopping() {
-		c.connMu.Unlock()
-		conn.Close()
-		return
-	}
 	c.gateways[g] = struct{}{}
 	c.connMu.Unlock()
 	err := g.Serve()
 	c.connMu.Lock()
 	delete(c.gateways, g)
 	c.connMu.Unlock()
-	c.untrackConn(conn)
 	if !c.stopping() {
 		c.cfg.Logf("controller: gateway connection lost: %v", err)
 	}

@@ -129,7 +129,8 @@ type FrontDoorStats struct {
 	GatewayConns    int
 	GatewaySessions int
 	// Conns counts every tracked transport connection (workers, drivers,
-	// gateways, standby) — the leak gauge for admission-path tests.
+	// gateways, standby, and accepted ones awaiting their hello) — the
+	// leak gauge for admission-path tests.
 	Conns int
 }
 

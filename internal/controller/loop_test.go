@@ -235,32 +235,137 @@ func describe(snap *proto.ReplSnapshot) string {
 	return out
 }
 
-// A stopping loop handles only Do's, so a connection whose hello arrives
-// then is never registered, and its reader waits on it. Stop must still
-// return: it closes every tracked connection, as Kill does.
+// Stop must return whatever an accepted connection's reader waits on: a
+// hello the stopping loop never handles (a stopping loop handles only Do's,
+// so the connection is never registered), or a hello that never comes.
+// Stop closes every tracked connection, as Kill does, and the controller
+// tracks a connection from Accept.
 func TestStopReturnsWithUnhandledHello(t *testing.T) {
-	mem := transport.NewMem(0)
-	c := New(Config{ControlAddr: "ctl", Transport: mem, Logf: func(string, ...any) {}})
-	if err := c.Start(); err != nil {
+	for _, tc := range []struct {
+		name string
+		// open makes the connection and returns once the controller holds it.
+		open   func(*testing.T, *Controller, *transport.Mem) transport.Conn
+		within time.Duration
+	}{{
+		name: "hello while stopping",
+		open: func(t *testing.T, c *Controller, mem *transport.Mem) transport.Conn {
+			_, events := loopCounts(c)
+			c.stopOnce.Do(func() { close(c.stopped) })
+			w := dialHello(t, mem, &proto.RegisterWorker{DataAddr: "data/1", Slots: 1})
+			for deadline := time.Now().Add(10 * time.Second); c.Stats.LoopEvents.Load() == events; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the hello never reached the loop")
+				}
+			}
+			return w
+		},
+		within: 10 * time.Second,
+	}, {
+		name: "no hello",
+		open: func(t *testing.T, c *Controller, mem *transport.Mem) transport.Conn {
+			conn, err := mem.Dial("ctl")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { conn.Close() })
+			for deadline := time.Now().Add(10 * time.Second); c.FrontDoorStats().Conns == 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("the controller never held the silent connection")
+				}
+			}
+			return conn
+		},
+		within: time.Second,
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			mem := transport.NewMem(0)
+			c := New(Config{ControlAddr: "ctl", Transport: mem, Logf: func(string, ...any) {}})
+			if err := c.Start(); err != nil {
+				t.Fatal(err)
+			}
+			w := tc.open(t, c, mem)
+			stopped := make(chan struct{})
+			go func() {
+				c.Stop()
+				close(stopped)
+			}()
+			select {
+			case <-stopped:
+			case <-time.After(tc.within):
+				w.Close() // lets a hung Stop return
+				t.Fatalf("Stop did not return within %v with an unregistered connection open", tc.within)
+			}
+		})
+	}
+}
+
+// TestHelloDeadlineClosesSilentConnection: a connection that sends no hello
+// is closed by the controller once transport.HelloTimeout passes, with no
+// Stop, so a port scan or a client lost mid-dial pins no reader.
+func TestHelloDeadlineClosesSilentConnection(t *testing.T) {
+	c, mem := startBare(t)
+	conn, err := mem.Dial("ctl")
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, events := loopCounts(c)
-	c.stopOnce.Do(func() { close(c.stopped) })
-	w := dialHello(t, mem, &proto.RegisterWorker{DataAddr: "data/1", Slots: 1})
-	for deadline := time.Now().Add(10 * time.Second); c.Stats.LoopEvents.Load() == events; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the hello never reached the loop")
-		}
-	}
-	stopped := make(chan struct{})
+	defer conn.Close()
+	closed := make(chan error, 1)
 	go func() {
-		c.Stop()
-		close(stopped)
+		_, err := conn.Recv()
+		closed <- err
 	}()
 	select {
-	case <-stopped:
-	case <-time.After(10 * time.Second):
-		w.Close() // lets a hung Stop return
-		t.Fatal("Stop did not return with an unregistered connection open")
+	case err := <-closed:
+		if err == nil {
+			t.Fatal("the controller sent a frame to a connection that never said hello")
+		}
+	case <-time.After(transport.HelloTimeout + time.Second):
+		t.Fatalf("the silent connection was still open %v after it was accepted", transport.HelloTimeout+time.Second)
+	}
+	for deadline := time.Now().Add(10 * time.Second); c.FrontDoorStats().Conns != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the dropped connection stayed tracked")
+		}
+	}
+}
+
+// TestStandbyAttachToDeafPrimary: a primary that accepts the standby's
+// attach and never sends the snapshot fails Start at the hello deadline,
+// and the standby is finished.
+func TestStandbyAttachToDeafPrimary(t *testing.T) {
+	mem := transport.NewMem(0)
+	lis, err := mem.Listen("ctl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	go func() {
+		conn, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for {
+			if _, err := conn.Recv(); err != nil {
+				return
+			}
+		}
+	}()
+	s := NewStandby(Config{ControlAddr: "ctl", Transport: mem})
+	started := make(chan error, 1)
+	go func() { started <- s.Start() }()
+	within := transport.HelloTimeout + time.Second
+	select {
+	case err := <-started:
+		if err == nil {
+			t.Fatal("the standby attached to a primary that sent no snapshot")
+		}
+	case <-time.After(within):
+		t.Fatalf("Start still waiting for the snapshot after %v", within)
+	}
+	select {
+	case <-s.Done():
+	default:
+		t.Error("a standby whose attach failed is not done")
 	}
 }

@@ -84,46 +84,27 @@ func (s *Standby) Start() (retErr error) {
 			close(s.done)
 		}
 	}()
-	conn, err := transport.DialRetry(s.cfg.Transport, s.cfg.ControlAddr, transport.Backoff{}, 0, 2*time.Second, s.stopped)
+	conn, err := transport.DialRetry(s.cfg.Transport, s.cfg.ControlAddr, transport.Backoff{}, 0, transport.HelloTimeout, s.stopped)
 	if err != nil {
 		return fmt.Errorf("standby: attach dial: %w", err)
 	}
-	buf := proto.MarshalAppend(proto.GetBuf(), &proto.ReplAttach{})
-	if owned, err := transport.SendOwned(conn, buf); err != nil {
-		if !owned {
-			proto.PutBuf(buf)
-		}
-		conn.Close()
-		return fmt.Errorf("standby: attach send: %w", err)
-	} else if !owned {
-		proto.PutBuf(buf)
-	}
 	// The first frame is the snapshot (possibly with the first lease
 	// renewal behind it in a later frame).
-	raw, err := conn.Recv()
+	pending, err := transport.Exchange(conn, &proto.ReplAttach{}, transport.HelloTimeout, s.stopped)
 	if err != nil {
-		conn.Close()
-		return fmt.Errorf("standby: snapshot recv: %w", err)
+		return fmt.Errorf("standby: attach: %w", err)
 	}
-	var pending []proto.Msg
-	err = proto.ForEachMsg(raw, func(m proto.Msg) error {
-		pending = append(pending, m)
-		return nil
-	})
-	proto.PutBuf(raw)
-	if err == nil && (len(pending) == 0 || pending[0].Kind() != proto.KindReplSnapshot) {
-		err = errors.New("standby: primary did not send a snapshot")
-	}
-	if err != nil {
+	snap, ok := pending[0].(*proto.ReplSnapshot)
+	if !ok {
 		conn.Close()
-		return err
+		return errors.New("standby: primary did not send a snapshot")
 	}
 	s.conn = conn
 	s.ttl = defaultLeaseTTL
 	if s.cfg.LeaseTTL > 0 {
 		s.ttl = s.cfg.LeaseTTL
 	}
-	s.adoptSnapshot(pending[0].(*proto.ReplSnapshot))
+	s.adoptSnapshot(snap)
 	for _, m := range pending[1:] {
 		s.apply(m)
 	}

@@ -40,7 +40,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"nimbus/internal/ids"
@@ -223,105 +222,60 @@ func (e *RejectError) Error() string {
 // Is matches the ErrAdmissionRejected sentinel.
 func (e *RejectError) Is(target error) bool { return target == ErrAdmissionRejected }
 
-// ConnectOpts is the full-surface connect: a deadline over the whole
-// connection handshake — dial plus admission — and the session parameters
-// in o. Pass a *transport.Mux as tr to multiplex the session over a shared
-// gateway connection pool instead of a dedicated connection.
+// ConnectOpts is the full-surface connect: ctx bounds the whole
+// connection handshake — dial plus admission — and o holds the session
+// parameters. Pass a *transport.Mux as tr to multiplex the session over a
+// shared gateway connection pool instead of a dedicated connection.
 //
-// v1's Connect blocked forever when the controller accepted the
-// connection but never acked admission; cancelling ctx closes the
-// half-open connection and returns ctx's error. Transports' Dial is not
-// context-aware: if ctx fires while the dial itself is still blocked,
-// ConnectOpts returns immediately but the dialing goroutine lingers until
-// the transport's own dial timeout (the OS's, for TCP) fires, at which
-// point it closes any connection it made and exits.
+// Admission may legitimately stay queued behind the controller's job cap,
+// so nothing but ctx bounds the wait for it: ending ctx closes the
+// connection and returns ctx's error. Transports' Dial is not
+// context-aware: ctx stops the dial's retries, but a dial already blocked
+// in the transport returns first.
 func ConnectOpts(ctx context.Context, tr transport.Transport, addr string, o Opts) (*Driver, error) {
 	if o.Weight <= 0 {
 		o.Weight = 1
 	}
-	type result struct {
-		d   *Driver
-		err error
+	// The controller may not be listening yet; retry briefly with the
+	// shared backoff helper, bailing out if ctx ends.
+	conn, err := transport.DialRetry(tr, addr, transport.Backoff{}, 0, transport.HelloTimeout, ctx.Done())
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, fmt.Errorf("driver: connect %s: %w", addr, ctx.Err())
+		}
+		return nil, fmt.Errorf("driver: dial %s: %w", addr, err)
 	}
-	ch := make(chan result, 1)
-	var mu sync.Mutex
-	var conn transport.Conn
-	var abandoned bool
-	go func() {
-		// The controller may not be listening yet; retry briefly with the
-		// shared backoff helper, bailing out if ctx cancels the connect.
-		c, err := transport.DialRetry(tr, addr, transport.Backoff{}, 0, 2*time.Second, ctx.Done())
-		if err != nil {
-			ch <- result{err: fmt.Errorf("driver: dial %s: %w", addr, err)}
-			return
-		}
-		mu.Lock()
-		if abandoned {
-			mu.Unlock()
-			c.Close()
-			return
-		}
-		conn = c
-		mu.Unlock()
-		d := &Driver{
-			conn: c, pending: make(map[uint64]*pendingReply),
+	stop := context.AfterFunc(ctx, func() { conn.Close() })
+	reply, err := transport.Exchange(conn, &proto.RegisterDriver{
+		Name: o.Name, Weight: o.Weight, Tenant: o.Tenant, Priority: o.Priority,
+	}, 0, nil)
+	if !stop() {
+		// ctx closed the connection, whatever the reply raced it.
+		return nil, fmt.Errorf("driver: connect %s: %w", addr, ctx.Err())
+	}
+	if err != nil {
+		return nil, fmt.Errorf("driver: awaiting admission: %w", err)
+	}
+	switch m := reply[0].(type) {
+	case *proto.RegisterDriverAck:
+		return &Driver{
+			conn: conn, pending: make(map[uint64]*pendingReply),
 			tr: tr, addrs: append([]string{addr}, o.Failover...),
 			name: o.Name, weight: o.Weight,
 			tenant: o.Tenant, priority: o.Priority,
+			job: m.Job, inbox: reply[1:],
+		}, nil
+	case *proto.AdmissionReject:
+		err = &RejectError{
+			Code:       m.Code,
+			RetryAfter: time.Duration(m.RetryAfterMillis) * time.Millisecond,
+			Reason:     m.Err,
 		}
-		if err := d.rawSend(&proto.RegisterDriver{
-			Name: o.Name, Weight: o.Weight, Tenant: o.Tenant, Priority: o.Priority,
-		}); err != nil {
-			c.Close()
-			ch <- result{err: err}
-			return
-		}
-		job, err := d.awaitAdmission()
-		if err != nil {
-			c.Close()
-			ch <- result{err: fmt.Errorf("driver: awaiting admission: %w", err)}
-			return
-		}
-		d.job = job
-		ch <- result{d: d}
-	}()
-	select {
-	case r := <-ch:
-		return r.d, r.err
-	case <-ctx.Done():
-		mu.Lock()
-		abandoned = true
-		c := conn
-		mu.Unlock()
-		if c != nil {
-			c.Close() // unblocks the admission Recv; the goroutine exits
-		}
-		return nil, fmt.Errorf("driver: connect %s: %w", addr, ctx.Err())
+	default:
+		err = fmt.Errorf("unexpected %s", m.Kind())
 	}
-}
-
-// awaitAdmission reads until the controller's RegisterDriverAck.
-func (d *Driver) awaitAdmission() (ids.JobID, error) {
-	for {
-		m, err := d.recvMsg()
-		if err != nil {
-			return ids.NoJob, err
-		}
-		switch m := m.(type) {
-		case *proto.RegisterDriverAck:
-			return m.Job, nil
-		case *proto.AdmissionReject:
-			return ids.NoJob, &RejectError{
-				Code:       m.Code,
-				RetryAfter: time.Duration(m.RetryAfterMillis) * time.Millisecond,
-				Reason:     m.Err,
-			}
-		case *proto.ErrorMsg:
-			return ids.NoJob, fmt.Errorf("controller error: %s", m.Text)
-		case *proto.Shutdown:
-			return ids.NoJob, fmt.Errorf("controller shut down")
-		}
-	}
+	conn.Close()
+	return nil, fmt.Errorf("driver: awaiting admission: %w", err)
 }
 
 // Job returns the controller-assigned job handle for this session.

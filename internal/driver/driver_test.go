@@ -455,6 +455,88 @@ func TestConnectDeadline(t *testing.T) {
 	}
 }
 
+// TestReattachSkipsDeafPrimary: the primary drops the session, then accepts
+// reattach hellos it never answers. The driver gives up on it at the hello
+// deadline and reattaches to the live endpoint in Opts.Failover, which
+// receives the journaled operation.
+func TestReattachSkipsDeafPrimary(t *testing.T) {
+	tr := transport.NewMem(0)
+	primary, err := tr.Listen("fake/primary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer primary.Close()
+	standby, err := tr.Listen("fake/standby")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer standby.Close()
+	admitted := make(chan transport.Conn, 1)
+	go func() {
+		// Admit the session as job 1, then hear every hello and answer none.
+		for first := true; ; first = false {
+			conn, err := primary.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+			if _, err := conn.Recv(); err != nil || !first {
+				continue
+			}
+			conn.Send(proto.Marshal(&proto.RegisterDriverAck{Job: 1}))
+			admitted <- conn
+		}
+	}()
+	got := make(chan proto.Msg, 2)
+	go func() {
+		conn, err := standby.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for {
+			raw, err := conn.Recv()
+			if err != nil {
+				return
+			}
+			m, err := proto.Unmarshal(raw)
+			if err != nil {
+				t.Errorf("standby decode: %v", err)
+				return
+			}
+			if _, ok := m.(*proto.DriverReattach); ok {
+				conn.Send(proto.Marshal(&proto.ReattachAck{Job: 1, Ok: true}))
+			}
+			got <- m
+		}
+	}()
+	d, err := driver.ConnectOpts(context.Background(), tr, "fake/primary",
+		driver.Opts{Name: "deaf-primary", Failover: []string{"fake/standby"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	(<-admitted).Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := d.DefineVariable("x", 1)
+		done <- err
+	}()
+	within := transport.HelloTimeout + 3*time.Second
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("define after the primary went deaf: %v", err)
+		}
+	case <-time.After(within):
+		t.Fatalf("the driver had not reattached %v after its primary went deaf", within)
+	}
+	for _, want := range []proto.MsgKind{proto.KindDriverReattach, proto.KindDefineVariable} {
+		if m := <-got; m.Kind() != want {
+			t.Fatalf("the failover endpoint received %s, want %s", m.Kind(), want)
+		}
+	}
+}
+
 // TestCloseReportsJobEndSendError: when the connection is already dead,
 // Close must surface that the JobEnd goodbye was never delivered.
 func TestCloseReportsJobEndSendError(t *testing.T) {

@@ -3,9 +3,7 @@ package driver
 import (
 	"errors"
 	"fmt"
-	"time"
 
-	"nimbus/internal/ids"
 	"nimbus/internal/proto"
 	"nimbus/internal/transport"
 )
@@ -55,11 +53,9 @@ var errRecovered = errors.New("driver: session recovered mid-receive")
 
 // reattachRounds bounds how many passes over the endpoint list recover
 // makes before declaring the session dead. Each dial within a pass is
-// itself retried with backoff for up to reattachDialTimeout.
-const (
-	reattachRounds      = 3
-	reattachDialTimeout = 2 * time.Second
-)
+// itself retried with backoff, and its hello answered, within
+// transport.HelloTimeout.
+const reattachRounds = 3
 
 // recover reattaches the session after a connection failure. It returns
 // nil when the session is live again on a (possibly different) controller
@@ -68,11 +64,6 @@ const (
 // has already resolved all pending futures with it.
 func (d *Driver) recover(cause error) error {
 	if d.dead != nil {
-		return d.dead
-	}
-	if d.job == ids.NoJob {
-		// Failed during admission: there is no job to reattach to.
-		d.fail(cause)
 		return d.dead
 	}
 	d.conn.Close()
@@ -106,45 +97,26 @@ func (d *Driver) recover(cause error) error {
 // On success it returns the controller's ack, the new connection, and any
 // further messages decoded from the handshake frame.
 func (d *Driver) reattach(addr string) (*proto.ReattachAck, transport.Conn, []proto.Msg, error) {
-	conn, err := transport.DialRetry(d.tr, addr, transport.Backoff{}, 0, reattachDialTimeout, nil)
+	conn, err := transport.DialRetry(d.tr, addr, transport.Backoff{}, 0, transport.HelloTimeout, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	buf := proto.MarshalAppend(proto.GetBuf(),
-		&proto.DriverReattach{Job: d.job, Name: d.name, Weight: d.weight})
-	owned, err := transport.SendOwned(conn, buf)
-	if !owned {
-		proto.PutBuf(buf)
-	}
+	hello := &proto.DriverReattach{Job: d.job, Name: d.name, Weight: d.weight}
+	msgs, err := transport.Exchange(conn, hello, transport.HelloTimeout, nil)
 	if err != nil {
-		conn.Close()
-		return nil, nil, nil, err
-	}
-	raw, err := conn.Recv()
-	if err != nil {
-		conn.Close()
-		return nil, nil, nil, err
-	}
-	var msgs []proto.Msg
-	err = proto.ForEachMsg(raw, func(m proto.Msg) error {
-		msgs = append(msgs, m)
-		return nil
-	})
-	proto.PutBuf(raw)
-	if err != nil || len(msgs) == 0 {
-		conn.Close()
-		return nil, nil, nil, fmt.Errorf("driver: reattach %s: bad handshake frame (%v)", addr, err)
+		return nil, nil, nil, fmt.Errorf("driver: reattach %s: %w", addr, err)
 	}
 	ack, ok := msgs[0].(*proto.ReattachAck)
-	if !ok {
-		conn.Close()
-		return nil, nil, nil, fmt.Errorf("driver: reattach %s: unexpected %s", addr, msgs[0].Kind())
+	switch {
+	case !ok:
+		err = fmt.Errorf("driver: reattach %s: unexpected %s", addr, msgs[0].Kind())
+	case !ack.Ok:
+		err = fmt.Errorf("driver: reattach %s: %s", addr, ack.Err)
+	default:
+		return ack, conn, msgs[1:], nil
 	}
-	if !ack.Ok {
-		conn.Close()
-		return nil, nil, nil, fmt.Errorf("driver: reattach %s: %s", addr, ack.Err)
-	}
-	return ack, conn, msgs[1:], nil
+	conn.Close()
+	return nil, nil, nil, err
 }
 
 // resendJournal reconciles the journal against the applied count the

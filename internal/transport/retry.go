@@ -1,19 +1,31 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
+
+	"nimbus/internal/proto"
 )
 
-// This file is the shared dial-retry helper: capped exponential backoff
-// with jitter. A refused connection is an expected, transient condition in
-// this system — a worker may start before the controller listens, and
-// during a controller failover every worker and driver races the standby's
-// promotion to the listen endpoint — so the dial paths retry instead of
-// failing hard. Jitter desynchronizes the reconnect stampede after an
-// outage (every worker notices the dead controller within microseconds of
-// each other).
+// This file is how a client opens a control connection: a dial retried
+// with capped exponential backoff and jitter, then one hello exchange
+// under a deadline. A refused connection is an expected, transient
+// condition in this system — a worker may start before the controller
+// listens, and during a controller failover every worker and driver races
+// the standby's promotion to the listen endpoint — so the dial paths retry
+// instead of failing hard. Jitter desynchronizes the reconnect stampede
+// after an outage (every worker notices the dead controller within
+// microseconds of each other). A hello that gets no answer — lost in a
+// partition, or sent to a peer that stopped reading — is the same kind of
+// fault: the exchange gives up at its deadline and the caller dials again.
+
+// HelloTimeout bounds both halves of opening a control connection: the
+// window in which a client's dial retries an endpoint that refuses it, and
+// how long either side waits for the other's hello — the client for its
+// reply, the controller for a fresh connection's first frame.
+const HelloTimeout = 2000 * time.Millisecond
 
 // Backoff computes capped exponential backoff delays with jitter. The
 // zero value uses the defaults noted on each field.
@@ -113,6 +125,63 @@ func DialRetry(tr Transport, addr string, b Backoff, attempts int, deadline time
 			return nil, fmt.Errorf("transport: dial %s canceled: %w", addr, last)
 		}
 	}
+}
+
+// Exchange sends hello on conn and returns the messages of the first frame
+// the peer answers with. deadline (zero means none) bounds the wait and a
+// closed cancel (nil means never) ends it; either closes conn, and a reply
+// that races the deadline counts as a timeout. On any error conn is closed.
+func Exchange(conn Conn, hello proto.Msg, deadline time.Duration, cancel <-chan struct{}) (reply []proto.Msg, err error) {
+	defer func() {
+		if err != nil {
+			conn.Close()
+		}
+	}()
+	if cancel != nil {
+		done := make(chan struct{})
+		defer close(done)
+		go func() {
+			select {
+			case <-cancel:
+				conn.Close()
+			case <-done:
+			}
+		}()
+	}
+	var timer *time.Timer
+	if deadline > 0 {
+		timer = time.AfterFunc(deadline, func() { conn.Close() })
+	}
+	buf := proto.MarshalAppend(proto.GetBuf(), hello)
+	owned, err := SendOwned(conn, buf)
+	if !owned {
+		proto.PutBuf(buf)
+	}
+	var raw []byte
+	if err == nil {
+		raw, err = conn.Recv()
+	}
+	if timer != nil && !timer.Stop() {
+		if err == nil {
+			proto.PutBuf(raw)
+		}
+		return nil, fmt.Errorf("transport: no reply to %s within %v", hello.Kind(), deadline)
+	}
+	if err != nil {
+		return nil, err
+	}
+	err = proto.ForEachMsg(raw, func(m proto.Msg) error {
+		reply = append(reply, m)
+		return nil
+	})
+	proto.PutBuf(raw)
+	if err == nil && len(reply) == 0 {
+		err = errors.New("empty frame")
+	}
+	if err != nil {
+		return nil, fmt.Errorf("transport: reply to %s: %w", hello.Kind(), err)
+	}
+	return reply, nil
 }
 
 // ListenRetry binds addr through tr, retrying with backoff while the

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"nimbus/internal/proto"
 )
 
 // TestBackoffDelayCappedAndJittered pins the delay envelope: exponential
@@ -104,4 +106,45 @@ func TestListenRetryWaitsForRelease(t *testing.T) {
 		t.Fatalf("listen retry: %v", err)
 	}
 	lis.Close()
+}
+
+// TestExchangeEnds: an exchange returns the reply frame's messages; one
+// the peer never answers ends at its deadline or when cancel closes, and
+// either way the connection is closed, so the peer sees it go.
+func TestExchangeEnds(t *testing.T) {
+	hello := &proto.RegisterWorker{DataAddr: "data/1", Slots: 1}
+	a, b := Pipe(0)
+	go func() {
+		if _, err := b.Recv(); err == nil {
+			b.Send(proto.AppendBatch(nil, []proto.Msg{&proto.RegisterWorkerAck{Worker: 3}, &proto.Heartbeat{Worker: 3}}))
+		}
+	}()
+	reply, err := Exchange(a, hello, time.Second, nil)
+	if err != nil || len(reply) != 2 || reply[0].Kind() != proto.KindRegisterWorkerAck {
+		t.Fatalf("answered exchange = %v, %v; want the ack and the heartbeat", reply, err)
+	}
+
+	cancel := make(chan struct{})
+	for _, tc := range []struct {
+		name     string
+		deadline time.Duration
+		end      func()
+	}{
+		{"deadline", 20 * time.Millisecond, func() {}},
+		{"cancel", 0, func() { close(cancel) }},
+	} {
+		a, b := Pipe(0)
+		end := tc.end
+		go func() {
+			time.Sleep(20 * time.Millisecond)
+			end()
+		}()
+		if _, err := Exchange(a, hello, tc.deadline, cancel); err == nil {
+			t.Fatalf("%s: an unanswered exchange succeeded", tc.name)
+		}
+		b.Recv() // the hello
+		if _, err := b.Recv(); err == nil {
+			t.Fatalf("%s: the peer got a frame after the hello", tc.name)
+		}
+	}
 }

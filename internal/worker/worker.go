@@ -644,7 +644,7 @@ func (w *Worker) Start() error {
 	}
 	// The controller may not be listening yet (or may be mid-failover):
 	// retry with backoff for a bounded window instead of failing hard.
-	ctrl, err := transport.DialRetry(w.cfg.Transport, w.cfg.ControlAddr, transport.Backoff{}, 0, 2*time.Second, w.stopped)
+	ctrl, err := transport.DialRetry(w.cfg.Transport, w.cfg.ControlAddr, transport.Backoff{}, 0, transport.HelloTimeout, w.stopped)
 	if err != nil {
 		return fail(fmt.Errorf("worker: control dial: %w", err))
 	}
@@ -677,43 +677,19 @@ func (w *Worker) Start() error {
 // worker's ID, which is NoWorker until the first ack assigns one — and
 // returns the decoded reply frame: the RegisterWorkerAck, then whatever
 // the controller batched behind it (quotas, halts, installs, FleetWarm or
-// FleetReady). A watcher unblocks the Recv if the worker stops.
+// FleetReady). An unanswered hello times out and a stopping worker ends
+// it; either way, as on any error, conn is closed.
 func (w *Worker) handshake(conn transport.Conn) ([]proto.Msg, error) {
 	hello := &proto.RegisterWorker{Worker: w.id, DataAddr: w.dataAddr, Slots: w.cfg.Slots}
-	buf := proto.MarshalAppend(proto.GetBuf(), hello)
-	owned, err := transport.SendOwned(conn, buf)
-	if !owned {
-		proto.PutBuf(buf)
-	}
+	reply, err := transport.Exchange(conn, hello, transport.HelloTimeout, w.stopped)
 	if err != nil {
 		return nil, err
 	}
-	hsDone := make(chan struct{})
-	go func() {
-		select {
-		case <-w.stopped:
-			conn.Close()
-		case <-hsDone:
-		}
-	}()
-	raw, err := conn.Recv()
-	close(hsDone)
-	if err != nil {
-		return nil, err
+	if _, ok := reply[0].(*proto.RegisterWorkerAck); !ok {
+		conn.Close()
+		return nil, fmt.Errorf("worker: expected admission ack, got %s", reply[0].Kind())
 	}
-	var reply []proto.Msg
-	err = proto.ForEachMsg(raw, func(m proto.Msg) error {
-		if _, ok := m.(*proto.RegisterWorkerAck); len(reply) == 0 && !ok {
-			return fmt.Errorf("worker: expected admission ack, got %s", m.Kind())
-		}
-		reply = append(reply, m)
-		return nil
-	})
-	proto.PutBuf(raw)
-	if err == nil && len(reply) == 0 {
-		err = fmt.Errorf("worker: empty handshake reply")
-	}
-	return reply, err
+	return reply, nil
 }
 
 // adopt takes what an admission ack assigns: ID, peer map, reporting mode.
@@ -1003,30 +979,29 @@ func (w *Worker) enterOutage(err error) {
 	go w.reconnectLoop()
 }
 
-// reconnectLoop redials the control endpoint with backoff until a
-// controller acks a RegisterWorker carrying this worker's existing identity.
-// It gives up only when the worker stops.
+// reconnectLoop redials the control endpoint until a controller acks a
+// RegisterWorker carrying this worker's existing identity. A hello that
+// fails or goes unanswered is retried on a fresh connection after a
+// backoff that grows with each attempt. It gives up only when the worker
+// stops.
 func (w *Worker) reconnectLoop() {
 	defer w.wg.Done()
-	for {
+	for attempt := 0; ; attempt++ {
 		conn, err := transport.DialRetry(w.cfg.Transport, w.cfg.ControlAddr, transport.Backoff{}, 0, 0, w.stopped)
 		if err != nil {
 			return // stopped
 		}
-		reply, err := w.handshake(conn)
-		if err != nil {
-			conn.Close()
-			select {
-			case <-w.stopped:
-				return
-			case <-time.After(transport.Backoff{}.Delay(3, nil)):
-				continue
+		if reply, err := w.handshake(conn); err == nil {
+			if !w.mbox.Put(event{kind: evReconn, msgs: reply, conn: conn}) {
+				conn.Close()
 			}
+			return
 		}
-		if !w.mbox.Put(event{kind: evReconn, msgs: reply, conn: conn}) {
-			conn.Close()
+		select {
+		case <-w.stopped:
+			return
+		case <-time.After(transport.Backoff{}.Delay(attempt, nil)):
 		}
-		return
 	}
 }
 
